@@ -9,8 +9,10 @@ timestamps, byte-identical for identical config and seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -39,6 +41,9 @@ from .thresholding import RULE_NAMES, ThresholdRule
 
 SCHEMA_VERSION = 1
 _EXIT_CODES = {"USER": 2, "DATA": 3, "INTERNAL": 4}
+# stdout's reader went away early (`diffcorr ... | head`); 128 + SIGPIPE, the
+# status a shell reports for a writer stopped by a closed pipe
+_EXIT_BROKEN_PIPE = 141
 
 
 def ingest_two_group(
@@ -373,7 +378,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # send what is still buffered to the null device, so the final flush
+        # at interpreter exit does not hit the closed pipe again
+        with contextlib.suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except DiffCorrError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(exc.category, 4)

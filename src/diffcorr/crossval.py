@@ -25,17 +25,10 @@ from .errors import (
     ValidationError,
 )
 from .moments import MomentSet, moment_set
-from .thresholding import (
-    ThresholdRule,
-    apply_rule,
-    unit_cov_thresholds,
-    unit_diff_corr_thresholds,
-    unit_diff_cov_thresholds,
-    unit_single_corr_thresholds,
-)
+from .thresholding import KINDS, ThresholdRule, apply_rule, unit_thresholds
 
-TWO_GROUP_KINDS = ("diff-corr", "diff-cov", "cross-corr")
-SINGLE_GROUP_KINDS = ("single-corr", "cov-threshold")
+TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
+SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
 
 _MAX_REDRAWS = 10
 
@@ -104,32 +97,8 @@ def _draw_folds(rng, x: SampleMatrix, n_test: int) -> tuple[MomentSet, MomentSet
     return moment_set(train), moment_set(test)
 
 
-def _fit_and_raw(kind, trains, tests, p, split):
-    """Unit threshold matrix, raw training statistic, and held-out target."""
-    if kind == "diff-corr":
-        unit = unit_diff_corr_thresholds(trains[0], trains[1], p)
-        raw = trains[0].corr - trains[1].corr
-        target = tests[0].corr - tests[1].corr
-    elif kind == "diff-cov":
-        unit = unit_diff_cov_thresholds(trains[0], trains[1], p)
-        raw = trains[0].cov - trains[1].cov
-        target = tests[0].cov - tests[1].cov
-    elif kind == "cross-corr":
-        unit = unit_diff_corr_thresholds(trains[0], trains[1], p)[:split, split:]
-        raw = (trains[0].corr - trains[1].corr)[:split, split:]
-        target = (tests[0].corr - tests[1].corr)[:split, split:]
-    elif kind == "single-corr":
-        unit = unit_single_corr_thresholds(trains[0], p)
-        raw = trains[0].corr
-        target = tests[0].corr
-    else:  # cov-threshold
-        unit = unit_cov_thresholds(trains[0], p)
-        raw = trains[0].cov
-        target = tests[0].cov
-    return unit, raw, target
-
-
-def _accumulate_losses(kind, cfg, samples, p, split) -> tuple[np.ndarray, np.ndarray]:
+def _accumulate_losses(kind, cfg, samples, split) -> tuple[np.ndarray, np.ndarray]:
+    spec = KINDS[kind]
     grid = cfg.grid()
     loss_acc = np.zeros(grid.shape)
     sizes = [_split_sizes(x.n, cfg.k_folds) for x in samples]
@@ -148,14 +117,11 @@ def _accumulate_losses(kind, cfg, samples, p, split) -> tuple[np.ndarray, np.nda
             )
         trains = [f[0] for f in folds]
         tests = [f[1] for f in folds]
-        unit, raw, target = _fit_and_raw(kind, trains, tests, p, split)
-        raw_diag = np.diag(raw).copy() if kind == "cov-threshold" else None
+        unit = spec.block(unit_thresholds(spec.statistic, trains), split)
+        raw = spec.raw(trains, split)
+        target = spec.raw(tests, split)
         for gi, tau in enumerate(grid):
-            est = apply_rule(cfg.rule, raw, tau * unit)
-            if kind == "single-corr":
-                np.fill_diagonal(est, 1.0)
-            elif kind == "cov-threshold":
-                np.fill_diagonal(est, raw_diag)
+            est = spec.set_diagonal(apply_rule(cfg.rule, raw, tau * unit), raw)
             dev = est - target
             loss_acc[gi] += float(np.sum(dev * dev))
     return grid, loss_acc / cfg.h_repeats
@@ -188,9 +154,7 @@ def cv_select_tau(
             raise ValidationError(
                 f"cross-corr needs a split index in [1, {ds.p - 1}], got {split}"
             )
-    grid, losses = _accumulate_losses(
-        estimator, cfg, [ds.group1, ds.group2], ds.p, split
-    )
+    grid, losses = _accumulate_losses(estimator, cfg, [ds.group1, ds.group2], split)
     return _finish(grid, losses, cfg)
 
 
@@ -205,5 +169,5 @@ def cv_select_tau_single(
             f"unknown single-group estimator kind {estimator!r}; choose from "
             f"{SINGLE_GROUP_KINDS}"
         )
-    grid, losses = _accumulate_losses(estimator, cfg, [x], x.p, None)
+    grid, losses = _accumulate_losses(estimator, cfg, [x], None)
     return _finish(grid, losses, cfg)

@@ -1,8 +1,9 @@
 """Sample containers, validation helpers, and CSV input/output.
 
 CSV data format: first row holds the variable labels, every following row is
-one observation, comma separated, '.' decimal point. Parse failures report the
-1-based row and column of the first offending cell.
+one observation, comma separated, '.' decimal point. Files are UTF-8; a
+leading byte order mark and trailing blank rows are ignored. Parse failures
+report the 1-based row and column of the first offending cell.
 """
 
 from __future__ import annotations
@@ -119,11 +120,23 @@ class TwoGroupDataset:
         return self.group1.names
 
 
-def _parse_header(row, path):
-    names = [cell.strip() for cell in row]
-    if not names or all(x == "" for x in names):
+def _read_rows(path) -> list[list[str]]:
+    """The rows of a CSV file, read as UTF-8 with any byte order mark
+    dropped and trailing blank rows removed. The header row must not be
+    blank, and every row must have as many cells as the header."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    while rows and not any(cell.strip() for cell in rows[-1]):
+        rows.pop()
+    if not rows:
+        raise CsvFormatError(f"{path}: file is empty", row=1)
+    if not any(cell.strip() for cell in rows[0]):
         raise CsvFormatError(f"{path}: empty header row", row=1)
-    return names
+    width = len(rows[0])
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: expected {width} cells, got {len(row)}", row=i)
+    return rows
 
 
 def _parse_cell(cell, path, row_no, col_no):
@@ -142,22 +155,13 @@ def _parse_cell(cell, path, row_no, col_no):
 
 def read_sample_csv(path) -> SampleMatrix:
     """Read an observations CSV (header row of labels, then data rows)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise CsvFormatError(f"{path}: file is empty", row=1)
-    names = _parse_header(rows[0], path)
-    p = len(names)
-    data = np.empty((len(rows) - 1, p))
+    rows = _read_rows(path)
+    names = tuple(cell.strip() for cell in rows[0])
+    data = np.empty((len(rows) - 1, len(names)))
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != p:
-            raise CsvFormatError(
-                f"{path}: expected {p} cells, got {len(row)}", row=i
-            )
         for j, cell in enumerate(row):
             data[i - 2, j] = _parse_cell(cell, path, i, j + 1)
-    return SampleMatrix(data, tuple(names))
+    return SampleMatrix(data, names)
 
 
 def parse_group_spec(spec: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -184,12 +188,8 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
     side is pooled into group1 and the right into group2; rows with other
     labels are dropped.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise CsvFormatError(f"{path}: file is empty", row=1)
-    header = _parse_header(rows[0], path)
+    rows = _read_rows(path)
+    header = [cell.strip() for cell in rows[0]]
     if label_column not in header:
         raise ValidationError(
             f"{path}: label column {label_column!r} not found in header {header}"
@@ -202,10 +202,6 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
     labels = []
     values = []
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"{path}: expected {len(header)} cells, got {len(row)}", row=i
-            )
         labels.append(row[label_idx].strip())
         values.append(
             [
@@ -256,7 +252,7 @@ def write_matrix_csv(path, values: np.ndarray, row_labels, col_labels) -> None:
             f"matrix shape {values.shape} does not match labels "
             f"({len(row_labels)}, {len(col_labels)})"
         )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(col_labels))
         for label, row in zip(row_labels, values):
@@ -265,18 +261,11 @@ def write_matrix_csv(path, values: np.ndarray, row_labels, col_labels) -> None:
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """Read a labeled matrix CSV as written by write_matrix_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvFormatError(f"{path}: file is empty", row=1)
+    rows = _read_rows(path)
     col_labels = tuple(x.strip() for x in rows[0][1:])
     row_labels = []
     data = np.empty((len(rows) - 1, len(col_labels)))
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(col_labels) + 1:
-            raise CsvFormatError(
-                f"{path}: expected {len(col_labels) + 1} cells, got {len(row)}", row=i
-            )
         row_labels.append(row[0].strip())
         for j, cell in enumerate(row[1:]):
             data[i - 2, j] = _parse_cell(cell, path, i, j + 2)

@@ -2,11 +2,14 @@
 structure, the comparison baselines, and per-variable support ranking.
 
 Every estimator accepts a fixed thresholding constant tau; passing tau=None
-selects it by cross-validation (see crossval). Diagonal conventions:
+selects it by cross-validation (see crossval). All of them fit through one
+path driven by the kind table in thresholding. Diagonal conventions:
 
 - the correlation-difference estimate has an exactly zero diagonal,
 - a single thresholded correlation matrix keeps its unit diagonal,
-- covariance thresholding never thresholds the diagonal.
+- the covariance-difference estimate thresholds its diagonal like any other
+  entry; only the cov-then-normalize baseline keeps each group's raw
+  variances before normalizing.
 """
 
 from __future__ import annotations
@@ -17,17 +20,14 @@ import numpy as np
 
 from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single
 from .dataset import SampleMatrix, TwoGroupDataset
-from .errors import DegenerateVariableError, ValidationError
+from .errors import ValidationError
 from .moments import moment_set, sample_correlation
 from .thresholding import (
+    KINDS,
+    THRESHOLDS,
     ThresholdMatrix,
     ThresholdRule,
-    apply_rule,
     apply_threshold,
-    diff_corr_thresholds,
-    diff_cov_thresholds,
-    single_corr_thresholds,
-    unit_cov_thresholds,
 )
 
 DEFAULT_RULE = ThresholdRule("adaptive-lasso", 4.0)
@@ -77,10 +77,35 @@ class DifferentialEstimate:
         return int(np.count_nonzero(self.estimate))
 
 
-def _resolve(rule: ThresholdRule | None, cv: CvConfig | None) -> tuple[ThresholdRule, CvConfig]:
+def _fit(
+    kind: str,
+    data: TwoGroupDataset | SampleMatrix,
+    tau: float | None,
+    rule: ThresholdRule | None,
+    cv: CvConfig | None,
+    split: int | None = None,
+) -> DifferentialEstimate:
+    """The shared recipe: select tau by cross-validation when it is None,
+    then threshold the kind's statistic on the full data."""
+    spec = KINDS[kind]
     rule = rule or DEFAULT_RULE
     cfg = replace(cv or CvConfig(), rule=rule)
-    return rule, cfg
+    cv_result = None
+    if tau is None:
+        if spec.two_group:
+            cv_result = cv_select_tau(data, cfg, kind, split=split)
+        else:
+            cv_result = cv_select_tau_single(data, cfg, kind)
+        tau = cv_result.tau_hat
+    groups = (data.group1, data.group2) if spec.two_group else (data,)
+    moments = [moment_set(x) for x in groups]
+    full = THRESHOLDS[spec.statistic, len(moments)](*moments, tau)
+    thresholds = ThresholdMatrix(spec.block(full.values, split), tau)
+    raw = spec.raw(moments, split)
+    estimate = spec.set_diagonal(apply_threshold(raw, thresholds, rule), raw)
+    names = data.names
+    rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
+    return DifferentialEstimate(estimate, thresholds, tau, rule, rows, cols, cv_result)
 
 
 def estimate_diff_corr(
@@ -94,17 +119,7 @@ def estimate_diff_corr(
     The per-entry threshold is the sum over groups of
     tau * sqrt(log p / n_t) * (sqrt(corr_noise) + |corr|/2 * (diagonal noise terms)).
     """
-    rule, cfg = _resolve(rule, cv)
-    cv_result = None
-    if tau is None:
-        cv_result = cv_select_tau(ds, cfg, "diff-corr")
-        tau = cv_result.tau_hat
-    m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
-    thresholds = diff_corr_thresholds(m1, m2, tau)
-    estimate = apply_threshold(m1.corr - m2.corr, thresholds, rule)
-    return DifferentialEstimate(
-        estimate, thresholds, tau, rule, ds.names, ds.names, cv_result
-    )
+    return _fit("diff-corr", ds, tau, rule, cv)
 
 
 def estimate_single_corr(
@@ -115,18 +130,7 @@ def estimate_single_corr(
 ) -> DifferentialEstimate:
     """Thresholding estimate of a single sparse correlation matrix; the unit
     diagonal is kept as is."""
-    rule, cfg = _resolve(rule, cv)
-    cv_result = None
-    if tau is None:
-        cv_result = cv_select_tau_single(x, cfg, "single-corr")
-        tau = cv_result.tau_hat
-    m = moment_set(x)
-    thresholds = single_corr_thresholds(m, tau)
-    estimate = apply_threshold(m.corr, thresholds, rule)
-    np.fill_diagonal(estimate, 1.0)
-    return DifferentialEstimate(
-        estimate, thresholds, tau, rule, x.names, x.names, cv_result
-    )
+    return _fit("single-corr", x, tau, rule, cv)
 
 
 def estimate_diff_cov(
@@ -136,17 +140,7 @@ def estimate_diff_cov(
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
     """Adaptive entrywise thresholding of the sample covariance difference."""
-    rule, cfg = _resolve(rule, cv)
-    cv_result = None
-    if tau is None:
-        cv_result = cv_select_tau(ds, cfg, "diff-cov")
-        tau = cv_result.tau_hat
-    m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
-    thresholds = diff_cov_thresholds(m1, m2, tau)
-    estimate = apply_threshold(m1.cov - m2.cov, thresholds, rule)
-    return DifferentialEstimate(
-        estimate, thresholds, tau, rule, ds.names, ds.names, cv_result
-    )
+    return _fit("diff-cov", ds, tau, rule, cv)
 
 
 def estimate_cross_corr(
@@ -163,36 +157,15 @@ def estimate_cross_corr(
         raise ValidationError(
             f"split must lie in [1, {ds.p - 1}], got {split}"
         )
-    rule, cfg = _resolve(rule, cv)
-    cv_result = None
-    if tau is None:
-        cv_result = cv_select_tau(ds, cfg, "cross-corr", split=split)
-        tau = cv_result.tau_hat
-    m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
-    full = diff_corr_thresholds(m1, m2, tau)
-    block = ThresholdMatrix(full.values[:split, split:], tau)
-    raw = (m1.corr - m2.corr)[:split, split:]
-    estimate = apply_threshold(raw, block, rule)
-    return DifferentialEstimate(
-        estimate, block, tau, rule, ds.names[:split], ds.names[split:], cv_result
-    )
+    return _fit("cross-corr", ds, tau, rule, cv, split)
 
 
-def _thresholded_correlation_via_cov(
-    x: SampleMatrix, tau: float | None, rule: ThresholdRule, cfg: CvConfig
-) -> tuple[np.ndarray, float, CvResult | None]:
-    """Threshold the sample covariance (diagonal exempt), then normalize."""
-    cv_result = None
-    if tau is None:
-        cv_result = cv_select_tau_single(x, cfg, "cov-threshold")
-        tau = cv_result.tau_hat
-    m = moment_set(x)
-    cov_star = apply_rule(rule, m.cov, tau * unit_cov_thresholds(m))
-    np.fill_diagonal(cov_star, np.diag(m.cov))
-    bad = np.flatnonzero(np.diag(cov_star) <= 0.0)
-    if bad.size:
-        raise DegenerateVariableError(int(bad[0]), x.names[int(bad[0])])
-    return sample_correlation(cov_star), tau, cv_result
+def _group_difference(ds: TwoGroupDataset, fits, difference, tau) -> DifferentialEstimate:
+    """Difference of two separately fitted groups; under cross-validation
+    each group keeps its own constant and loss curve."""
+    taus = tau if tau is not None else (fits[0].tau, fits[1].tau)
+    cv_res = None if tau is not None else (fits[0].cv, fits[1].cv)
+    return DifferentialEstimate(difference, None, taus, fits[0].rule, ds.names, ds.names, cv_res)
 
 
 def baseline_cov_then_normalize(
@@ -201,15 +174,12 @@ def baseline_cov_then_normalize(
     rule: ThresholdRule | None = None,
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
-    """Baseline: threshold each group's covariance adaptively, normalize each
-    to a correlation matrix, and take the difference. With tau=None each group
-    selects its own constant by cross-validation."""
-    rule, cfg = _resolve(rule, cv)
-    r1, tau1, cv1 = _thresholded_correlation_via_cov(ds.group1, tau, rule, cfg)
-    r2, tau2, cv2 = _thresholded_correlation_via_cov(ds.group2, tau, rule, cfg)
-    taus = tau1 if tau is not None else (tau1, tau2)
-    cv_res = None if tau is not None else (cv1, cv2)
-    return DifferentialEstimate(r1 - r2, None, taus, rule, ds.names, ds.names, cv_res)
+    """Baseline: threshold each group's covariance adaptively (raw variances
+    kept), normalize each to a correlation matrix, and take the difference.
+    With tau=None each group selects its own constant by cross-validation."""
+    fits = [_fit("cov-threshold", x, tau, rule, cv) for x in (ds.group1, ds.group2)]
+    r1, r2 = (sample_correlation(f.estimate) for f in fits)
+    return _group_difference(ds, fits, r1 - r2, tau)
 
 
 def baseline_separate_corr(
@@ -220,14 +190,8 @@ def baseline_separate_corr(
 ) -> DifferentialEstimate:
     """Baseline: threshold each group's correlation matrix separately and take
     the difference."""
-    rule, _ = _resolve(rule, cv)
-    e1 = estimate_single_corr(ds.group1, tau, rule, cv)
-    e2 = estimate_single_corr(ds.group2, tau, rule, cv)
-    taus = tau if tau is not None else (e1.tau, e2.tau)
-    cv_res = None if tau is not None else (e1.cv, e2.cv)
-    return DifferentialEstimate(
-        e1.estimate - e2.estimate, None, taus, rule, ds.names, ds.names, cv_res
-    )
+    fits = [estimate_single_corr(x, tau, rule, cv) for x in (ds.group1, ds.group2)]
+    return _group_difference(ds, fits, fits[0].estimate - fits[1].estimate, tau)
 
 
 def baseline_sample_difference(ds: TwoGroupDataset) -> DifferentialEstimate:

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import SampleMatrix
 from .errors import DegenerateVariableError, InsufficientSamplesError
 
-# Entrywise accumulations work on (chunk, p, p) blocks to bound memory.
+# correlation_variance accumulates on (chunk, p, p) blocks to bound memory.
 _MAX_CHUNK = 256
 _BLOCK_BUDGET = 8_000_000  # floats per (chunk, p, p) working block
 
@@ -78,16 +78,12 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
 
 
 def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Mean over samples of (c_i c_j - cov_ij)^2, accumulated two-pass."""
-    n = c.shape[0]
-    chunk = _chunk_rows(cov.shape[0])
-    acc = np.zeros_like(cov)
-    for k0 in range(0, n, chunk):
-        blk = c[k0 : k0 + chunk]
-        dev = blk[:, :, None] * blk[:, None, :]
-        dev -= cov
-        acc += np.einsum("kij,kij->ij", dev, dev)
-    return acc / n
+    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c, as
+    E[c_i^2 c_j^2] - cov_ij^2 from one Gram product of the squared data;
+    symmetrized, and clamped at 0 against rounding."""
+    sq = c * c
+    noise = sq.T @ sq / c.shape[0] - cov * cov
+    return np.maximum((noise + noise.T) * 0.5, 0.0)
 
 
 def sample_covariance(x: SampleMatrix) -> np.ndarray:

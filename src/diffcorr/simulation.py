@@ -11,15 +11,12 @@ Model 2 (banded difference): deterministic banded matrices whose difference
 has bandwidth 2.
 
 Both models are rescaled to covariances with random diagonals before
-sampling. Per-replication RNG streams derive from (seed, cell, replication),
-so parallel and serial runs aggregate identically.
+sampling. Per-replication RNG streams derive from (seed, cell, replication).
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -256,15 +253,6 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def worker_count() -> int:
-    """Replication parallelism, capped by the DIFFCORR_THREADS env var."""
-    raw = os.environ.get("DIFFCORR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _fit(estimator: str, ds, rule, cfg):
     if estimator == "diff-corr":
         return estimate_diff_corr(ds, None, rule, cfg).estimate
@@ -345,15 +333,7 @@ def run_benchmark(
             np.random.SeedSequence([seed, cell_idx, rep]).generate_state(6, np.uint64).tolist()
             for rep in range(reps)
         ]
-        def one_rep(rep_seed, p=p, n1=n1, n2=n2):
-            return _one_replication(kind, p, n1, n2, rep_seed, combos, cv)
-
-        workers = worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_rep, rep_seeds))
-        else:
-            results = [one_rep(s) for s in rep_seeds]
+        results = [_one_replication(kind, p, n1, n2, s, combos, cv) for s in rep_seeds]
         for estimator, rule in combos:
             rule_name = rule.kind if rule is not None else "none"
             values = {

@@ -4,6 +4,11 @@ The three rules share the same contract on a scalar z at level lam >= 0:
 they return 0 whenever |z| <= lam, and never move z by more than lam. The
 hard rule uses a strict inequality |z| > lam so the boundary |z| = lam is
 killed as well.
+
+Every estimator kind follows one recipe; KINDS records, per kind, which
+statistic it thresholds, over how many groups, its diagonal policy and
+whether it keeps only a cross block. The estimators and cross-validation
+both read that table.
 """
 
 from __future__ import annotations
@@ -93,64 +98,101 @@ def _log_dim(p: int) -> float:
     return log(p)
 
 
-def _corr_unit_term(m: MomentSet, p: int) -> np.ndarray:
-    """Per-group term of the correlation threshold at tau = 1:
-    sqrt(log p / n) * (sqrt(corr_noise_ij)
-                       + |corr_ij| / 2 * (sqrt(corr_noise_ii) + sqrt(corr_noise_jj)))."""
-    root_diag = np.sqrt(np.diag(m.corr_noise))
-    base = np.sqrt(m.corr_noise) + 0.5 * np.abs(m.corr) * (
-        root_diag[:, None] + root_diag[None, :]
-    )
-    return np.sqrt(_log_dim(p) / m.n) * base
+def unit_thresholds(statistic: str, moments, p: int | None = None) -> np.ndarray:
+    """Threshold levels at tau = 1 for the "corr" or "cov" statistic of one
+    group, or of the difference of groups (the per-group terms add up):
+
+    corr: sqrt(log p / n) * (sqrt(corr_noise_ij)
+                             + |corr_ij| / 2 * (sqrt(corr_noise_ii) + sqrt(corr_noise_jj)))
+    cov:  sqrt(log p / n * cov_noise_ij)
+    """
+    dims = [m.p for m in moments]
+    if len(set(dims)) != 1:
+        raise ValidationError(f"moment sets disagree on dimension: {dims}")
+    logp = _log_dim(dims[0] if p is None else p)
+    total = 0.0
+    for m in moments:
+        if statistic == "cov":
+            term = np.sqrt(logp / m.n * m.cov_noise)
+        else:
+            root_diag = np.sqrt(np.diag(m.corr_noise))
+            term = np.sqrt(logp / m.n) * (
+                np.sqrt(m.corr_noise)
+                + 0.5 * np.abs(m.corr) * (root_diag[:, None] + root_diag[None, :])
+            )
+        total = total + term
+    return total
 
 
-def unit_diff_corr_thresholds(m1: MomentSet, m2: MomentSet, p: int | None = None) -> np.ndarray:
-    """Thresholds for the correlation difference at tau = 1 (scale by tau)."""
-    if m1.p != m2.p:
-        raise ValidationError(f"moment sets disagree on dimension: {m1.p} vs {m2.p}")
-    if p is None:
-        p = m1.p
-    return _corr_unit_term(m1, p) + _corr_unit_term(m2, p)
+def _thresholds(statistic: str, moments, tau: float, p: int | None) -> ThresholdMatrix:
+    _check_tau(tau)
+    return ThresholdMatrix(tau * unit_thresholds(statistic, moments, p), tau)
 
 
 def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
     """Per-entry threshold levels for the difference of two sample correlations."""
-    _check_tau(tau)
-    return ThresholdMatrix(tau * unit_diff_corr_thresholds(m1, m2, p), tau)
-
-
-def unit_single_corr_thresholds(m: MomentSet, p: int | None = None) -> np.ndarray:
-    if p is None:
-        p = m.p
-    return _corr_unit_term(m, p)
+    return _thresholds("corr", (m1, m2), tau, p)
 
 
 def single_corr_thresholds(m: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
     """Single-sample analogue of diff_corr_thresholds."""
-    _check_tau(tau)
-    return ThresholdMatrix(tau * unit_single_corr_thresholds(m, p), tau)
-
-
-def unit_diff_cov_thresholds(m1: MomentSet, m2: MomentSet, p: int | None = None) -> np.ndarray:
-    if m1.p != m2.p:
-        raise ValidationError(f"moment sets disagree on dimension: {m1.p} vs {m2.p}")
-    if p is None:
-        p = m1.p
-    logp = _log_dim(p)
-    return np.sqrt(logp / m1.n * m1.cov_noise) + np.sqrt(logp / m2.n * m2.cov_noise)
+    return _thresholds("corr", (m,), tau, p)
 
 
 def diff_cov_thresholds(m1: MomentSet, m2: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
     """Per-entry threshold levels for the difference of two sample covariances."""
-    _check_tau(tau)
-    return ThresholdMatrix(tau * unit_diff_cov_thresholds(m1, m2, p), tau)
+    return _thresholds("cov", (m1, m2), tau, p)
 
 
-def unit_cov_thresholds(m: MomentSet, p: int | None = None) -> np.ndarray:
-    """Single-sample covariance thresholds at tau = 1: sqrt(cov_noise * log p / n)."""
-    if p is None:
-        p = m.p
-    return np.sqrt(m.cov_noise * _log_dim(p) / m.n)
+def _cov_thresholds(m: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
+    return _thresholds("cov", (m,), tau, p)
+
+
+# Threshold matrix by (statistic, number of groups). The estimators call the
+# public functions through this dict rather than through the kind table, so
+# tools that wrap module-level names (perfbench/layertrace.py) see each call.
+THRESHOLDS = {
+    ("corr", 2): diff_corr_thresholds,
+    ("corr", 1): single_corr_thresholds,
+    ("cov", 2): diff_cov_thresholds,
+    ("cov", 1): _cov_thresholds,
+}
+
+
+@dataclass(frozen=True)
+class EstimatorKind:
+    """How one estimator kind applies the shared recipe: threshold a
+    statistic entrywise at levels scaled to each entry's noise."""
+
+    statistic: str  # the MomentSet field thresholded: "corr" or "cov"
+    two_group: bool  # group 1 minus group 2, or a single group
+    raw_diagonal: bool  # the diagonal keeps its raw, unthresholded value
+    cross_block: bool  # only the [:split, split:] block
+
+    def block(self, m: np.ndarray, split: int | None) -> np.ndarray:
+        return m[:split, split:] if self.cross_block else m
+
+    def raw(self, moments, split: int | None = None) -> np.ndarray:
+        """The statistic to threshold, from one moment set per group."""
+        stat = getattr(moments[0], self.statistic)
+        if self.two_group:
+            stat = stat - getattr(moments[1], self.statistic)
+        return self.block(stat, split)
+
+    def set_diagonal(self, estimate: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Apply the diagonal policy to a thresholded raw statistic, in place."""
+        if self.raw_diagonal:
+            np.fill_diagonal(estimate, np.diag(raw))
+        return estimate
+
+
+KINDS = {
+    "diff-corr": EstimatorKind("corr", two_group=True, raw_diagonal=False, cross_block=False),
+    "diff-cov": EstimatorKind("cov", two_group=True, raw_diagonal=False, cross_block=False),
+    "cross-corr": EstimatorKind("corr", two_group=True, raw_diagonal=False, cross_block=True),
+    "single-corr": EstimatorKind("corr", two_group=False, raw_diagonal=True, cross_block=False),
+    "cov-threshold": EstimatorKind("cov", two_group=False, raw_diagonal=True, cross_block=False),
+}
 
 
 def _check_tau(tau: float) -> None:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffcorr
 from diffcorr import read_matrix_csv
 from diffcorr.cli import ingest_two_group, main
 from diffcorr.errors import InsufficientSamplesError, ValidationError
@@ -80,6 +85,43 @@ def test_ingest_rejects_single_row(tmp_path):
     path = _write_csv(tmp_path / "tiny.csv", ["a"], [[1.0]])
     with pytest.raises(InsufficientSamplesError):
         ingest_two_group(input1=path, input2=path)
+
+
+def test_byte_order_mark_stays_out_of_labels(tmp_path, sample_files):
+    a, _ = sample_files
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(a).read_bytes())
+    out = tmp_path / "corr.csv"
+    assert main(["estimate-corr", "--input", str(marked), "--tau", "0.5", "--out-matrix", str(out)]) == 0
+    _, rows, cols = read_matrix_csv(out)
+    assert rows == cols == ("g1", "g2", "g3")
+
+
+def test_trailing_blank_rows_are_ignored(tmp_path, sample_files):
+    a, _ = sample_files
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(Path(a).read_bytes() + b"\r\n\n,,\n")
+    outs = []
+    for path in (a, padded):
+        outs.append(tmp_path / f"corr{len(outs)}.csv")
+        assert main(["estimate-corr", "--input", str(path), "--tau", "0.5", "--out-matrix", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_closed_stdout_exits_quietly(sample_files):
+    a, b = sample_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write, as with `| head`
+    env = dict(os.environ, PYTHONPATH=str(Path(diffcorr.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffcorr.cli", "test-equality", "--input1", a, "--input2", b],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_estimate_diff_corr_identical_files(tmp_path, sample_files, capsys):

@@ -74,12 +74,13 @@ def test_determinism():
     check_cv_determinism()
 
 
-def test_matches_naive_reimplementation():
+@pytest.mark.parametrize("kind", ["hard", "soft", "adaptive-lasso"])
+def test_matches_naive_reimplementation(kind):
     ds = _model2_dataset()
-    cfg = CvConfig(k_folds=5, h_repeats=3, grid_n=10, seed=42, rule=ThresholdRule("hard"))
+    cfg = CvConfig(k_folds=5, h_repeats=3, grid_n=10, seed=42, rule=ThresholdRule(kind))
     result = cv_select_tau(ds, cfg, "diff-corr")
     tau_naive, grid_naive, losses_naive = naive_cv_diff_corr(
-        ds.group1.data, ds.group2.data, 5, 3, 10, 42, "hard"
+        ds.group1.data, ds.group2.data, 5, 3, 10, 42, kind
     )
     assert result.tau_hat == tau_naive
     assert np.allclose(result.grid, grid_naive, atol=1e-12)

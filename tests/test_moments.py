@@ -94,6 +94,27 @@ def test_covariance_noise_against_double_loop():
     assert np.all(got >= 0.0)
 
 
+def test_noise_on_heavy_offset_and_two_valued_columns():
+    rng = np.random.default_rng(12)
+    n = 10
+    offset = 1e6 + rng.standard_normal(n)
+    binary = rng.integers(0, 2, size=n).astype(float)
+    binary[:2] = (0.0, 1.0)  # both values present
+    # centered square is constant, so the noise is zero; the Gram form rounds below it
+    balanced = np.tile([0.9, 8.7], n // 2)
+    x = np.column_stack([offset, binary, balanced, offset + 2.0 * binary])
+    sm = SampleMatrix(x)
+    cov = sample_covariance(sm)
+    theta = np.array(naive_theta(x, naive_cov(x)))
+    got = covariance_noise(sm, cov)
+    assert np.max(np.abs(got - theta)) < 1e-12
+    assert np.all(got >= 0.0)
+    corr_noise = moment_set(sm).corr_noise
+    expected = np.array(naive_xi(theta, naive_cov(x)))
+    assert np.max(np.abs(corr_noise - expected)) < 1e-12
+    assert np.all(corr_noise >= 0.0)
+
+
 def test_correlation_noise_examples():
     cov = np.array([[2.0, 0.5], [0.5, 3.0]])
     assert np.array_equal(correlation_noise(np.zeros((2, 2)), cov), np.zeros((2, 2)))

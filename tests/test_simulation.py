@@ -15,7 +15,6 @@ from diffcorr import (
     sample_correlation,
     scale_to_covariance,
 )
-from diffcorr.simulation import worker_count
 
 HARD = ThresholdRule("hard")
 
@@ -179,22 +178,6 @@ def test_benchmark_determinism():
     first = run_benchmark(**kwargs)
     second = run_benchmark(**kwargs)
     assert first.rows == second.rows
-
-
-def test_benchmark_thread_equivalence(monkeypatch):
-    kwargs = dict(
-        kind="model2",
-        sizes=[(8, 16, 16)],
-        reps=3,
-        rules=[HARD],
-        estimators=["diff-corr", "sample-diff"],
-        seed=2,
-    )
-    serial = run_benchmark(**kwargs)
-    monkeypatch.setenv("DIFFCORR_THREADS", "3")
-    assert worker_count() == 3
-    threaded = run_benchmark(**kwargs)
-    assert serial.rows == threaded.rows
 
 
 def test_benchmark_drops_cells_below_success_floor(monkeypatch):
