@@ -198,6 +198,8 @@ def _cmd_estimate_cross(args) -> int:
 
 
 def _cmd_support_rank(args) -> int:
+    if args.top_k < 0:
+        raise ValidationError(f"--top-k must be >= 0, got {args.top_k}")
     ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
     rule = _rule(args)
     est = estimate_diff_corr(ds, args.tau, rule, _cv_config(args, rule))
@@ -217,12 +219,13 @@ def _cmd_support_rank(args) -> int:
 def _cmd_test_equality(args) -> int:
     ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
     result = test_equality(ds, args.alpha)
+    pairs = result.top_pairs(args.top_k)
     decision = "reject" if result.reject else "accept"
     print(f"t_n = {result.t_n:.6g}")
     print(f"p-value = {result.p_value:.6g}")
     print(f"decision at alpha={result.alpha:g}: {decision} equality")
     print(f"top {args.top_k} pairs:")
-    for name_i, name_j, value in result.top_pairs(args.top_k):
+    for name_i, name_j, value in pairs:
         print(f"  {name_i}\t{name_j}\t{value:.6g}")
     if args.out_json:
         _write_json(
@@ -238,7 +241,7 @@ def _cmd_test_equality(args) -> int:
                     "alpha": result.alpha,
                     "reject": result.reject,
                     "tau_alpha": result.tau_alpha,
-                    "top_pairs": [list(t) for t in result.top_pairs(args.top_k)],
+                    "top_pairs": [list(t) for t in pairs],
                 },
             },
         )
@@ -282,6 +285,8 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("simulate needs --p and --n (or --n1/--n2)")
     rules = [ThresholdRule(name, args.eta) for name in args.rules.split(",") if name]
     estimators = [name for name in args.estimators.split(",") if name]
+    if not rules or not estimators:
+        raise ValidationError("--rules and --estimators each need at least one name")
     args.tau = None
     cfg = _cv_config(args, rules[0])
     report = run_benchmark(

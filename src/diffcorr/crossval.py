@@ -68,9 +68,6 @@ class CvResult:
     losses: np.ndarray
     splits_used: int
 
-    def loss_curve(self) -> dict[float, float]:
-        return {float(t): float(v) for t, v in zip(self.grid, self.losses)}
-
 
 def _split_sizes(n: int, k_folds: int) -> int:
     n_test = n // k_folds

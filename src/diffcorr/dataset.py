@@ -8,6 +8,7 @@ report the 1-based row and column of the first offending cell.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 
@@ -31,6 +32,15 @@ def check_finite(values: np.ndarray, what: str = "matrix") -> None:
         raise ValidationError(f"{what} contains non-finite entries")
 
 
+def asymmetry(values: np.ndarray) -> tuple[float, float]:
+    """max|m - m^T| (infinite for a non-square m) and the tolerance
+    SYMMETRY_RTOL * max(1, max|m|) within which m counts as symmetric."""
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        return np.inf, 0.0
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    return float(np.max(np.abs(values - values.T), initial=0.0)), SYMMETRY_RTOL * scale
+
+
 def check_square_symmetric(values: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate a square symmetric matrix; asymmetric inputs are rejected,
     never silently symmetrized."""
@@ -38,12 +48,10 @@ def check_square_symmetric(values: np.ndarray, what: str = "matrix") -> np.ndarr
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {values.shape}")
     check_finite(values, what)
-    scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
-    asym = float(np.max(np.abs(values - values.T))) if values.size else 0.0
-    if asym > SYMMETRY_RTOL * scale:
+    asym, tol = asymmetry(values)
+    if asym > tol:
         raise ValidationError(
-            f"{what} is not symmetric (max asymmetry {asym:.3e}, tolerance "
-            f"{SYMMETRY_RTOL * scale:.3e})"
+            f"{what} is not symmetric (max asymmetry {asym:.3e}, tolerance {tol:.3e})"
         )
     return values
 
@@ -153,15 +161,27 @@ def _parse_cell(cell, path, row_no, col_no):
     return value
 
 
+def _parse_block(path, body, columns) -> np.ndarray:
+    """The cells of body (file rows 2, 3, ...; 1-based file columns given by
+    columns) as a float array. Parsed one by one only if the single numpy
+    conversion fails or leaves a non-finite value, to name the first bad cell."""
+    with contextlib.suppress(ValueError):
+        data = np.array(body, dtype=float).reshape(len(body), len(columns))
+        if np.isfinite(data).all():
+            return data
+    return np.array(
+        [
+            [_parse_cell(cell, path, i, j) for j, cell in zip(columns, row)]
+            for i, row in enumerate(body, start=2)
+        ]
+    ).reshape(len(body), len(columns))
+
+
 def read_sample_csv(path) -> SampleMatrix:
     """Read an observations CSV (header row of labels, then data rows)."""
     rows = _read_rows(path)
     names = tuple(cell.strip() for cell in rows[0])
-    data = np.empty((len(rows) - 1, len(names)))
-    for i, row in enumerate(rows[1:], start=2):
-        for j, cell in enumerate(row):
-            data[i - 2, j] = _parse_cell(cell, path, i, j + 1)
-    return SampleMatrix(data, names)
+    return SampleMatrix(_parse_block(path, rows[1:], range(1, len(names) + 1)), names)
 
 
 def parse_group_spec(spec: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -199,17 +219,11 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
     if not names:
         raise ValidationError(f"{path}: no variable columns besides the label column")
 
-    labels = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        labels.append(row[label_idx].strip())
-        values.append(
-            [
-                _parse_cell(cell, path, i, j + 1)
-                for j, cell in enumerate(row)
-                if j != label_idx
-            ]
-        )
+    keep = [j for j in range(len(header)) if j != label_idx]
+    labels = [row[label_idx].strip() for row in rows[1:]]
+    values = _parse_block(
+        path, [[row[j] for j in keep] for row in rows[1:]], [j + 1 for j in keep]
+    )
 
     if groups is None:
         distinct = list(dict.fromkeys(labels))
@@ -232,16 +246,14 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
         if overlap:
             raise ValidationError(f"group labels {sorted(overlap)} appear on both sides")
 
-    rows1 = [v for v, lab in zip(values, labels) if lab in side1]
-    rows2 = [v for v, lab in zip(values, labels) if lab in side2]
+    rows1 = values[[lab in side1 for lab in labels]]
+    rows2 = values[[lab in side2 for lab in labels]]
     for side, got in ((side1, rows1), (side2, rows2)):
         if len(got) < 2:
             raise InsufficientSamplesError(
                 f"{path}: group {'+'.join(side)} has {len(got)} rows, need at least 2"
             )
-    return TwoGroupDataset(
-        SampleMatrix(np.array(rows1), names), SampleMatrix(np.array(rows2), names)
-    )
+    return TwoGroupDataset(SampleMatrix(rows1, names), SampleMatrix(rows2, names))
 
 
 def write_matrix_csv(path, values: np.ndarray, row_labels, col_labels) -> None:
@@ -263,10 +275,6 @@ def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]
     """Read a labeled matrix CSV as written by write_matrix_csv."""
     rows = _read_rows(path)
     col_labels = tuple(x.strip() for x in rows[0][1:])
-    row_labels = []
-    data = np.empty((len(rows) - 1, len(col_labels)))
-    for i, row in enumerate(rows[1:], start=2):
-        row_labels.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            data[i - 2, j] = _parse_cell(cell, path, i, j + 2)
-    return data, tuple(row_labels), col_labels
+    row_labels = tuple(row[0].strip() for row in rows[1:])
+    body = [row[1:] for row in rows[1:]]
+    return _parse_block(path, body, range(2, len(col_labels) + 2)), row_labels, col_labels

@@ -47,15 +47,17 @@ class TestResult:
     names: tuple[str, ...]
 
     def top_pairs(self, k: int = 20) -> list[tuple[str, str, float]]:
-        """The k largest per-pair statistics with their variable labels."""
-        p = len(self.names)
-        pairs = [
-            (self.names[i], self.names[j], float(self.t_ij[i, j]))
-            for i in range(p)
-            for j in range(i + 1, p)
+        """The k largest per-pair statistics (i < j) with their variable
+        labels; ties keep row-major order."""
+        if k < 0:
+            raise ValidationError(f"top-k must be >= 0, got {k}")
+        rows, cols = np.triu_indices(len(self.names), k=1)
+        values = self.t_ij[rows, cols]
+        order = np.argsort(-values, kind="stable")[:k]
+        return [
+            (self.names[rows[m]], self.names[cols[m]], float(values[m]))
+            for m in order
         ]
-        pairs.sort(key=lambda item: -item[2])
-        return pairs[:k]
 
 
 def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:

@@ -22,15 +22,6 @@ import numpy as np
 from .dataset import SampleMatrix
 from .errors import DegenerateVariableError, InsufficientSamplesError
 
-# correlation_variance accumulates on (chunk, p, p) blocks to bound memory.
-_MAX_CHUNK = 256
-_BLOCK_BUDGET = 8_000_000  # floats per (chunk, p, p) working block
-
-
-def _chunk_rows(p: int) -> int:
-    return max(1, min(_MAX_CHUNK, _BLOCK_BUDGET // max(1, p * p)))
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """All entrywise statistics of one sample."""
@@ -132,19 +123,18 @@ def correlation_variance(x: SampleMatrix, moments: MomentSet) -> np.ndarray:
 
     Computed as the mean over samples of
         (a_i a_j - (corr_ij / 2) * (a_i^2 + a_j^2))^2
-    where a is the standardized centered data. The diagonal is exactly zero.
+    where a is the standardized centered data. Row i of the result is reduced
+    from one n x p term, so the working set is a few n x p arrays. The
+    diagonal is exactly zero.
     """
     _check_n(x.n)
     var = _positive_variances(moments.cov)
     a = _centered(x.data) / np.sqrt(var)
+    sq = a * a
     half_corr = 0.5 * moments.corr
-    n = x.n
-    chunk = _chunk_rows(x.p)
-    acc = np.zeros_like(moments.corr)
-    for k0 in range(0, n, chunk):
-        blk = a[k0 : k0 + chunk]
-        sq = blk * blk
-        term = blk[:, :, None] * blk[:, None, :]
-        term -= half_corr * (sq[:, :, None] + sq[:, None, :])
-        acc += np.einsum("kij,kij->ij", term, term)
-    return acc / n
+    acc = np.empty_like(moments.corr)
+    for i in range(x.p):
+        term = a[:, i, None] * a
+        term -= half_corr[i] * (sq[:, i, None] + sq)
+        acc[i] = np.einsum("kj,kj->j", term, term)
+    return acc / x.n

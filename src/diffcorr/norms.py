@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import SYMMETRY_RTOL, check_finite
-
-
-def _is_symmetric(m: np.ndarray) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    return float(np.max(np.abs(m - m.T))) <= SYMMETRY_RTOL * scale
+from .dataset import asymmetry, check_finite
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -20,7 +13,8 @@ def spectral_norm(m: np.ndarray) -> float:
     check_finite(m, "matrix")
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim {m.ndim}")
-    if _is_symmetric(m):
+    gap, tol = asymmetry(m)
+    if gap <= tol:
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return float(np.linalg.svd(m, compute_uv=False)[0])
 

@@ -81,6 +81,28 @@ def test_ingest_bad_cell_reports_location(tmp_path):
     assert "row 3" in str(err.value) and "column 2" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_ingest_non_finite_cell_reports_location(tmp_path, cell):
+    path = _write_csv(tmp_path / "bad.csv", ["a", "b", "c"], [[1, 2, 3], [4, 5, cell], [7, 8, 9]])
+    with pytest.raises(ValidationError) as err:
+        ingest_two_group(input1=path, input2=path)
+    assert err.value.category == "USER"
+    assert (err.value.row, err.value.column) == (3, 3)
+    # the label column is skipped but still counts in the reported column
+    labeled = _write_csv(
+        tmp_path / "labeled.csv", ["x", "grp", "y"], [[1, "A", 2], [3, "B", 4], [5, "A", cell]]
+    )
+    with pytest.raises(ValidationError) as err:
+        ingest_two_group(input=labeled, label_column="grp")
+    assert (err.value.row, err.value.column) == (4, 3)
+
+
+def test_ingest_header_only_file(tmp_path):
+    path = _write_csv(tmp_path / "header.csv", ["a", "b"], [])
+    with pytest.raises(InsufficientSamplesError):
+        ingest_two_group(input1=path, input2=path)
+
+
 def test_ingest_rejects_single_row(tmp_path):
     path = _write_csv(tmp_path / "tiny.csv", ["a"], [[1.0]])
     with pytest.raises(InsufficientSamplesError):
@@ -346,3 +368,23 @@ def test_simulate_csv_row_count(tmp_path, capsys):
 
 def test_simulate_requires_sizes(capsys):
     assert main(["simulate", "--model", "2", "--p", "10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ""],
+        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ","],
+        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--estimators", ""],
+        ["test-equality", "--top-k", "-3"],
+        ["support-rank", "--tau", "1.0", "--top-k", "-1"],
+    ],
+    ids=["empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k", "support-rank-top-k"],
+)
+def test_user_side_flag_errors_exit_2(sample_files, capsys, argv):
+    if argv[0] != "simulate":
+        argv = argv + ["--input1", sample_files[0], "--input2", sample_files[1]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "USER" in captured.err
+    assert captured.out == ""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,36 @@ def test_full_test_result():
     assert len(top) == 3
     assert top[0][2] == result.t_n
     assert top[0][2] >= top[1][2] >= top[2][2]
+
+
+def _naive_top_pairs(result, k):
+    p = len(result.names)
+    pairs = [
+        (result.names[i], result.names[j], float(result.t_ij[i, j]))
+        for i in range(p)
+        for j in range(i + 1, p)
+    ]
+    return sorted(pairs, key=lambda item: -item[2])[:k]  # stable: ties stay row-major
+
+
+def test_top_pairs_match_naive_sort():
+    result = run_equality_test(gaussian_dataset(4, p=7, n1=30, n2=40))
+    # rounding the statistics makes ties among nonzero values
+    rounded = replace(result, t_ij=np.round(result.t_ij))
+    for res in (result, rounded):
+        for k in (0, 1, 5, 21, 30):  # 21 = p(p-1)/2 pairs in all
+            assert res.top_pairs(k) == _naive_top_pairs(res, k)
+    assert len(result.top_pairs(30)) == 21
+    with pytest.raises(ValidationError):
+        result.top_pairs(-1)
+
+
+def test_top_pairs_ties_keep_row_major_order():
+    sm = SampleMatrix(np.random.default_rng(6).standard_normal((15, 4)))
+    result = run_equality_test(TwoGroupDataset(sm, sm))
+    assert result.top_pairs(10) == [
+        (f"v{i + 1}", f"v{j + 1}", 0.0) for i in range(4) for j in range(i + 1, 4)
+    ]
 
 
 def test_invariances():

@@ -147,9 +147,30 @@ def test_correlation_variance_diagonal_is_exactly_zero():
     assert np.all(var >= 0.0)
 
 
-def test_correlation_variance_against_double_loop():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((8, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]])
+def _near_collinear(rng):
+    x = rng.standard_normal((40, 6))
+    x[:, 3] = x[:, 0] + 1e-6 * rng.standard_normal(40)
+    return x
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda rng: rng.standard_normal((8, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]]),
+            id="n8-p2",
+        ),
+        pytest.param(lambda rng: rng.standard_normal((3, 7)), id="n3-p7"),
+        pytest.param(
+            lambda rng: rng.standard_normal((30, 5)) @ np.triu(np.full((5, 5), 0.5)),
+            id="n30-p5",
+        ),
+        pytest.param(lambda rng: rng.standard_normal((300, 4)) + 3.0, id="n300-p4"),
+        pytest.param(_near_collinear, id="n40-p6-near-collinear"),
+    ],
+)
+def test_correlation_variance_against_double_loop(build):
+    x = build(np.random.default_rng(8))
     sm = SampleMatrix(x)
     got = correlation_variance(sm, moment_set(sm))
     expected = np.array(naive_eta(x))
