@@ -132,6 +132,17 @@ def _cv_summary(cv) -> dict | list | None:
     }
 
 
+def _warn_at_grid_edge(cv) -> None:
+    """One stderr line when cross-validation selected the first or last grid
+    point, where the true minimiser may lie outside the grid."""
+    if cv is not None and cv.tau_hat in (cv.grid[0], cv.grid[-1]):
+        print(
+            f"warning: cross-validated tau = {cv.tau_hat:g} is at the edge of the "
+            f"grid [{cv.grid[0]:g}, {cv.grid[-1]:g}]; the grid may be too narrow",
+            file=sys.stderr,
+        )
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -159,6 +170,7 @@ def _emit_estimate(args, command, est: DifferentialEstimate, extra=None) -> None
         _write_json(args.out_json, payload)
     tau_repr = payload["tau"]
     print(f"{command}: tau={tau_repr} nonzero={payload['nonzero_count']}")
+    _warn_at_grid_edge(est.cv)
 
 
 def _rule(args) -> ThresholdRule:
@@ -262,6 +274,7 @@ def _cmd_cv(args) -> int:
     else:
         raise ValidationError(f"unknown estimator kind {args.estimator!r}")
     print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
+    _warn_at_grid_edge(result)
     if args.out_json:
         _write_json(
             args.out_json,

@@ -2,11 +2,19 @@
 
 Protocol: for each of h_repeats repetitions, each group is split at random
 into a training part of roughly (k-1)/k of the observations and a held-out
-part of roughly 1/k. For every tau on the grid {0, 1/N, ..., 5} the estimator
-is fit on the training parts and scored against the held-out raw statistic in
-squared Frobenius norm. Losses are averaged over repetitions and the smallest
-tau attaining the minimum is returned; the caller then refits on the full
-data with that tau.
+part of roughly 1/k. The estimator fit on the training parts is scored
+against the held-out raw statistic in squared Frobenius norm at every tau on
+the grid {0, 1/N, ..., 5}. Losses are averaged over repetitions and the
+smallest tau attaining the minimum is returned; the caller then refits on
+the full data with that tau.
+
+The loss curve of one split is computed in closed form rather than by
+fitting at each tau: an entry survives thresholding on a leading run of the
+grid, is zero above it, and while kept moves with tau by a fixed power law
+(constant for hard, linear for soft, tau**eta for adaptive-lasso). Binning
+the entries by the length of that run gives every grid point's loss from a
+few cumulative sums, equal to fitting at every tau up to rounding, in
+O(p^2 log G + G) time for G grid points.
 
 Per-repetition RNG streams are derived from (seed, repetition), so results do
 not depend on evaluation order.
@@ -25,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .moments import MomentSet, moment_set
-from .thresholding import KINDS, ThresholdRule, apply_rule, unit_thresholds
+from .thresholding import KINDS, ThresholdRule, unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
@@ -94,6 +102,62 @@ def _draw_folds(rng, x: SampleMatrix, n_test: int) -> tuple[MomentSet, MomentSet
     return moment_set(train), moment_set(test)
 
 
+def _loss_curve(rule, raw, unit, target, grid, raw_diagonal) -> np.ndarray:
+    """Squared Frobenius distance from target of the estimate thresholded at
+    tau * unit, for every tau on the increasing grid, without fitting at each.
+
+    With z the raw entry, u its unit threshold, t its target and d = z - t,
+    an entry is kept at tau_g when |z| > fl(tau_g * u), the comparison
+    apply_rule makes, so it is kept on the first k grid points and zero,
+    contributing t**2, from grid point k on. While kept it is z - s_g with
+    s_g = z * (tau_g * u / |z|)**e (e = 1 for soft, eta for adaptive-lasso,
+    s_g = 0 for hard) and contributes d**2 - 2 d s_g + s_g**2.
+    """
+    constant = 0.0
+    if raw_diagonal:  # the diagonal keeps its raw value at every tau
+        dev = np.diag(raw) - np.diag(target)
+        constant = float(dev @ dev)
+        off = ~np.eye(raw.shape[0], dtype=bool)
+        raw, unit, target = raw[off], unit[off], target[off]
+    z, u, t = raw.ravel(), unit.ravel(), target.ravel()
+    n_grid = len(grid)
+    absz = np.abs(z)
+    # k = number of leading grid points at which the entry is kept: seeded
+    # from |z| / u, then settled by one exact step each way
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.searchsorted(grid, absz / u)
+    k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0))
+    k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
+    k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
+    d = z - t
+    # every entry killed, plus what keeping each one adds (a suffix sum, so an
+    # entry whose kept and killed terms are equal leaves exact ties in place)
+    gain = np.bincount(k, d * d - t * t, minlength=n_grid + 1)
+    loss = float(t @ t) + constant + np.cumsum(gain[::-1])[::-1][1:]
+    if rule.kind == "hard":
+        return loss
+    e = 1.0 if rule.kind == "soft" else rule.eta
+    live = k > 0
+    last = k[live] - 1  # each kept entry's last kept grid point
+    z_live = z[live]
+    # shrink at the last kept point; (tau_g u / |z|) <= 1 there, so no overflow
+    s = z_live * (grid[last] * u[live] / np.abs(z_live)) ** e
+    step = grid[:-1] / grid[1:]
+    cross = _fold_down(np.bincount(last, d[live] * s, minlength=n_grid), step**e)
+    square = _fold_down(np.bincount(last, s * s, minlength=n_grid), step ** (2 * e))
+    return loss - 2.0 * cross + square
+
+
+def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """S_g = bins_g + step_g * S_{g+1} from the top of the grid down, with
+    step_g = (tau_g / tau_{g+1})**e <= 1: entries binned at grid point j
+    reach S_g scaled by (tau_g / tau_j)**e, with no factor above 1."""
+    out, step = bins.tolist(), step.tolist()
+    for g in range(len(out) - 2, -1, -1):
+        out[g] += step[g] * out[g + 1]
+    return np.array(out)
+
+
 def _accumulate_losses(kind, cfg, samples, split) -> tuple[np.ndarray, np.ndarray]:
     spec = KINDS[kind]
     grid = cfg.grid()
@@ -117,10 +181,7 @@ def _accumulate_losses(kind, cfg, samples, split) -> tuple[np.ndarray, np.ndarra
         unit = spec.block(unit_thresholds(spec.statistic, trains), split)
         raw = spec.raw(trains, split)
         target = spec.raw(tests, split)
-        for gi, tau in enumerate(grid):
-            est = spec.set_diagonal(apply_rule(cfg.rule, raw, tau * unit), raw)
-            dev = est - target
-            loss_acc[gi] += float(np.sum(dev * dev))
+        loss_acc += _loss_curve(cfg.rule, raw, unit, target, grid, spec.raw_diagonal)
     return grid, loss_acc / cfg.h_repeats
 
 

@@ -307,13 +307,19 @@ def run_benchmark(
     tau, and records the loss against the true difference in all three norms.
     Cells are aggregated as mean and sample standard deviation over the
     successful replications and dropped when fewer than 80% succeed.
+    None selects the default rules (hard, adaptive-lasso) or all estimators;
+    an empty list is an error.
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
     if reps < 2:
         raise ValidationError(f"need at least 2 replications, got {reps}")
-    rules = rules or [ThresholdRule("hard"), ThresholdRule("adaptive-lasso")]
-    estimators = estimators or list(ESTIMATOR_NAMES)
+    if rules is None:
+        rules = [ThresholdRule("hard"), ThresholdRule("adaptive-lasso")]
+    if estimators is None:
+        estimators = list(ESTIMATOR_NAMES)
+    if not rules or not estimators:
+        raise ValidationError("rules and estimators each need at least one entry")
     for est in estimators:
         if est not in ESTIMATOR_NAMES:
             raise ValidationError(

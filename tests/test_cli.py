@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import diffcorr
-from diffcorr import read_matrix_csv
+from diffcorr import read_matrix_csv, read_sample_csv
 from diffcorr.cli import ingest_two_group, main
 from diffcorr.errors import InsufficientSamplesError, ValidationError
+from oracles import naive_cv_diff_corr
 
 
 def _write_csv(path, header, rows):
@@ -289,6 +290,61 @@ def test_cv_command(tmp_path, sample_files):
     assert len(payload["cv"]["grid"]) == 21
     assert len(payload["cv"]["losses"]) == 21
     assert payload["cv"]["tau_hat"] in payload["cv"]["grid"]
+
+
+def test_cv_with_large_adaptive_lasso_exponent(tmp_path, sample_files, capsys):
+    # (tau * u / |z|)**eta overflows for eta = 300 once tau * u > |z|; the
+    # loss curve must stay finite and select what fitting at every tau selects
+    a, b = sample_files
+    out = tmp_path / "est.json"
+    code = main(
+        [
+            "estimate-diff-corr",
+            "--input1", a, "--input2", b,
+            "--rule", "adaptive-lasso", "--eta", "300",
+            "--out-json", str(out),
+        ]
+    )
+    assert code == 0
+    cv = json.loads(out.read_text())["cv"]
+    assert np.all(np.isfinite(cv["losses"]))
+    tau_naive, _, _ = naive_cv_diff_corr(
+        read_sample_csv(a).data, read_sample_csv(b).data, 5, 5, 50, 0, "adaptive-lasso", eta=300
+    )
+    assert cv["tau_hat"] == tau_naive
+
+
+def test_grid_edge_tau_warns_on_stderr_only(tmp_path, sample_files, capsys):
+    # a dense difference (a shared factor added to every variable of group 2)
+    # makes cross-validation keep everything: tau_hat = 0, the lower grid edge
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 6))
+    y = rng.standard_normal((20, 6))
+    f = rng.standard_normal((20, 1))
+    header = [f"v{i}" for i in range(6)]
+    a = _write_csv(tmp_path / "dense1.csv", header, x.tolist())
+    b = _write_csv(tmp_path / "dense2.csv", header, (y + 2.0 * f).tolist())
+    out = tmp_path / "est.json"
+    code = main(["estimate-diff-corr", "--input1", a, "--input2", b, "--out-json", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    summary = json.loads(out.read_text())
+    assert summary["cv"]["tau_hat"] == 0.0
+    assert captured.out == f"estimate-diff-corr: tau=0.0 nonzero={summary['nonzero_count']}\n"
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: ") and "grid may be too narrow" in captured.err
+
+    assert main(["cv", "--input1", a, "--input2", b]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "tau_hat = 0 (over 251 grid points)\n"
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+
+    # an interior tau_hat prints no warning
+    a, b = sample_files
+    assert main(["estimate-diff-corr", "--input1", a, "--input2", b, "--out-json", str(out)]) == 0
+    tau_hat = json.loads(out.read_text())["cv"]["tau_hat"]
+    assert 0.0 < tau_hat < 5.0
+    assert capsys.readouterr().err == ""
 
 
 def test_support_rank(tmp_path, sample_files, capsys):

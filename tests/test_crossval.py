@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcorr import (
     CvConfig,
@@ -15,7 +17,8 @@ from diffcorr import (
     mvn_sample,
     scale_to_covariance,
 )
-from diffcorr.crossval import _draw_split
+from diffcorr.crossval import _draw_split, _loss_curve
+from diffcorr.thresholding import KINDS, apply_rule
 from oracles import naive_cv_diff_corr
 from properties import check_cv_determinism, gaussian_dataset
 
@@ -132,3 +135,54 @@ def test_cv_backed_estimate_refits_on_full_data():
     assert est.tau == est.cv.tau_hat
     fixed = estimate_diff_corr(ds, est.tau, ThresholdRule("soft"))
     assert np.array_equal(est.estimate, fixed.estimate)
+
+
+def _curve_by_fitting(rule, raw, unit, target, grid, kind):
+    """The loss curve the slow way: fit at every tau, apply the kind's
+    diagonal policy, and score."""
+    losses = []
+    for tau in grid:
+        est = KINDS[kind].set_diagonal(apply_rule(rule, raw, tau * unit), raw)
+        dev = est - target
+        losses.append(float(np.sum(dev * dev)))
+    return np.array(losses)
+
+
+CURVE_RULES = [ThresholdRule("hard"), ThresholdRule("soft")] + [
+    ThresholdRule("adaptive-lasso", eta) for eta in (1.0, 4.0, 10.0, 300.0)
+]
+
+
+@pytest.mark.parametrize("grid_n", [1, 50, 200])
+@pytest.mark.parametrize("rule", CURVE_RULES, ids=lambda r: f"{r.kind}-{r.eta:g}")
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
+    rng = np.random.default_rng(seed)
+    grid = CvConfig(grid_n=grid_n).grid()
+    p = 6
+    raw = 0.5 * rng.standard_normal((p, p))
+    unit = 0.3 * np.abs(rng.standard_normal((p, p)))
+    target = 0.5 * rng.standard_normal((p, p))
+    raw[0, 1] = 0.0  # zero entry
+    unit[0, 2] = 0.0  # kept at every tau
+    raw[1, 0] = unit[1, 0] = 0.0  # killed at every tau
+    raw[0, 3] = 1e-300  # kept only at tau = 0
+    unit[3, 0] = 5e-324  # |z| / u overflows to inf
+    for i, j in ((2, 3), (4, 5), (5, 5), (1, 1)):  # |z| exactly at a grid level
+        g = rng.integers(len(grid))
+        raw[i, j] = rng.choice([-1.0, 1.0]) * (grid[g] * unit[i, j])
+    for kind in ("diff-corr", "single-corr"):  # thresholded and raw diagonal
+        want = _curve_by_fitting(rule, raw, unit, target, grid, kind)
+        got = _loss_curve(rule, raw, unit, target, grid, KINDS[kind].raw_diagonal)
+        tol = 1e-12 * np.max(want)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= tol
+        # tau_hat is the first minimiser. When several grid points lie within
+        # rounding of the minimum (eta = 300 shrinks by less than an ulp over
+        # long runs of the grid), either curve may pick any of them.
+        tied = want <= np.min(want) + tol
+        if np.count_nonzero(tied) == 1:
+            assert np.argmin(got) == np.argmin(want)
+        else:
+            assert tied[np.argmin(got)]

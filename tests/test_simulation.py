@@ -231,3 +231,10 @@ def test_benchmark_validation():
         run_benchmark("model9", [(8, 16, 16)], reps=2)
     with pytest.raises(ValidationError):
         run_benchmark("model2", [(8, 16, 16)], reps=2, estimators=["nope"])
+
+
+@pytest.mark.parametrize("empty", ["rules", "estimators"])
+def test_benchmark_rejects_empty_lists(empty):
+    # only None selects the defaults; an empty list must not run them silently
+    with pytest.raises(ValidationError):
+        run_benchmark("model2", [(8, 16, 16)], reps=2, **{empty: []})
