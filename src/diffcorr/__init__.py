@@ -46,20 +46,13 @@ from .estimators import (
 )
 from .moments import (
     MomentSet,
-    correlation_noise,
     correlation_variance,
-    covariance_noise,
     moment_set,
     sample_correlation,
-    sample_covariance,
 )
 from .norms import frobenius_norm, matrix_l1_norm, spectral_norm
 from .simulation import (
     BenchmarkReport,
-    BenchmarkRow,
-    ModelSpec,
-    generate_model1,
-    generate_model2,
     generate_pair,
     mvn_sample,
     run_benchmark,
@@ -79,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkReport",
-    "BenchmarkRow",
     "CvConfig",
     "CvResult",
     "DataError",
@@ -90,7 +82,6 @@ __all__ = [
     "DifferentialEstimate",
     "GenerationFailedError",
     "InsufficientSamplesError",
-    "ModelSpec",
     "MomentSet",
     "NotPSDError",
     "SampleMatrix",
@@ -105,9 +96,7 @@ __all__ = [
     "baseline_cov_then_normalize",
     "baseline_sample_difference",
     "baseline_separate_corr",
-    "correlation_noise",
     "correlation_variance",
-    "covariance_noise",
     "critical_tau",
     "cv_select_tau",
     "cv_select_tau_single",
@@ -120,8 +109,6 @@ __all__ = [
     "estimate_single_corr",
     "extreme_value_pvalue",
     "frobenius_norm",
-    "generate_model1",
-    "generate_model2",
     "generate_pair",
     "matrix_l1_norm",
     "moment_set",
@@ -131,7 +118,6 @@ __all__ = [
     "read_sample_csv",
     "run_benchmark",
     "sample_correlation",
-    "sample_covariance",
     "scale_to_covariance",
     "single_corr_thresholds",
     "spectral_norm",

@@ -270,6 +270,8 @@ def _cmd_cv(args) -> int:
     elif args.estimator in SINGLE_GROUP_KINDS:
         if args.input is None:
             raise ValidationError(f"estimator {args.estimator!r} needs --input")
+        if args.split is not None:
+            raise ValidationError(f"a split index applies only to cross-corr, not {args.estimator!r}")
         result = cv_select_tau_single(read_sample_csv(args.input), cfg, args.estimator)
     else:
         raise ValidationError(f"unknown estimator kind {args.estimator!r}")

@@ -201,7 +201,7 @@ def cv_select_tau(
     split: int | None = None,
 ) -> CvResult:
     """Select tau for a two-group estimator kind ("diff-corr", "diff-cov" or
-    "cross-corr"; the latter needs the block split index)."""
+    "cross-corr"; only the latter takes, and needs, the block split index)."""
     cfg = cfg or CvConfig()
     if estimator not in TWO_GROUP_KINDS:
         raise ValidationError(
@@ -212,6 +212,8 @@ def cv_select_tau(
             raise ValidationError(
                 f"cross-corr needs a split index in [1, {ds.p - 1}], got {split}"
             )
+    elif split is not None:
+        raise ValidationError(f"a split index applies only to cross-corr, not {estimator!r}")
     grid, losses = _accumulate_losses(estimator, cfg, [ds.group1, ds.group2], split)
     return _finish(grid, losses, cfg)
 

@@ -4,6 +4,8 @@ USER (bad input), DATA (degenerate statistics), INTERNAL (solver failure).
 
 
 class DiffCorrError(Exception):
+    """Base of every diffcorr error; uncategorised ones are INTERNAL."""
+
     category = "INTERNAL"
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SampleMatrix
-from .errors import DegenerateVariableError, InsufficientSamplesError
+from .errors import DegenerateVariableError
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -32,11 +32,6 @@ class MomentSet:
     corr_noise: np.ndarray
     n: int
     p: int
-
-
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise InsufficientSamplesError(f"need at least 2 observations, got {n}")
 
 
 def _centered(data: np.ndarray) -> np.ndarray:
@@ -77,41 +72,23 @@ def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.maximum((noise + noise.T) * 0.5, 0.0)
 
 
-def sample_covariance(x: SampleMatrix) -> np.ndarray:
-    """Sample covariance with 1/n divisor; symmetric by construction."""
-    _check_n(x.n)
-    return _covariance(x.data)
-
-
 def sample_correlation(cov: np.ndarray) -> np.ndarray:
     """Correlation from a covariance matrix: unit diagonal, entries clamped
     to [-1, 1]; any non-positive variance is an error."""
     return _correlation(np.asarray(cov, dtype=float))
 
 
-def covariance_noise(x: SampleMatrix, cov: np.ndarray) -> np.ndarray:
-    """Per-entry variance of the centered cross products around cov."""
-    _check_n(x.n)
-    return _product_variance(_centered(x.data), np.asarray(cov, dtype=float))
-
-
-def correlation_noise(noise: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Covariance noise rescaled by the variance product var_i * var_j."""
-    var = _positive_variances(np.asarray(cov, dtype=float))
-    return np.asarray(noise, dtype=float) / np.outer(var, var)
-
-
 def moment_set(x: SampleMatrix) -> MomentSet:
     """Compute every entrywise statistic of one sample in a single pass."""
-    _check_n(x.n)
     cov = _covariance(x.data)
     corr = _correlation(cov)
     noise = _product_variance(_centered(x.data), cov)
+    var = np.diag(cov)
     return MomentSet(
         cov=cov,
         corr=corr,
         cov_noise=noise,
-        corr_noise=correlation_noise(noise, cov),
+        corr_noise=noise / np.outer(var, var),
         n=x.n,
         p=x.p,
     )
@@ -127,7 +104,6 @@ def correlation_variance(x: SampleMatrix, moments: MomentSet) -> np.ndarray:
     from one n x p term, so the working set is a few n x p arrays. The
     diagonal is exactly zero.
     """
-    _check_n(x.n)
     var = _positive_variances(moments.cov)
     a = _centered(x.data) / np.sqrt(var)
     sq = a * a

@@ -51,27 +51,21 @@ _REDRAW_BUDGET = 20
 _MIN_SUCCESS_FRACTION = 0.8
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which synthetic model to generate, at what dimension, from which seed."""
-
-    kind: str
-    p: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        if self.kind == "model1" and (self.p < 4 or self.p % 2 != 0):
-            raise ValidationError(f"model1 needs an even p >= 4, got {self.p}")
-        if self.p < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.p}")
+def generate_pair(kind: str, p: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The two correlation matrices of a synthetic model: "model1" needs an
+    even p >= 4 and draws its perturbation from seed; "model2" ignores seed."""
+    if kind not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+    if kind == "model1" and (p < 4 or p % 2 != 0):
+        raise ValidationError(f"model1 needs an even p >= 4, got {p}")
+    if p < 1:
+        raise ValidationError(f"dimension must be >= 1, got {p}")
+    return _model1(p, seed) if kind == "model1" else _model2(p)
 
 
-def generate_model1(p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _model1(p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random sparse difference pair; the perturbed block keeps its smallest
     eigenvalue at or above 1e-3."""
-    ModelSpec("model1", p, seed)  # shared dimension validation
     half = p // 2
     block = np.full((half, half), 0.2)
     np.fill_diagonal(block, 1.0)
@@ -115,11 +109,9 @@ def _largest_feasible_scale(block: np.ndarray, d0: np.ndarray) -> float | None:
     return lo
 
 
-def generate_model2(p: int) -> tuple[np.ndarray, np.ndarray]:
+def _model2(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic banded-difference pair; errors if the displayed formulas
     are not positive semidefinite at this p."""
-    if p < 1:
-        raise ValidationError(f"dimension must be >= 1, got {p}")
     dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     sign = np.where(dist % 2 == 0, 1.0, -1.0)
     r1 = 0.2 * np.eye(p) + 0.8 * sign * np.maximum(1.0 - dist / 10.0, 0.0)
@@ -130,12 +122,6 @@ def generate_model2(p: int) -> tuple[np.ndarray, np.ndarray]:
                 f"model2: the {name} matrix is indefinite at p = {p}"
             )
     return r1, r2
-
-
-def generate_pair(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "model1":
-        return generate_model1(spec.p, spec.seed)
-    return generate_model2(spec.p)
 
 
 def scale_to_covariance(r: np.ndarray, seed: int) -> np.ndarray:
@@ -193,6 +179,8 @@ class BenchmarkRow:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
+    """The aggregated rows of one benchmark run and the fits that failed."""
+
     rows: tuple[BenchmarkRow, ...]
     reps_requested: int
     seed: int
@@ -269,7 +257,7 @@ def _fit(estimator: str, ds, rule, cfg):
 
 def _one_replication(kind, p, n1, n2, seeds, combos, cv):
     model_seed, w1_seed, w2_seed, x1_seed, x2_seed, cv_seed = seeds
-    r1, r2 = generate_pair(ModelSpec(kind, p, model_seed))
+    r1, r2 = generate_pair(kind, p, model_seed)
     truth = r1 - r2
     sigma1 = scale_to_covariance(r1, w1_seed)
     sigma2 = scale_to_covariance(r2, w2_seed)

@@ -37,7 +37,7 @@ class ThresholdRule:
             raise ValidationError(
                 f"unknown thresholding rule {self.kind!r}; choose from {RULE_NAMES}"
             )
-        if self.eta < 1.0:
+        if not self.eta >= 1.0:  # also rejects NaN
             raise ValidationError(f"adaptive-lasso exponent must be >= 1, got {self.eta}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "eta", float(self.eta))
@@ -92,13 +92,7 @@ def apply_threshold(m: np.ndarray, thresholds, rule: ThresholdRule) -> np.ndarra
     return apply_rule(rule, m, values)
 
 
-def _log_dim(p: int) -> float:
-    if p < 1:
-        raise ValidationError(f"dimension must be >= 1, got {p}")
-    return log(p)
-
-
-def unit_thresholds(statistic: str, moments, p: int | None = None) -> np.ndarray:
+def unit_thresholds(statistic: str, moments) -> np.ndarray:
     """Threshold levels at tau = 1 for the "corr" or "cov" statistic of one
     group, or of the difference of groups (the per-group terms add up):
 
@@ -109,7 +103,7 @@ def unit_thresholds(statistic: str, moments, p: int | None = None) -> np.ndarray
     dims = [m.p for m in moments]
     if len(set(dims)) != 1:
         raise ValidationError(f"moment sets disagree on dimension: {dims}")
-    logp = _log_dim(dims[0] if p is None else p)
+    logp = log(dims[0])
     total = 0.0
     for m in moments:
         if statistic == "cov":
@@ -124,28 +118,28 @@ def unit_thresholds(statistic: str, moments, p: int | None = None) -> np.ndarray
     return total
 
 
-def _thresholds(statistic: str, moments, tau: float, p: int | None) -> ThresholdMatrix:
+def _thresholds(statistic: str, moments, tau: float) -> ThresholdMatrix:
     _check_tau(tau)
-    return ThresholdMatrix(tau * unit_thresholds(statistic, moments, p), tau)
+    return ThresholdMatrix(tau * unit_thresholds(statistic, moments), tau)
 
 
-def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
+def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> ThresholdMatrix:
     """Per-entry threshold levels for the difference of two sample correlations."""
-    return _thresholds("corr", (m1, m2), tau, p)
+    return _thresholds("corr", (m1, m2), tau)
 
 
-def single_corr_thresholds(m: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
+def single_corr_thresholds(m: MomentSet, tau: float) -> ThresholdMatrix:
     """Single-sample analogue of diff_corr_thresholds."""
-    return _thresholds("corr", (m,), tau, p)
+    return _thresholds("corr", (m,), tau)
 
 
-def diff_cov_thresholds(m1: MomentSet, m2: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
+def diff_cov_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> ThresholdMatrix:
     """Per-entry threshold levels for the difference of two sample covariances."""
-    return _thresholds("cov", (m1, m2), tau, p)
+    return _thresholds("cov", (m1, m2), tau)
 
 
-def _cov_thresholds(m: MomentSet, tau: float, p: int | None = None) -> ThresholdMatrix:
-    return _thresholds("cov", (m,), tau, p)
+def _cov_thresholds(m: MomentSet, tau: float) -> ThresholdMatrix:
+    return _thresholds("cov", (m,), tau)
 
 
 # Threshold matrix by (statistic, number of groups). The estimators call the

@@ -427,20 +427,28 @@ def test_simulate_requires_sizes(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ""],
-        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ","],
-        ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--estimators", ""],
-        ["test-equality", "--top-k", "-3"],
-        ["support-rank", "--tau", "1.0", "--top-k", "-1"],
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ""], "--rules"),
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", ","], "--rules"),
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--estimators", ""], "--estimators"),
+        (["test-equality", "--top-k", "-3"], "top-k must be >= 0"),
+        (["support-rank", "--tau", "1.0", "--top-k", "-1"], "top-k must be >= 0"),
+        (["estimate-diff-corr", "--eta", "nan"], "exponent must be >= 1, got nan"),
+        (["cv", "--split", "1"], "split index applies only to cross-corr"),
+        (["cv", "--estimator", "single-corr", "--split", "1"], "split index applies only to cross-corr"),
     ],
-    ids=["empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k", "support-rank-top-k"],
+    ids=[
+        "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
+        "support-rank-top-k", "nan-eta", "cv-split-diff-corr", "cv-split-single-corr",
+    ],
 )
-def test_user_side_flag_errors_exit_2(sample_files, capsys, argv):
-    if argv[0] != "simulate":
+def test_user_side_flag_errors_exit_2(sample_files, capsys, argv, message):
+    if "single-corr" in argv:
+        argv = argv + ["--input", sample_files[0]]
+    elif argv[0] != "simulate":
         argv = argv + ["--input1", sample_files[0], "--input2", sample_files[1]]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "USER" in captured.err
+    assert "USER" in captured.err and message in captured.err
     assert captured.out == ""

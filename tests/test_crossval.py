@@ -13,7 +13,7 @@ from diffcorr import (
     cv_select_tau,
     cv_select_tau_single,
     estimate_diff_corr,
-    generate_model2,
+    generate_pair,
     mvn_sample,
     scale_to_covariance,
 )
@@ -24,7 +24,7 @@ from properties import check_cv_determinism, gaussian_dataset
 
 
 def _model2_dataset(p=30, n=50, seed=0):
-    r1, r2 = generate_model2(p)
+    r1, r2 = generate_pair("model2", p)
     s1 = scale_to_covariance(r1, seed)
     s2 = scale_to_covariance(r2, seed + 1)
     return TwoGroupDataset(
@@ -114,6 +114,9 @@ def test_unknown_kind_and_missing_split():
         cv_select_tau(ds, CvConfig(), "bogus")
     with pytest.raises(ValidationError):
         cv_select_tau(ds, CvConfig(), "cross-corr")
+    for kind in ("diff-corr", "diff-cov"):  # only cross-corr takes a split
+        with pytest.raises(ValidationError, match="only to cross-corr"):
+            cv_select_tau(ds, CvConfig(), kind, split=3)
     with pytest.raises(ValidationError):
         cv_select_tau_single(ds.group1, CvConfig(), "diff-corr")
 

@@ -4,31 +4,29 @@ import pytest
 from diffcorr import (
     DegenerateVariableError,
     SampleMatrix,
-    correlation_noise,
     correlation_variance,
-    covariance_noise,
     moment_set,
     sample_correlation,
-    sample_covariance,
 )
+from diffcorr.moments import _covariance, _product_variance
 from oracles import naive_corr, naive_cov, naive_eta, naive_theta, naive_xi
 from properties import check_moment_invariances
 
 
 def test_covariance_single_column():
     x = SampleMatrix(np.array([[0.0], [2.0]]))
-    assert sample_covariance(x)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert moment_set(x).cov[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_covariance_divides_by_n():
     # three observations of one variable: centered squares sum to 2, 1/n gives 2/3
     x = SampleMatrix(np.array([[0.0], [1.0], [2.0]]))
-    assert sample_covariance(x)[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert moment_set(x).cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_covariance_constant_column_is_zero():
-    x = SampleMatrix(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-    cov = sample_covariance(x)
+    x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
+    cov = _covariance(x)
     assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
 
 
@@ -42,7 +40,7 @@ def test_covariance_against_double_loop():
             [1.5, -2.0, 0.6],
         ]
     )
-    got = sample_covariance(SampleMatrix(x))
+    got = moment_set(SampleMatrix(x)).cov
     expected = np.array(naive_cov(x))
     assert np.max(np.abs(got - expected)) < 1e-12
     assert np.array_equal(got, got.T)
@@ -71,24 +69,21 @@ def test_correlation_rejects_zero_variance():
 
 
 def test_covariance_noise_constant_data():
-    x = SampleMatrix(np.zeros((4, 2)) + 3.0)
-    cov = sample_covariance(x)
-    assert np.array_equal(covariance_noise(x, cov), np.zeros((2, 2)))
+    x = np.zeros((4, 2)) + 3.0
+    centered = x - x.mean(axis=0)
+    assert np.array_equal(_product_variance(centered, _covariance(x)), np.zeros((2, 2)))
 
 
 def test_covariance_noise_two_point_column():
     # both centered products equal the covariance, so the spread is zero
     x = SampleMatrix(np.array([[0.0], [2.0]]))
-    cov = sample_covariance(x)
-    assert covariance_noise(x, cov)[0, 0] == 0.0
+    assert moment_set(x).cov_noise[0, 0] == 0.0
 
 
 def test_covariance_noise_against_double_loop():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 2)) * np.array([1.0, 2.5]) + 1.0
-    sm = SampleMatrix(x)
-    cov = sample_covariance(sm)
-    got = covariance_noise(sm, cov)
+    got = moment_set(SampleMatrix(x)).cov_noise
     expected = np.array(naive_theta(x, naive_cov(x)))
     assert np.max(np.abs(got - expected)) < 1e-12
     assert np.all(got >= 0.0)
@@ -103,32 +98,29 @@ def test_noise_on_heavy_offset_and_two_valued_columns():
     # centered square is constant, so the noise is zero; the Gram form rounds below it
     balanced = np.tile([0.9, 8.7], n // 2)
     x = np.column_stack([offset, binary, balanced, offset + 2.0 * binary])
-    sm = SampleMatrix(x)
-    cov = sample_covariance(sm)
+    m = moment_set(SampleMatrix(x))
     theta = np.array(naive_theta(x, naive_cov(x)))
-    got = covariance_noise(sm, cov)
-    assert np.max(np.abs(got - theta)) < 1e-12
-    assert np.all(got >= 0.0)
-    corr_noise = moment_set(sm).corr_noise
+    assert np.max(np.abs(m.cov_noise - theta)) < 1e-12
+    assert np.all(m.cov_noise >= 0.0)
+    corr_noise = m.corr_noise
     expected = np.array(naive_xi(theta, naive_cov(x)))
     assert np.max(np.abs(corr_noise - expected)) < 1e-12
     assert np.all(corr_noise >= 0.0)
 
 
 def test_correlation_noise_examples():
-    cov = np.array([[2.0, 0.5], [0.5, 3.0]])
-    assert np.array_equal(correlation_noise(np.zeros((2, 2)), cov), np.zeros((2, 2)))
-    product = np.array([[4.0, 6.0], [6.0, 9.0]])
-    assert correlation_noise(product, cov)[0, 1] == pytest.approx(1.0, abs=1e-15)
+    # two-point columns: every centered product equals its mean, so no noise
+    x = SampleMatrix(np.array([[0.0, 1.0], [2.0, 7.0]]))
+    assert np.array_equal(moment_set(x).corr_noise, np.zeros((2, 2)))
+    # uncorrelated +/-2 and +/-3 columns: cov_noise_01 = 36 = var_0 * var_1
+    x = SampleMatrix(np.array([[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0], [-2.0, -3.0]]))
+    assert moment_set(x).corr_noise[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_correlation_noise_against_division():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((8, 3))
-    sm = SampleMatrix(x)
-    cov = sample_covariance(sm)
-    noise = covariance_noise(sm, cov)
-    got = correlation_noise(noise, cov)
+    got = moment_set(SampleMatrix(x)).corr_noise
     expected = np.array(naive_xi(naive_theta(x, naive_cov(x)), naive_cov(x)))
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -181,10 +173,11 @@ def test_moment_set_consistent_with_pieces():
     rng = np.random.default_rng(21)
     x = SampleMatrix(rng.standard_normal((10, 3)))
     m = moment_set(x)
-    assert np.array_equal(m.cov, sample_covariance(x))
+    assert np.array_equal(m.cov, _covariance(x.data))
     assert np.array_equal(m.corr, sample_correlation(m.cov))
-    assert np.array_equal(m.cov_noise, covariance_noise(x, m.cov))
-    assert np.array_equal(m.corr_noise, correlation_noise(m.cov_noise, m.cov))
+    assert np.array_equal(m.cov_noise, _product_variance(x.data - x.data.mean(axis=0), m.cov))
+    var = np.diag(m.cov)
+    assert np.array_equal(m.corr_noise, m.cov_noise / np.outer(var, var))
     assert (m.n, m.p) == (10, 3)
 
 
@@ -192,9 +185,7 @@ def test_streaming_matches_double_loop_on_random_instances():
     rng = np.random.default_rng(33)
     for _ in range(5):
         x = rng.standard_normal((10, 4)) * rng.uniform(0.5, 2.0, size=4)
-        sm = SampleMatrix(x)
-        cov = sample_covariance(sm)
-        got = covariance_noise(sm, cov)
+        got = moment_set(SampleMatrix(x)).cov_noise
         expected = np.array(naive_theta(x, naive_cov(x)))
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -208,7 +199,7 @@ def test_covariance_is_positive_semidefinite():
     rng = np.random.default_rng(44)
     for _ in range(10):
         n, p = int(rng.integers(2, 30)), int(rng.integers(1, 8))
-        cov = sample_covariance(SampleMatrix(rng.standard_normal((n, p))))
+        cov = moment_set(SampleMatrix(rng.standard_normal((n, p)))).cov
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10
 
 

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from diffcorr import (
-    ModelSpec,
     NotPSDError,
     ThresholdRule,
     ValidationError,
-    generate_model1,
-    generate_model2,
     generate_pair,
     moment_set,
     mvn_sample,
@@ -19,24 +16,26 @@ from diffcorr import (
 HARD = ThresholdRule("hard")
 
 
-def test_model_spec_validation():
+def test_generate_pair_validation():
     with pytest.raises(ValidationError):
-        ModelSpec("model3", 10)
+        generate_pair("model3", 10)
     with pytest.raises(ValidationError):
-        ModelSpec("model1", 7)  # odd
+        generate_pair("model1", 7)  # odd
     with pytest.raises(ValidationError):
-        ModelSpec("model1", 2)
+        generate_pair("model1", 2)
+    with pytest.raises(ValidationError):
+        generate_pair("model2", 0)
 
 
 def test_model1_zero_perturbation_draw():
     # seed 0 at p = 4 draws an all-zero perturbation: both matrices coincide
-    r1, r2 = generate_model1(4, 0)
+    r1, r2 = generate_pair("model1", 4, 0)
     assert np.array_equal(r1, r2)
 
 
 def test_model1_constructed_invariants():
     for seed in range(6):
-        r1, r2 = generate_model1(12, seed)
+        r1, r2 = generate_pair("model1", 12, seed)
         for r in (r1, r2):
             assert np.array_equal(np.diag(r), np.ones(12))
             assert np.array_equal(r, r.T)
@@ -48,7 +47,7 @@ def test_model1_constructed_invariants():
 
 
 def test_model1_difference_support():
-    r1, r2 = generate_model1(10, 0)
+    r1, r2 = generate_pair("model1", 10, 0)
     diff = r2 - r1
     nonzero = diff != 0.0
     assert np.count_nonzero(nonzero) > 0
@@ -64,13 +63,13 @@ def test_model1_difference_support():
 
 
 def test_model1_determinism():
-    a1, a2 = generate_model1(8, 11)
-    b1, b2 = generate_model1(8, 11)
+    a1, a2 = generate_pair("model1", 8, 11)
+    b1, b2 = generate_pair("model1", 8, 11)
     assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
 
 def test_model2_entries():
-    r1, r2 = generate_model2(12)
+    r1, r2 = generate_pair("model2", 12)
     assert np.all(np.diag(r1) == 1.0) and np.all(np.diag(r2) == 1.0)
     assert r1[0, 1] == pytest.approx(-0.72, abs=1e-15)
     assert r2[0, 1] == pytest.approx(-0.72 + 0.2 * (2.0 / 3.0), abs=1e-15)
@@ -78,7 +77,7 @@ def test_model2_entries():
 
 
 def test_model2_difference_is_banded():
-    r1, r2 = generate_model2(40)
+    r1, r2 = generate_pair("model2", 40)
     diff = r2 - r1
     dist = np.abs(np.subtract.outer(np.arange(40), np.arange(40)))
     assert np.all(diff[dist >= 3] == 0.0)
@@ -88,16 +87,17 @@ def test_model2_difference_is_banded():
 
 
 def test_generate_pair_dispatch():
-    spec = ModelSpec("model2", 9, 1)
-    r1, r2 = generate_pair(spec)
-    assert r1.shape == (9, 9)
-    g1, g2 = generate_model1(6, 4)
-    h1, h2 = generate_pair(ModelSpec("model1", 6, 4))
-    assert np.array_equal(g1, h1) and np.array_equal(g2, h2)
+    r1, r2 = generate_pair("model2", 9, 1)
+    assert r1.shape == (9, 9) and r1[0, 1] == pytest.approx(-0.72, abs=1e-15)
+    # model2 is deterministic: the seed does not matter
+    s1, s2 = generate_pair("model2", 9)
+    assert np.array_equal(r1, s1) and np.array_equal(r2, s2)
+    g1, _ = generate_pair("model1", 6, 4)
+    assert g1.shape == (6, 6) and g1[0, 1] == 0.2
 
 
 def test_scale_to_covariance_matches_drawn_diagonal():
-    r1, _ = generate_model2(7)
+    r1, _ = generate_pair("model2", 7)
     seed = 21
     sigma = scale_to_covariance(r1, seed)
     # mirror the documented draw to recover the diagonal
@@ -108,7 +108,7 @@ def test_scale_to_covariance_matches_drawn_diagonal():
 
 
 def test_scale_to_covariance_normalization_roundtrip():
-    r1, r2 = generate_model2(15)
+    r1, r2 = generate_pair("model2", 15)
     for r, seed in ((r1, 5), (r2, 6)):
         sigma = scale_to_covariance(r, seed)
         assert np.max(np.abs(sample_correlation(sigma) - r)) < 1e-12

@@ -62,6 +62,9 @@ def test_rule_validation():
         ThresholdRule("scad")
     with pytest.raises(ValidationError):
         ThresholdRule("adaptive-lasso", eta=0.5)
+    with pytest.raises(ValidationError, match="exponent"):
+        ThresholdRule("adaptive-lasso", eta=float("nan"))
+    assert ThresholdRule("adaptive-lasso", eta=float("inf")).eta == float("inf")
     with pytest.raises(ValidationError):
         apply_rule(ThresholdRule("soft"), 1.0, -0.1)
 
@@ -100,27 +103,18 @@ def test_diff_corr_thresholds_p1_log_term_vanishes():
 
 
 def test_diff_corr_thresholds_hand_evaluation():
-    # two 1x1 moment sets evaluated against the displayed formula at dimension 3
+    # two diagonal 3x3 moment sets evaluated against the displayed formula
+    eye = np.eye(3)
     m1 = MomentSet(
-        cov=np.array([[4.0]]),
-        corr=np.array([[1.0]]),
-        cov_noise=np.array([[2.0]]),
-        corr_noise=np.array([[0.125]]),
-        n=8,
-        p=1,
+        cov=4.0 * eye, corr=eye, cov_noise=2.0 * eye, corr_noise=0.125 * eye, n=8, p=3
     )
     m2 = MomentSet(
-        cov=np.array([[1.0]]),
-        corr=np.array([[1.0]]),
-        cov_noise=np.array([[0.5]]),
-        corr_noise=np.array([[0.5]]),
-        n=10,
-        p=1,
+        cov=eye, corr=eye, cov_noise=0.5 * eye, corr_noise=0.5 * eye, n=10, p=3
     )
     tau = 0.7
     term1 = math.sqrt(math.log(3) / 8) * (math.sqrt(0.125) + 0.5 * (2 * math.sqrt(0.125)))
     term2 = math.sqrt(math.log(3) / 10) * (math.sqrt(0.5) + 0.5 * (2 * math.sqrt(0.5)))
-    got = diff_corr_thresholds(m1, m2, tau, p=3)
+    got = diff_corr_thresholds(m1, m2, tau)
     assert got.values[0, 0] == pytest.approx(tau * (term1 + term2), rel=1e-12)
 
 
