@@ -51,12 +51,26 @@ class TestResult:
         labels; ties keep row-major order."""
         if k < 0:
             raise ValidationError(f"top-k must be >= 0, got {k}")
-        rows, cols = np.triu_indices(len(self.names), k=1)
-        values = self.t_ij[rows, cols]
-        order = np.argsort(-values, kind="stable")[:k]
+        p = len(self.names)
+        values = self.t_ij[~np.tri(p, dtype=bool)]  # pairs i < j, row-major
+        k = min(k, values.size)
+        if k == 0:
+            return []
+        # select the k-th largest value, then sort only the entries above it
+        # and the row-major first of the entries equal to it
+        kth = np.partition(values, values.size - k)[values.size - k]
+        above = np.flatnonzero(values > kth)
+        ties = np.flatnonzero(values == kth)[: k - above.size]
+        chosen = np.sort(np.concatenate([above, ties]))
+        order = chosen[np.argsort(-values[chosen], kind="stable")]
+        # row i's pairs start at position i p - i (i + 1) / 2 of values
+        i = np.arange(p)
+        starts = i * p - i * (i + 1) // 2
+        rows = np.searchsorted(starts, order, side="right") - 1
+        cols = order - starts[rows] + rows + 1
         return [
-            (self.names[rows[m]], self.names[cols[m]], float(values[m]))
-            for m in order
+            (self.names[r], self.names[c], float(values[m]))
+            for r, c, m in zip(rows, cols, order)
         ]
 
 
@@ -66,21 +80,29 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
-    v1 = correlation_variance(ds.group1, m1)
-    v2 = correlation_variance(ds.group2, m2)
-    denom = v1 / m1.n + v2 / m2.n
-    off = ~np.eye(ds.p, dtype=bool)
-    if np.any(denom[off] == 0.0):
-        i, j = np.argwhere((denom == 0.0) & off)[0]
+    # one group at a time, so only one group's moments are alive at once
+    denom = np.zeros((ds.p, ds.p))
+    corrs = []
+    for group in (ds.group1, ds.group2):
+        moments = moment_set(group)
+        variance = correlation_variance(group, moments)
+        variance /= moments.n
+        denom += variance
+        corrs.append(moments.corr)
+        del moments, variance
+    # the diagonal variance is exactly zero; 1 there leaves t_ii = 0 / 1
+    np.fill_diagonal(denom, 1.0)
+    if np.any(denom == 0.0):
+        i, j = np.argwhere(denom == 0.0)[0]
         raise DegenerateVarianceError(
             f"pair ({ds.names[i]}, {ds.names[j]}) has zero variance estimate"
         )
-    diff = m1.corr - m2.corr
-    t_ij = np.zeros_like(diff)
-    t_ij[off] = diff[off] ** 2 / denom[off]
+    t_ij = corrs[0] - corrs[1]
+    del corrs
+    t_ij *= t_ij
+    t_ij /= denom
     t_ij.flags.writeable = False
-    return float(np.max(t_ij[off])), t_ij
+    return float(t_ij.max()), t_ij
 
 
 def _check_dimension(p: int) -> None:

@@ -9,8 +9,11 @@ sample covariance and correlation, two per-entry noise levels are computed:
 - corr_noise[i, j]: cov_noise normalized by the variance product, the noise
   level of a correlation entry.
 
-correlation_variance adds the first-order correction terms for the variance
-of a single correlation entry; it feeds the equality-test denominator.
+correlation_variance gives the per-entry variance theta_ij of a correlation
+entry with the first-order correction terms, the denominator of the equality
+test's statistic. It expands theta into two Gram products of the
+standardized data and recomputes from the per-sample formula the few pairs
+where that expansion cancels too much to trust.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ import numpy as np
 
 from .dataset import SampleMatrix
 from .errors import DegenerateVariableError
+
+# a pair whose expansion terms sum in magnitude to more than this multiple of
+# its theta is recomputed from the per-sample formula
+_CANCELLATION_GUARD = 100.0
+
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -98,19 +106,58 @@ def correlation_variance(x: SampleMatrix, moments: MomentSet) -> np.ndarray:
     """Per-entry variance of a sample correlation entry including the
     first-order correction terms.
 
-    Computed as the mean over samples of
-        (a_i a_j - (corr_ij / 2) * (a_i^2 + a_j^2))^2
-    where a is the standardized centered data. Row i of the result is reduced
-    from one n x p term, so the working set is a few n x p arrays. The
-    diagonal is exactly zero.
+    theta_ij is the mean over samples of
+        (a_i a_j - h_ij (a_i^2 + a_j^2))^2,  h = corr / 2,
+    where a is the standardized centered data. Expanded, with the Gram
+    products M22 = (a^2)^T a^2 / n, M31 = (a^3)^T a / n and M4 = diag(M22),
+        theta_ij = M22_ij - 2 h_ij (M31_ij + M31_ji)
+                   + h_ij^2 (M4_i + 2 M22_ij + M4_j).
+    The terms nearly cancel where a pair is close to collinear, and the sum
+    then keeps few correct digits (Chan, Golub and LeVeque 1983). So the same
+    sum is also formed with every term in absolute value, and each pair i < j
+    whose magnitude exceeds _CANCELLATION_GUARD times its theta is recomputed
+    from the mean of squares above. The working set is a few p x p arrays
+    (the recomputation takes at most p pairs at a time, an n x p term). The
+    result is exactly symmetric, its diagonal is exactly zero and it is
+    clamped at 0.
     """
     var = _positive_variances(moments.cov)
+    n, p = x.n, x.p
     a = _centered(x.data) / np.sqrt(var)
     sq = a * a
     half_corr = 0.5 * moments.corr
-    acc = np.empty_like(moments.corr)
-    for i in range(x.p):
-        term = a[:, i, None] * a
-        term -= half_corr[i] * (sq[:, i, None] + sq)
-        acc[i] = np.einsum("kj,kj->j", term, term)
-    return acc / x.n
+    m22 = sq.T @ sq
+    m22 /= n
+    m31 = (sq * a).T @ a
+    m31 /= n
+    # the terms that are never negative: M22_ij + h_ij^2 (M4_i + 2 M22_ij + M4_j)
+    plus = m22 * 2.0
+    m4 = np.diag(m22).copy()
+    plus += m4[:, None]
+    plus += m4
+    plus *= half_corr
+    plus *= half_corr
+    plus += m22
+    del m22
+    theta = m31 + m31.T
+    theta *= half_corr
+    theta *= -2.0
+    theta += plus
+    np.abs(m31, out=m31)
+    magnitude = m31 + m31.T
+    del m31
+    magnitude *= np.abs(half_corr)
+    magnitude *= 2.0
+    magnitude += plus
+    del plus
+    theta += theta.T
+    theta *= 0.5
+    rows, cols = np.nonzero(np.triu(magnitude > _CANCELLATION_GUARD * theta, k=1))
+    del magnitude
+    for start in range(0, rows.size, p):
+        i, j = rows[start:start + p], cols[start:start + p]
+        term = a[:, i] * a[:, j]
+        term -= half_corr[i, j] * (sq[:, i] + sq[:, j])
+        theta[i, j] = theta[j, i] = np.einsum("kj,kj->j", term, term) / n
+    np.fill_diagonal(theta, 0.0)
+    return np.maximum(theta, 0.0, out=theta)

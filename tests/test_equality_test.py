@@ -140,12 +140,25 @@ def _naive_top_pairs(result, k):
     return sorted(pairs, key=lambda item: -item[2])[:k]  # stable: ties stay row-major
 
 
+def _with_upper_values(result, values):
+    p = len(result.names)
+    t_ij = np.zeros((p, p))
+    t_ij[np.triu_indices(p, k=1)] = values
+    return replace(result, t_ij=t_ij + t_ij.T)
+
+
 def test_top_pairs_match_naive_sort():
     result = run_equality_test(gaussian_dataset(4, p=7, n1=30, n2=40))
     # rounding the statistics makes ties among nonzero values
     rounded = replace(result, t_ij=np.round(result.t_ij))
-    for res in (result, rounded):
-        for k in (0, 1, 5, 21, 30):  # 21 = p(p-1)/2 pairs in all
+    # runs of 2, 7, 4, 2, 3 and 3 equal values, interleaved in row-major
+    # order, so some k cuts through every run
+    runs = _with_upper_values(
+        result, [4, 9, 4, 1, 3, 4, 0, 4, 3, 9, 1, 4, 3, 0, 2, 2, 4, 1, 0, 3, 4]
+    )
+    equal = _with_upper_values(result, [2.5] * 21)
+    for res in (result, rounded, runs, equal):
+        for k in (*range(23), 30):  # 21 = p(p-1)/2 pairs in all
             assert res.top_pairs(k) == _naive_top_pairs(res, k)
     assert len(result.top_pairs(30)) == 21
     with pytest.raises(ValidationError):

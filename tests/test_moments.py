@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcorr import (
     DegenerateVariableError,
     SampleMatrix,
+    TwoGroupDataset,
     correlation_variance,
     moment_set,
     sample_correlation,
 )
+from diffcorr import test_statistic as compute_statistic
 from diffcorr.moments import _covariance, _product_variance
 from oracles import naive_corr, naive_cov, naive_eta, naive_theta, naive_xi
 from properties import check_moment_invariances
@@ -136,6 +140,7 @@ def test_correlation_variance_diagonal_is_exactly_zero():
     m = moment_set(x)
     var = correlation_variance(x, m)
     assert np.array_equal(np.diag(var), np.zeros(4))
+    assert np.array_equal(var, var.T)
     assert np.all(var >= 0.0)
 
 
@@ -167,6 +172,52 @@ def test_correlation_variance_against_double_loop(build):
     got = correlation_variance(sm, moment_set(sm))
     expected = np.array(naive_eta(x))
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40))
+def test_correlation_variance_on_adversarial_columns(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 7))
+    x[:, 1] += 1e6  # heavy offset
+    x[:, 2] = rng.integers(0, 2, size=n)
+    x[:2, 2] = (0.0, 1.0)  # both values present
+    x[:, 4] = x[:, 3] + 1e-6 * rng.standard_normal(n)  # near-collinear pair
+    x[:, 6] = x[:, 5]  # exact duplicate
+    sm = SampleMatrix(x)
+    got = correlation_variance(sm, moment_set(sm))
+    expected = np.array(naive_eta(x))
+    assert np.max(np.abs(got - expected)) < 1e-10
+    assert np.array_equal(got, got.T)
+    assert np.array_equal(np.diag(got), np.zeros(7))
+
+
+def _per_sample_variance(x, m, i, j):
+    """theta_ij straight from its definition, on the program's variances and
+    correlation: at a near-collinear pair the per-sample terms cancel to a
+    few digits, so the value moves with the last bits of every input, and an
+    oracle with its own moments agrees only to about 1e-3."""
+    a = (x - x.mean(axis=0)) / np.sqrt(np.diag(m.cov))
+    term = a[:, i] * a[:, j] - 0.5 * m.corr[i, j] * (a[:, i] ** 2 + a[:, j] ** 2)
+    return float(np.mean(term * term))
+
+
+def test_correlation_variance_recomputes_cancelling_pairs():
+    # the Gram expansion of theta_03 cancels to below 0 and would be clamped
+    # to 0; the pair must be recomputed from the per-sample formula
+    x = _near_collinear(np.random.default_rng(8))
+    sm = SampleMatrix(x)
+    m = moment_set(sm)
+    got = correlation_variance(sm, m)
+    want = _per_sample_variance(x, m, 0, 3)
+    assert 0.0 < want < 1e-20
+    assert got[0, 3] == got[3, 0]
+    assert abs(got[0, 3] - want) <= 1e-12 * want
+    naive = naive_eta(x)[0][3]
+    assert abs(got[0, 3] - naive) <= 1e-2 * naive
+    # a zero theta in both groups would make the pair's denominator zero
+    _, t_ij = compute_statistic(TwoGroupDataset(sm, sm))
+    assert t_ij[0, 3] == 0.0
 
 
 def test_moment_set_consistent_with_pieces():
