@@ -79,34 +79,28 @@ def _add_estimation_flags(sub):
     sub.add_argument("--out-json", help="write the JSON summary")
 
 
+# each CV flag, the CvConfig field it sets and its help text
+_CV_FLAGS = (
+    ("--cv-folds", "k_folds", "K in K-fold CV"),
+    ("--cv-repeats", "h_repeats", "number of random splits"),
+    ("--cv-grid", "grid_n", "grid resolution N for {0, 1/N, ..., 5}"),
+)
+
+
 def _add_cv_flags(sub):
-    sub.add_argument("--cv-folds", type=int, default=None, help="K in K-fold CV (default 5)")
-    sub.add_argument("--cv-repeats", type=int, default=None, help="number of random splits (default 5)")
-    sub.add_argument("--cv-grid", type=int, default=None, help="grid resolution N for {0, 1/N, ..., 5} (default 50)")
+    for flag, field, text in _CV_FLAGS:
+        sub.add_argument(flag, type=int, dest=field, help=f"{text} (default {getattr(CvConfig, field)})")
     sub.add_argument("--seed", type=int, default=0)
 
 
 def _cv_config(args, rule) -> CvConfig:
-    explicit = [
-        name
-        for name, value in (
-            ("--cv-folds", args.cv_folds),
-            ("--cv-repeats", args.cv_repeats),
-            ("--cv-grid", args.cv_grid),
-        )
-        if value is not None
-    ]
-    if getattr(args, "tau", None) is not None and explicit:
+    given = {flag: field for flag, field, _ in _CV_FLAGS if getattr(args, field) is not None}
+    if getattr(args, "tau", None) is not None and given:
         raise ValidationError(
-            f"--tau fixes the constant; {', '.join(explicit)} would be ignored"
+            f"--tau fixes the constant; {', '.join(given)} would be ignored"
         )
-    return CvConfig(
-        k_folds=args.cv_folds if args.cv_folds is not None else 5,
-        h_repeats=args.cv_repeats if args.cv_repeats is not None else 5,
-        grid_n=args.cv_grid if args.cv_grid is not None else 50,
-        seed=args.seed,
-        rule=rule,
-    )
+    fields = {field: getattr(args, field) for field in given.values()}
+    return CvConfig(seed=args.seed, rule=rule, **fields)
 
 
 def _norm_summary(est: DifferentialEstimate) -> dict:
@@ -262,7 +256,6 @@ def _cmd_test_equality(args) -> int:
 
 def _cmd_cv(args) -> int:
     rule = ThresholdRule(args.rule, args.eta)
-    args.tau = None
     cfg = _cv_config(args, rule)
     if args.estimator in TWO_GROUP_KINDS:
         ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
@@ -302,7 +295,6 @@ def _cmd_simulate(args) -> int:
     estimators = [name for name in args.estimators.split(",") if name]
     if not rules or not estimators:
         raise ValidationError("--rules and --estimators each need at least one name")
-    args.tau = None
     cfg = _cv_config(args, rules[0])
     report = run_benchmark(
         f"model{args.model}",
@@ -410,6 +402,9 @@ def main(argv=None) -> int:
     except DiffCorrError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(exc.category, 4)
+    except OSError as exc:  # a path that cannot be opened, read or written
+        print(f"error [USER]: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return _EXIT_CODES["USER"]
     except Exception as exc:  # solver or library failure
         print(f"error [INTERNAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_CODES["INTERNAL"]

@@ -133,7 +133,10 @@ def _read_rows(path) -> list[list[str]]:
     dropped and trailing blank rows removed. The header row must not be
     blank, and every row must have as many cells as the header."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:

@@ -85,7 +85,7 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     corrs = []
     for group in (ds.group1, ds.group2):
         moments = moment_set(group)
-        variance = correlation_variance(group, moments)
+        variance = correlation_variance(moments)
         variance /= moments.n
         denom += variance
         corrs.append(moments.corr)

@@ -1,13 +1,8 @@
 """Entrywise sample statistics for one group.
 
-All statistics center the data first and divide by n (not n - 1); the
-threshold formulas downstream are calibrated to that convention. Besides the
-sample covariance and correlation, two per-entry noise levels are computed:
-
-- cov_noise[i, j]: variance of the centered cross products
-  (x_i - mean_i)(x_j - mean_j), the noise level of a covariance entry.
-- corr_noise[i, j]: cov_noise normalized by the variance product, the noise
-  level of a correlation entry.
+A moment set holds one group's data, centered once, with its sample
+covariance and correlation. Every statistic divides by n (not n - 1);
+the threshold formulas downstream are calibrated to that convention.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
@@ -32,24 +27,18 @@ _CANCELLATION_GUARD = 100.0
 
 @dataclass(frozen=True)
 class MomentSet:
-    """All entrywise statistics of one sample."""
+    """The centered data of one sample with its covariance and correlation."""
 
+    centered: np.ndarray
     cov: np.ndarray
     corr: np.ndarray
-    cov_noise: np.ndarray
-    corr_noise: np.ndarray
     n: int
     p: int
 
 
-def _centered(data: np.ndarray) -> np.ndarray:
-    return data - data.mean(axis=0)
-
-
-def _covariance(data: np.ndarray) -> np.ndarray:
-    n = data.shape[0]
-    c = _centered(data)
-    cov = c.T @ c / n
+def _covariance(c: np.ndarray) -> np.ndarray:
+    """Covariance of the centered data c."""
+    cov = c.T @ c / c.shape[0]
     # matmul does not guarantee bitwise symmetry
     return (cov + cov.T) * 0.5
 
@@ -71,15 +60,6 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
     return corr
 
 
-def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c, as
-    E[c_i^2 c_j^2] - cov_ij^2 from one Gram product of the squared data;
-    symmetrized, and clamped at 0 against rounding."""
-    sq = c * c
-    noise = sq.T @ sq / c.shape[0] - cov * cov
-    return np.maximum((noise + noise.T) * 0.5, 0.0)
-
-
 def sample_correlation(cov: np.ndarray) -> np.ndarray:
     """Correlation from a covariance matrix: unit diagonal, entries clamped
     to [-1, 1]; any non-positive variance is an error."""
@@ -87,22 +67,14 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
-    """Compute every entrywise statistic of one sample in a single pass."""
-    cov = _covariance(x.data)
+    """Center one sample and compute its covariance and correlation."""
+    centered = x.data - x.data.mean(axis=0)
+    cov = _covariance(centered)
     corr = _correlation(cov)
-    noise = _product_variance(_centered(x.data), cov)
-    var = np.diag(cov)
-    return MomentSet(
-        cov=cov,
-        corr=corr,
-        cov_noise=noise,
-        corr_noise=noise / np.outer(var, var),
-        n=x.n,
-        p=x.p,
-    )
+    return MomentSet(centered=centered, cov=cov, corr=corr, n=x.n, p=x.p)
 
 
-def correlation_variance(x: SampleMatrix, moments: MomentSet) -> np.ndarray:
+def correlation_variance(moments: MomentSet) -> np.ndarray:
     """Per-entry variance of a sample correlation entry including the
     first-order correction terms.
 
@@ -122,8 +94,8 @@ def correlation_variance(x: SampleMatrix, moments: MomentSet) -> np.ndarray:
     clamped at 0.
     """
     var = _positive_variances(moments.cov)
-    n, p = x.n, x.p
-    a = _centered(x.data) / np.sqrt(var)
+    n, p = moments.n, moments.p
+    a = moments.centered / np.sqrt(var)
     sq = a * a
     half_corr = 0.5 * moments.corr
     m22 = sq.T @ sq

@@ -5,6 +5,10 @@ they return 0 whenever |z| <= lam, and never move z by more than lam. The
 hard rule uses a strict inequality |z| > lam so the boundary |z| = lam is
 killed as well.
 
+Each entry is thresholded at a level scaled to its own noise level (the
+adaptive thresholding of Cai and Liu, 2011); unit_thresholds defines the
+noise levels and is the only code that computes them.
+
 Every estimator kind follows one recipe; KINDS records, per kind, which
 statistic it thresholds, over how many groups, its diagonal policy and
 whether it keeps only a cross block. The estimators and cross-validation
@@ -92,6 +96,24 @@ def apply_threshold(m: np.ndarray, thresholds, rule: ThresholdRule) -> np.ndarra
     return apply_rule(rule, m, values)
 
 
+def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c, as
+    E[c_i^2 c_j^2] - cov_ij^2 from one Gram product of the squared data;
+    symmetrized, and clamped at 0 against rounding."""
+    sq = c * c
+    noise = sq.T @ sq / c.shape[0] - cov * cov
+    return np.maximum((noise + noise.T) * 0.5, 0.0)
+
+
+def _noise(m: MomentSet, statistic: str) -> np.ndarray:
+    """Per-entry noise level of one group's "cov" or "corr" statistic."""
+    noise = _product_variance(m.centered, m.cov)
+    if statistic == "cov":
+        return noise
+    var = np.diag(m.cov)
+    return noise / np.outer(var, var)
+
+
 def unit_thresholds(statistic: str, moments) -> np.ndarray:
     """Threshold levels at tau = 1 for the "corr" or "cov" statistic of one
     group, or of the difference of groups (the per-group terms add up):
@@ -99,6 +121,11 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
     corr: sqrt(log p / n) * (sqrt(corr_noise_ij)
                              + |corr_ij| / 2 * (sqrt(corr_noise_ii) + sqrt(corr_noise_jj)))
     cov:  sqrt(log p / n * cov_noise_ij)
+
+    with each group's noise levels computed from its centered data c:
+
+    cov_noise_ij  = mean over the n rows of (c_i c_j - cov_ij)^2
+    corr_noise_ij = cov_noise_ij / (cov_ii cov_jj)
     """
     dims = [m.p for m in moments]
     if len(set(dims)) != 1:
@@ -106,12 +133,13 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
     logp = log(dims[0])
     total = 0.0
     for m in moments:
+        noise = _noise(m, statistic)
         if statistic == "cov":
-            term = np.sqrt(logp / m.n * m.cov_noise)
+            term = np.sqrt(logp / m.n * noise)
         else:
-            root_diag = np.sqrt(np.diag(m.corr_noise))
+            root_diag = np.sqrt(np.diag(noise))
             term = np.sqrt(logp / m.n) * (
-                np.sqrt(m.corr_noise)
+                np.sqrt(noise)
                 + 0.5 * np.abs(m.corr) * (root_diag[:, None] + root_diag[None, :])
             )
         total = total + term

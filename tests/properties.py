@@ -19,6 +19,7 @@ from diffcorr import (
     spectral_norm,
     test_statistic,
 )
+from diffcorr.thresholding import _noise
 
 RULES = (ThresholdRule("hard"), ThresholdRule("soft"), ThresholdRule("adaptive-lasso"))
 
@@ -64,28 +65,37 @@ def check_moment_invariances(seed=0, tol=1e-12):
     rng = np.random.default_rng(seed)
     n, p = 12, 4
     x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 2 * np.eye(p))
-    base = moment_set(SampleMatrix(x))
-    base_var = correlation_variance(SampleMatrix(x), base)
+
+    def statistics(m):
+        return {
+            "cov": m.cov, "corr": m.corr,
+            "cov_noise": _noise(m, "cov"), "corr_noise": _noise(m, "corr"),
+        }
+
+    base_moments = moment_set(SampleMatrix(x))
+    base = statistics(base_moments)
+    base_var = correlation_variance(base_moments)
 
     # positive per-column rescaling leaves correlation-scale statistics fixed
     scales = rng.uniform(0.5, 3.0, size=p)
-    scaled = moment_set(SampleMatrix(x * scales))
-    scaled_var = correlation_variance(SampleMatrix(x * scales), scaled)
-    assert np.max(np.abs(scaled.corr - base.corr)) <= tol
-    assert np.max(np.abs(scaled.corr_noise - base.corr_noise)) <= tol
+    scaled_moments = moment_set(SampleMatrix(x * scales))
+    scaled = statistics(scaled_moments)
+    scaled_var = correlation_variance(scaled_moments)
+    assert np.max(np.abs(scaled["corr"] - base["corr"])) <= tol
+    assert np.max(np.abs(scaled["corr_noise"] - base["corr_noise"])) <= tol
     assert np.max(np.abs(scaled_var - base_var)) <= tol
 
     # adding a constant vector to every observation changes nothing
-    shifted = moment_set(SampleMatrix(x + rng.uniform(-5, 5, size=p)))
-    for field in ("cov", "corr", "cov_noise", "corr_noise"):
-        assert np.max(np.abs(getattr(shifted, field) - getattr(base, field))) <= tol
+    shifted = statistics(moment_set(SampleMatrix(x + rng.uniform(-5, 5, size=p))))
+    for field in base:
+        assert np.max(np.abs(shifted[field] - base[field])) <= tol
 
     # permuting columns permutes every output identically
     perm = rng.permutation(p)
-    permuted = moment_set(SampleMatrix(x[:, perm]))
-    for field in ("cov", "corr", "cov_noise", "corr_noise"):
-        expected = getattr(base, field)[np.ix_(perm, perm)]
-        assert np.max(np.abs(getattr(permuted, field) - expected)) <= tol
+    permuted = statistics(moment_set(SampleMatrix(x[:, perm])))
+    for field in base:
+        expected = base[field][np.ix_(perm, perm)]
+        assert np.max(np.abs(permuted[field] - expected)) <= tol
 
 
 def check_estimator_invariances(seed=1, tol=1e-10):

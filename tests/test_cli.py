@@ -437,16 +437,27 @@ def test_simulate_requires_sizes(capsys):
         (["estimate-diff-corr", "--eta", "nan"], "exponent must be >= 1, got nan"),
         (["cv", "--split", "1"], "split index applies only to cross-corr"),
         (["cv", "--estimator", "single-corr", "--split", "1"], "split index applies only to cross-corr"),
+        (["estimate-corr", "--tau", "1.0", "--input", "nope.csv"], "No such file or directory: nope.csv"),
+        (["estimate-corr", "--tau", "1.0", "--input", "{tmp}"], "Is a directory: {tmp}"),
+        (
+            ["estimate-diff-corr", "--tau", "1.0", "--out-json", "{tmp}/missing/x.json"],
+            "No such file or directory: {tmp}/missing/x.json",
+        ),
+        (["estimate-corr", "--tau", "1.0", "--input", "{tmp}/latin1.csv"], "latin1.csv: not valid UTF-8"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
         "support-rank-top-k", "nan-eta", "cv-split-diff-corr", "cv-split-single-corr",
+        "missing-input", "directory-input", "missing-output-directory", "not-utf8-input",
     ],
 )
-def test_user_side_flag_errors_exit_2(sample_files, capsys, argv, message):
+def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):
+    (tmp_path / "latin1.csv").write_bytes(b"a,b\n1,2\n\xff,3\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    message = message.replace("{tmp}", str(tmp_path))
     if "single-corr" in argv:
         argv = argv + ["--input", sample_files[0]]
-    elif argv[0] != "simulate":
+    elif argv[0] != "simulate" and "--input" not in argv:
         argv = argv + ["--input1", sample_files[0], "--input2", sample_files[1]]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -17,6 +17,8 @@ from diffcorr import (
     mvn_sample,
     scale_to_covariance,
 )
+from diffcorr import test_equality as run_equality_test
+from diffcorr import thresholding
 from diffcorr.crossval import _draw_split, _loss_curve
 from diffcorr.thresholding import KINDS, apply_rule
 from oracles import naive_cv_diff_corr
@@ -189,3 +191,25 @@ def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
             assert np.argmin(got) == np.argmin(want)
         else:
             assert tied[np.argmin(got)]
+
+
+def test_only_training_parts_compute_noise(monkeypatch):
+    shapes = []
+    product_variance = thresholding._product_variance
+
+    def counted(c, cov):
+        shapes.append(c.shape)
+        return product_variance(c, cov)
+
+    monkeypatch.setattr(thresholding, "_product_variance", counted)
+    ds = gaussian_dataset(0, p=4, n1=20, n2=20)
+    cfg = CvConfig(h_repeats=3)
+    # a training part keeps 16 of the 20 rows, a held-out part 4
+    cv_select_tau(ds, cfg)
+    assert shapes == [(16, 4)] * 6
+    shapes.clear()
+    cv_select_tau_single(ds.group1, cfg)
+    assert shapes == [(16, 4)] * 3
+    shapes.clear()
+    run_equality_test(ds)
+    assert shapes == []

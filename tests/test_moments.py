@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from diffcorr import (
     DegenerateVariableError,
+    MomentSet,
     SampleMatrix,
     TwoGroupDataset,
     correlation_variance,
@@ -12,7 +13,8 @@ from diffcorr import (
     sample_correlation,
 )
 from diffcorr import test_statistic as compute_statistic
-from diffcorr.moments import _covariance, _product_variance
+from diffcorr.moments import _covariance
+from diffcorr.thresholding import _noise, _product_variance
 from oracles import naive_corr, naive_cov, naive_eta, naive_theta, naive_xi
 from properties import check_moment_invariances
 
@@ -30,7 +32,7 @@ def test_covariance_divides_by_n():
 
 def test_covariance_constant_column_is_zero():
     x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    cov = _covariance(x)
+    cov = _covariance(x - x.mean(axis=0))
     assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
 
 
@@ -75,19 +77,21 @@ def test_correlation_rejects_zero_variance():
 def test_covariance_noise_constant_data():
     x = np.zeros((4, 2)) + 3.0
     centered = x - x.mean(axis=0)
-    assert np.array_equal(_product_variance(centered, _covariance(x)), np.zeros((2, 2)))
+    # moment_set rejects constant data, so the moment set is built by hand
+    m = MomentSet(centered=centered, cov=_covariance(centered), corr=np.eye(2), n=4, p=2)
+    assert np.array_equal(_noise(m, "cov"), np.zeros((2, 2)))
 
 
 def test_covariance_noise_two_point_column():
     # both centered products equal the covariance, so the spread is zero
     x = SampleMatrix(np.array([[0.0], [2.0]]))
-    assert moment_set(x).cov_noise[0, 0] == 0.0
+    assert _noise(moment_set(x), "cov")[0, 0] == 0.0
 
 
 def test_covariance_noise_against_double_loop():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 2)) * np.array([1.0, 2.5]) + 1.0
-    got = moment_set(SampleMatrix(x)).cov_noise
+    got = _noise(moment_set(SampleMatrix(x)), "cov")
     expected = np.array(naive_theta(x, naive_cov(x)))
     assert np.max(np.abs(got - expected)) < 1e-12
     assert np.all(got >= 0.0)
@@ -104,9 +108,10 @@ def test_noise_on_heavy_offset_and_two_valued_columns():
     x = np.column_stack([offset, binary, balanced, offset + 2.0 * binary])
     m = moment_set(SampleMatrix(x))
     theta = np.array(naive_theta(x, naive_cov(x)))
-    assert np.max(np.abs(m.cov_noise - theta)) < 1e-12
-    assert np.all(m.cov_noise >= 0.0)
-    corr_noise = m.corr_noise
+    cov_noise = _noise(m, "cov")
+    assert np.max(np.abs(cov_noise - theta)) < 1e-12
+    assert np.all(cov_noise >= 0.0)
+    corr_noise = _noise(m, "corr")
     expected = np.array(naive_xi(theta, naive_cov(x)))
     assert np.max(np.abs(corr_noise - expected)) < 1e-12
     assert np.all(corr_noise >= 0.0)
@@ -115,16 +120,16 @@ def test_noise_on_heavy_offset_and_two_valued_columns():
 def test_correlation_noise_examples():
     # two-point columns: every centered product equals its mean, so no noise
     x = SampleMatrix(np.array([[0.0, 1.0], [2.0, 7.0]]))
-    assert np.array_equal(moment_set(x).corr_noise, np.zeros((2, 2)))
+    assert np.array_equal(_noise(moment_set(x), "corr"), np.zeros((2, 2)))
     # uncorrelated +/-2 and +/-3 columns: cov_noise_01 = 36 = var_0 * var_1
     x = SampleMatrix(np.array([[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0], [-2.0, -3.0]]))
-    assert moment_set(x).corr_noise[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert _noise(moment_set(x), "corr")[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_correlation_noise_against_division():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((8, 3))
-    got = moment_set(SampleMatrix(x)).corr_noise
+    got = _noise(moment_set(SampleMatrix(x)), "corr")
     expected = np.array(naive_xi(naive_theta(x, naive_cov(x)), naive_cov(x)))
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -137,8 +142,7 @@ def test_correlation_variance_rejects_constant_data():
 def test_correlation_variance_diagonal_is_exactly_zero():
     rng = np.random.default_rng(3)
     x = SampleMatrix(rng.standard_normal((9, 4)))
-    m = moment_set(x)
-    var = correlation_variance(x, m)
+    var = correlation_variance(moment_set(x))
     assert np.array_equal(np.diag(var), np.zeros(4))
     assert np.array_equal(var, var.T)
     assert np.all(var >= 0.0)
@@ -168,8 +172,7 @@ def _near_collinear(rng):
 )
 def test_correlation_variance_against_double_loop(build):
     x = build(np.random.default_rng(8))
-    sm = SampleMatrix(x)
-    got = correlation_variance(sm, moment_set(sm))
+    got = correlation_variance(moment_set(SampleMatrix(x)))
     expected = np.array(naive_eta(x))
     assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -184,8 +187,7 @@ def test_correlation_variance_on_adversarial_columns(seed, n):
     x[:2, 2] = (0.0, 1.0)  # both values present
     x[:, 4] = x[:, 3] + 1e-6 * rng.standard_normal(n)  # near-collinear pair
     x[:, 6] = x[:, 5]  # exact duplicate
-    sm = SampleMatrix(x)
-    got = correlation_variance(sm, moment_set(sm))
+    got = correlation_variance(moment_set(SampleMatrix(x)))
     expected = np.array(naive_eta(x))
     assert np.max(np.abs(got - expected)) < 1e-10
     assert np.array_equal(got, got.T)
@@ -208,7 +210,7 @@ def test_correlation_variance_recomputes_cancelling_pairs():
     x = _near_collinear(np.random.default_rng(8))
     sm = SampleMatrix(x)
     m = moment_set(sm)
-    got = correlation_variance(sm, m)
+    got = correlation_variance(m)
     want = _per_sample_variance(x, m, 0, 3)
     assert 0.0 < want < 1e-20
     assert got[0, 3] == got[3, 0]
@@ -224,11 +226,13 @@ def test_moment_set_consistent_with_pieces():
     rng = np.random.default_rng(21)
     x = SampleMatrix(rng.standard_normal((10, 3)))
     m = moment_set(x)
-    assert np.array_equal(m.cov, _covariance(x.data))
+    assert np.array_equal(m.centered, x.data - x.data.mean(axis=0))
+    assert np.array_equal(m.cov, _covariance(m.centered))
     assert np.array_equal(m.corr, sample_correlation(m.cov))
-    assert np.array_equal(m.cov_noise, _product_variance(x.data - x.data.mean(axis=0), m.cov))
+    cov_noise = _noise(m, "cov")
+    assert np.array_equal(cov_noise, _product_variance(m.centered, m.cov))
     var = np.diag(m.cov)
-    assert np.array_equal(m.corr_noise, m.cov_noise / np.outer(var, var))
+    assert np.array_equal(_noise(m, "corr"), cov_noise / np.outer(var, var))
     assert (m.n, m.p) == (10, 3)
 
 
@@ -236,7 +240,7 @@ def test_streaming_matches_double_loop_on_random_instances():
     rng = np.random.default_rng(33)
     for _ in range(5):
         x = rng.standard_normal((10, 4)) * rng.uniform(0.5, 2.0, size=4)
-        got = moment_set(SampleMatrix(x)).cov_noise
+        got = _noise(moment_set(SampleMatrix(x)), "cov")
         expected = np.array(naive_theta(x, naive_cov(x)))
         assert np.max(np.abs(got - expected)) < 1e-10
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcorr import (
-    MomentSet,
     SampleMatrix,
     ThresholdMatrix,
     ThresholdRule,
@@ -19,6 +18,7 @@ from diffcorr import (
     moment_set,
     single_corr_thresholds,
 )
+from diffcorr.thresholding import _noise
 from oracles import naive_rule
 from properties import check_rule_conditions
 
@@ -103,19 +103,23 @@ def test_diff_corr_thresholds_p1_log_term_vanishes():
 
 
 def test_diff_corr_thresholds_hand_evaluation():
-    # two diagonal 3x3 moment sets evaluated against the displayed formula
-    eye = np.eye(3)
-    m1 = MomentSet(
-        cov=4.0 * eye, corr=eye, cov_noise=2.0 * eye, corr_noise=0.125 * eye, n=8, p=3
-    )
-    m2 = MomentSet(
-        cov=eye, corr=eye, cov_noise=0.5 * eye, corr_noise=0.5 * eye, n=10, p=3
-    )
+    # columns +/-2, +/-3 and (1, -1, 3, -3): variances 4, 9, 5, cov_02 = 4 and
+    # no other covariance, so corr_02 = 2 / sqrt(5). The centered cross
+    # products give cov_noise 0, 0, 16 on the diagonal and 36, 4, 45 at
+    # (0, 1), (0, 2), (1, 2); divided by the variance products, corr_noise is
+    # 0, 0, 16/25 on the diagonal and 1, 1/5, 1 off it.
+    x = np.array([[2.0, 3.0, 1.0], [-2.0, 3.0, -1.0], [2.0, -3.0, 3.0], [-2.0, -3.0, -3.0]])
+    m1 = moment_set(SampleMatrix(x))
+    m2 = moment_set(SampleMatrix(np.vstack([x, x])))  # the same statistics at n = 8
     tau = 0.7
-    term1 = math.sqrt(math.log(3) / 8) * (math.sqrt(0.125) + 0.5 * (2 * math.sqrt(0.125)))
-    term2 = math.sqrt(math.log(3) / 10) * (math.sqrt(0.5) + 0.5 * (2 * math.sqrt(0.5)))
-    got = diff_corr_thresholds(m1, m2, tau)
-    assert got.values[0, 0] == pytest.approx(tau * (term1 + term2), rel=1e-12)
+    scale = tau * (math.sqrt(math.log(3) / 4) + math.sqrt(math.log(3) / 8))
+    got = diff_corr_thresholds(m1, m2, tau).values
+    assert got[0, 0] == 0.0
+    assert got[0, 1] == pytest.approx(scale * 1.0, rel=1e-12)
+    assert got[0, 2] == pytest.approx(
+        scale * (math.sqrt(0.2) + 0.5 * (2 / math.sqrt(5)) * (0.0 + 0.8)), rel=1e-12
+    )
+    assert got[2, 2] == pytest.approx(scale * (0.8 + 0.5 * (0.8 + 0.8)), rel=1e-12)
 
 
 def test_diff_corr_thresholds_sample_size_scaling():
@@ -147,16 +151,14 @@ def test_diff_cov_thresholds():
     m1, m2 = _moments(11), _moments(12)
     assert np.array_equal(diff_cov_thresholds(m1, m2, 0.0).values, np.zeros((3, 3)))
 
-    quiet = MomentSet(
-        cov=np.eye(2), corr=np.eye(2), cov_noise=np.zeros((2, 2)),
-        corr_noise=np.zeros((2, 2)), n=5, p=2,
-    )
+    # two +/-1 columns with a constant product: no centered product varies
+    quiet = moment_set(SampleMatrix(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])))
     assert np.array_equal(diff_cov_thresholds(quiet, quiet, 2.0).values, np.zeros((2, 2)))
 
     got = diff_cov_thresholds(m1, m2, 1.7).values
     expected = 1.7 * (
-        np.sqrt(math.log(3) / m1.n * m1.cov_noise)
-        + np.sqrt(math.log(3) / m2.n * m2.cov_noise)
+        np.sqrt(math.log(3) / m1.n * _noise(m1, "cov"))
+        + np.sqrt(math.log(3) / m2.n * _noise(m2, "cov"))
     )
     assert np.max(np.abs(got - expected)) < 1e-14
 
