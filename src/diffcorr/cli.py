@@ -15,11 +15,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .crossval import (
-    SINGLE_GROUP_KINDS,
-    TWO_GROUP_KINDS,
     CvConfig,
     cv_select_tau,
     cv_select_tau_single,
@@ -37,7 +33,7 @@ from .estimators import (
 )
 from .norms import frobenius_norm, matrix_l1_norm, spectral_norm
 from .simulation import ESTIMATOR_NAMES, run_benchmark
-from .thresholding import RULE_NAMES, ThresholdRule
+from .thresholding import KINDS, RULE_NAMES, ThresholdRule
 
 SCHEMA_VERSION = 1
 _EXIT_CODES = {"USER": 2, "DATA": 3, "INTERNAL": 4}
@@ -60,6 +56,15 @@ def ingest_two_group(
     if input1 is None or input2 is None:
         raise ValidationError("provide --input1 and --input2, or --input with --label-column")
     return TwoGroupDataset(read_sample_csv(input1), read_sample_csv(input2))
+
+
+def _ingest(args, kind):
+    """Two-group kinds read --input1/--input2 or a labeled --input, the others --input."""
+    if KINDS[kind].two_group:
+        return ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
+    if args.input is None:
+        raise ValidationError(f"estimator {kind!r} needs --input")
+    return read_sample_csv(args.input)
 
 
 def _add_two_group_flags(sub):
@@ -113,11 +118,9 @@ def _norm_summary(est: DifferentialEstimate) -> dict:
     }
 
 
-def _cv_summary(cv) -> dict | list | None:
+def _cv_summary(cv) -> dict | None:
     if cv is None:
         return None
-    if isinstance(cv, tuple):
-        return [_cv_summary(item) for item in cv]
     return {
         "tau_hat": cv.tau_hat,
         "repeats": cv.splits_used,
@@ -137,78 +140,72 @@ def _warn_at_grid_edge(cv) -> None:
         )
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _open_output(path, **kwargs):
+    """Open an optional output before the work, so a bad path fails before any output."""
+    return open(path, "w", **kwargs) if path else contextlib.nullcontext()
 
 
-def _emit_estimate(args, command, est: DifferentialEstimate, extra=None) -> None:
+def _write_json(fh, payload) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _emit_estimate(args, est: DifferentialEstimate, **extra) -> None:
     if args.out_matrix:
         write_matrix_csv(args.out_matrix, est.estimate, est.row_labels, est.col_labels)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "rule": est.rule.kind if est.rule else None,
-        "eta": est.rule.eta if est.rule else None,
-        "tau": list(est.tau) if isinstance(est.tau, tuple) else est.tau,
+        "command": args.command,
+        "rule": est.rule.kind,
+        "eta": est.rule.eta,
+        "tau": est.tau,
         "seed": args.seed,
         "shape": list(est.estimate.shape),
         "nonzero_count": est.nonzero_count(),
         "norms": _norm_summary(est),
         "cv": _cv_summary(est.cv),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     if args.out_json:
-        _write_json(args.out_json, payload)
-    tau_repr = payload["tau"]
-    print(f"{command}: tau={tau_repr} nonzero={payload['nonzero_count']}")
+        with open(args.out_json, "w") as fh:
+            _write_json(fh, payload)
+    print(f"{args.command}: tau={est.tau} nonzero={payload['nonzero_count']}")
     _warn_at_grid_edge(est.cv)
 
 
-def _rule(args) -> ThresholdRule:
-    return ThresholdRule(args.rule, args.eta)
+# each estimate command and the estimator kind it fits
+_ESTIMATE_COMMANDS = (
+    ("estimate-diff-corr", "diff-corr"),
+    ("estimate-diff-cov", "diff-cov"),
+    ("estimate-corr", "single-corr"),
+    ("estimate-cross", "cross-corr"),
+)
+_ESTIMATORS = {
+    "diff-corr": estimate_diff_corr,
+    "diff-cov": estimate_diff_cov,
+    "single-corr": estimate_single_corr,
+}
 
 
-def _cmd_estimate_diff_corr(args) -> int:
-    ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    rule = _rule(args)
-    est = estimate_diff_corr(ds, args.tau, rule, _cv_config(args, rule))
-    _emit_estimate(args, "estimate-diff-corr", est)
-    return 0
+def _estimate(args, kind) -> DifferentialEstimate:
+    data = _ingest(args, kind)
+    rule = ThresholdRule(args.rule, args.eta)
+    cfg = _cv_config(args, rule)
+    if KINDS[kind].cross_block:
+        return estimate_cross_corr(data, args.split, args.tau, rule, cfg)
+    return _ESTIMATORS[kind](data, args.tau, rule, cfg)
 
 
-def _cmd_estimate_corr(args) -> int:
-    x = read_sample_csv(args.input)
-    rule = _rule(args)
-    est = estimate_single_corr(x, args.tau, rule, _cv_config(args, rule))
-    _emit_estimate(args, "estimate-corr", est)
-    return 0
-
-
-def _cmd_estimate_diff_cov(args) -> int:
-    ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    rule = _rule(args)
-    est = estimate_diff_cov(ds, args.tau, rule, _cv_config(args, rule))
-    _emit_estimate(args, "estimate-diff-cov", est)
-    return 0
-
-
-def _cmd_estimate_cross(args) -> int:
-    ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    rule = _rule(args)
-    est = estimate_cross_corr(ds, args.split, args.tau, rule, _cv_config(args, rule))
-    _emit_estimate(args, "estimate-cross", est, extra={"split": args.split})
+def _cmd_estimate(args) -> int:
+    extra = {"split": args.split} if KINDS[args.kind].cross_block else {}
+    _emit_estimate(args, _estimate(args, args.kind), **extra)
     return 0
 
 
 def _cmd_support_rank(args) -> int:
     if args.top_k < 0:
         raise ValidationError(f"--top-k must be >= 0, got {args.top_k}")
-    ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    rule = _rule(args)
-    est = estimate_diff_corr(ds, args.tau, rule, _cv_config(args, rule))
+    est = _estimate(args, "diff-corr")
     ranking = support_ranking(est)
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:
@@ -216,7 +213,7 @@ def _cmd_support_rank(args) -> int:
             writer.writerow(["variable", "count"])
             writer.writerows(ranking)
     extra = {"ranking": [[label, count] for label, count in ranking]}
-    _emit_estimate(args, "support-rank", est, extra=extra)
+    _emit_estimate(args, est, **extra)
     for label, count in ranking[: args.top_k]:
         print(f"{label}\t{count}")
     return 0
@@ -224,92 +221,91 @@ def _cmd_support_rank(args) -> int:
 
 def _cmd_test_equality(args) -> int:
     ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    result = test_equality(ds, args.alpha)
-    pairs = result.top_pairs(args.top_k)
-    decision = "reject" if result.reject else "accept"
-    print(f"t_n = {result.t_n:.6g}")
-    print(f"p-value = {result.p_value:.6g}")
-    print(f"decision at alpha={result.alpha:g}: {decision} equality")
-    print(f"top {args.top_k} pairs:")
-    for name_i, name_j, value in pairs:
-        print(f"  {name_i}\t{name_j}\t{value:.6g}")
-    if args.out_json:
-        _write_json(
-            args.out_json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "test-equality",
-                "seed": args.seed,
-                "test": {
-                    "t_n": result.t_n,
-                    "centered": result.centered,
-                    "p_value": result.p_value,
-                    "alpha": result.alpha,
-                    "reject": result.reject,
-                    "tau_alpha": result.tau_alpha,
-                    "top_pairs": [list(t) for t in pairs],
+    with _open_output(args.out_json) as out:
+        result = test_equality(ds, args.alpha)
+        pairs = result.top_pairs(args.top_k)
+        decision = "reject" if result.reject else "accept"
+        print(f"t_n = {result.t_n:.6g}")
+        print(f"p-value = {result.p_value:.6g}")
+        print(f"decision at alpha={result.alpha:g}: {decision} equality")
+        print(f"top {args.top_k} pairs:")
+        for name_i, name_j, value in pairs:
+            print(f"  {name_i}\t{name_j}\t{value:.6g}")
+        if out is not None:
+            _write_json(
+                out,
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": "test-equality",
+                    "seed": args.seed,
+                    "test": {
+                        "t_n": result.t_n,
+                        "centered": result.centered,
+                        "p_value": result.p_value,
+                        "alpha": result.alpha,
+                        "reject": result.reject,
+                        "tau_alpha": result.tau_alpha,
+                        "top_pairs": [list(t) for t in pairs],
+                    },
                 },
-            },
-        )
+            )
     return 0
 
 
 def _cmd_cv(args) -> int:
     rule = ThresholdRule(args.rule, args.eta)
     cfg = _cv_config(args, rule)
-    if args.estimator in TWO_GROUP_KINDS:
-        ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-        result = cv_select_tau(ds, cfg, args.estimator, split=args.split)
-    elif args.estimator in SINGLE_GROUP_KINDS:
-        if args.input is None:
-            raise ValidationError(f"estimator {args.estimator!r} needs --input")
-        if args.split is not None:
-            raise ValidationError(f"a split index applies only to cross-corr, not {args.estimator!r}")
-        result = cv_select_tau_single(read_sample_csv(args.input), cfg, args.estimator)
+    data = _ingest(args, args.estimator)
+    if KINDS[args.estimator].two_group:
+        result = cv_select_tau(data, cfg, args.estimator, split=args.split)
+    elif args.split is not None:
+        raise ValidationError(f"a split index applies only to cross-corr, not {args.estimator!r}")
     else:
-        raise ValidationError(f"unknown estimator kind {args.estimator!r}")
+        result = cv_select_tau_single(data, cfg, args.estimator)
     print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
     _warn_at_grid_edge(result)
     if args.out_json:
-        _write_json(
-            args.out_json,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "cv",
-                "estimator": args.estimator,
-                "rule": rule.kind,
-                "eta": rule.eta,
-                "seed": args.seed,
-                "cv": _cv_summary(result),
-            },
-        )
+        with open(args.out_json, "w") as fh:
+            _write_json(
+                fh,
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": "cv",
+                    "estimator": args.estimator,
+                    "rule": rule.kind,
+                    "eta": rule.eta,
+                    "seed": args.seed,
+                    "cv": _cv_summary(result),
+                },
+            )
     return 0
 
 
 def _cmd_simulate(args) -> int:
     n1 = args.n1 if args.n1 is not None else args.n
     n2 = args.n2 if args.n2 is not None else args.n
-    if args.p is None or n1 is None or n2 is None:
+    if n1 is None or n2 is None:
         raise ValidationError("simulate needs --p and --n (or --n1/--n2)")
     rules = [ThresholdRule(name, args.eta) for name in args.rules.split(",") if name]
     estimators = [name for name in args.estimators.split(",") if name]
     if not rules or not estimators:
         raise ValidationError("--rules and --estimators each need at least one name")
     cfg = _cv_config(args, rules[0])
-    report = run_benchmark(
-        f"model{args.model}",
-        [(args.p, n1, n2)],
-        args.reps,
-        rules,
-        estimators,
-        seed=args.seed,
-        cv=cfg,
-    )
-    print(report.format_table())
-    if report.failures:
-        print(f"({len(report.failures)} replication failures)", file=sys.stderr)
-    if args.out_csv:
-        report.write_csv(args.out_csv)
+    with _open_output(args.out_csv, newline="") as out:
+        report = run_benchmark(
+            f"model{args.model}",
+            [(args.p, n1, n2)],
+            args.reps,
+            rules,
+            estimators,
+            seed=args.seed,
+            cv=cfg,
+        )
+        print(report.format_table())
+        if report.failures:
+            print(f"({len(report.failures)} replication failures)", file=sys.stderr)
+        if out is not None:
+            report.write_csv(out)
     return 0
 
 
@@ -320,25 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler in (
-        ("estimate-diff-corr", _cmd_estimate_diff_corr),
-        ("estimate-diff-cov", _cmd_estimate_diff_cov),
-    ):
-        sub = commands.add_parser(name)
-        _add_two_group_flags(sub)
+    for command, kind in _ESTIMATE_COMMANDS:
+        sub = commands.add_parser(command)
+        if KINDS[kind].two_group:
+            _add_two_group_flags(sub)
+        else:
+            sub.add_argument("--input", required=True, help="observations CSV")
+        if KINDS[kind].cross_block:
+            sub.add_argument("--split", type=int, required=True, help="first block size p1")
         _add_estimation_flags(sub)
-        sub.set_defaults(handler=handler)
-
-    sub = commands.add_parser("estimate-corr")
-    sub.add_argument("--input", required=True, help="observations CSV")
-    _add_estimation_flags(sub)
-    sub.set_defaults(handler=_cmd_estimate_corr)
-
-    sub = commands.add_parser("estimate-cross")
-    _add_two_group_flags(sub)
-    sub.add_argument("--split", type=int, required=True, help="first block size p1")
-    _add_estimation_flags(sub)
-    sub.set_defaults(handler=_cmd_estimate_cross)
+        sub.set_defaults(handler=_cmd_estimate, kind=kind)
 
     sub = commands.add_parser("support-rank")
     _add_two_group_flags(sub)
@@ -360,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--estimator",
         default="diff-corr",
-        choices=TWO_GROUP_KINDS + SINGLE_GROUP_KINDS,
+        choices=tuple(KINDS),
     )
     sub.add_argument("--split", type=int, default=None, help="block size for cross-corr")
     sub.add_argument("--rule", choices=RULE_NAMES, default="adaptive-lasso")

@@ -35,20 +35,17 @@ DEFAULT_RULE = ThresholdRule("adaptive-lasso", 4.0)
 
 @dataclass(frozen=True)
 class DifferentialEstimate:
-    """A thresholded matrix estimate plus the thresholds that produced it.
-
-    thresholds is None for baselines assembled from separately thresholded
-    per-group matrices, where no single threshold matrix applies. tau is the
-    constant used, or a per-group pair for those baselines.
-    """
+    """A thresholded matrix estimate plus the thresholds, constant and rule
+    that produced it; cv holds the cross-validation result when tau was
+    selected by it."""
 
     estimate: np.ndarray
-    thresholds: ThresholdMatrix | None
-    tau: float | tuple[float, float] | None
-    rule: ThresholdRule | None
+    thresholds: ThresholdMatrix
+    tau: float
+    rule: ThresholdRule
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    cv: CvResult | tuple[CvResult, CvResult] | None = None
+    cv: CvResult | None = None
 
     def __post_init__(self):
         est = np.array(self.estimate, dtype=float)
@@ -160,26 +157,18 @@ def estimate_cross_corr(
     return _fit("cross-corr", ds, tau, rule, cv, split)
 
 
-def _group_difference(ds: TwoGroupDataset, fits, difference, tau) -> DifferentialEstimate:
-    """Difference of two separately fitted groups; under cross-validation
-    each group keeps its own constant and loss curve."""
-    taus = tau if tau is not None else (fits[0].tau, fits[1].tau)
-    cv_res = None if tau is not None else (fits[0].cv, fits[1].cv)
-    return DifferentialEstimate(difference, None, taus, fits[0].rule, ds.names, ds.names, cv_res)
-
-
 def baseline_cov_then_normalize(
     ds: TwoGroupDataset,
     tau: float | None = None,
     rule: ThresholdRule | None = None,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
+) -> np.ndarray:
     """Baseline: threshold each group's covariance adaptively (raw variances
-    kept), normalize each to a correlation matrix, and take the difference.
+    kept), normalize each to a correlation matrix, and return the difference.
     With tau=None each group selects its own constant by cross-validation."""
     fits = [_fit("cov-threshold", x, tau, rule, cv) for x in (ds.group1, ds.group2)]
     r1, r2 = (sample_correlation(f.estimate) for f in fits)
-    return _group_difference(ds, fits, r1 - r2, tau)
+    return r1 - r2
 
 
 def baseline_separate_corr(
@@ -187,20 +176,17 @@ def baseline_separate_corr(
     tau: float | None = None,
     rule: ThresholdRule | None = None,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
-    """Baseline: threshold each group's correlation matrix separately and take
-    the difference."""
-    fits = [estimate_single_corr(x, tau, rule, cv) for x in (ds.group1, ds.group2)]
-    return _group_difference(ds, fits, fits[0].estimate - fits[1].estimate, tau)
+) -> np.ndarray:
+    """Baseline: threshold each group's correlation matrix separately and
+    return the difference. With tau=None each group selects its own constant
+    by cross-validation."""
+    f1, f2 = (estimate_single_corr(x, tau, rule, cv) for x in (ds.group1, ds.group2))
+    return f1.estimate - f2.estimate
 
 
-def baseline_sample_difference(ds: TwoGroupDataset) -> DifferentialEstimate:
+def baseline_sample_difference(ds: TwoGroupDataset) -> np.ndarray:
     """Baseline: the raw difference of the sample correlation matrices."""
-    m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
-    zeros = ThresholdMatrix(np.zeros((ds.p, ds.p)), 0.0)
-    return DifferentialEstimate(
-        m1.corr - m2.corr, zeros, 0.0, None, ds.names, ds.names, None
-    )
+    return moment_set(ds.group1).corr - moment_set(ds.group2).corr
 
 
 def support_ranking(est: DifferentialEstimate) -> list[tuple[str, int]]:

@@ -43,18 +43,25 @@ def _covariance(c: np.ndarray) -> np.ndarray:
     return (cov + cov.T) * 0.5
 
 
-def _positive_variances(cov: np.ndarray) -> np.ndarray:
+def _positive_variances(cov: np.ndarray, names=None) -> np.ndarray:
     var = np.diag(cov)
     bad = np.flatnonzero(var <= 0.0)
     if bad.size:
-        raise DegenerateVariableError(int(bad[0]))
+        raise DegenerateVariableError(int(bad[0]), names[bad[0]] if names else None)
     return var
 
 
-def _correlation(cov: np.ndarray) -> np.ndarray:
-    var = _positive_variances(cov)
-    scale = np.sqrt(var)
-    corr = cov / np.outer(scale, scale)
+def _correlation(cov: np.ndarray, names=None) -> np.ndarray:
+    # var = r * 4^k with r in [0.5, 2): scaling cov by the powers of two is
+    # exact, and sqrt(r_i r_j) rounds to r when r_i == r_j, so two identical
+    # columns get exactly 1 and no product of variances leaves the float range
+    mantissa, exponent = np.frexp(_positive_variances(cov, names))
+    half = exponent // 2
+    r = np.ldexp(mantissa, exponent - 2 * half)
+    corr = np.ldexp(cov, -half[:, None])
+    np.ldexp(corr, -half, out=corr)
+    denom = np.outer(r, r)
+    corr /= np.sqrt(denom, out=denom)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -70,7 +77,7 @@ def moment_set(x: SampleMatrix) -> MomentSet:
     """Center one sample and compute its covariance and correlation."""
     centered = x.data - x.data.mean(axis=0)
     cov = _covariance(centered)
-    corr = _correlation(cov)
+    corr = _correlation(cov, x.names)
     return MomentSet(centered=centered, cov=cov, corr=corr, n=x.n, p=x.p)
 
 

@@ -42,9 +42,15 @@ MODEL_KINDS = ("model1", "model2")
 NORMS = ("spectral", "l1", "frobenius")
 _NORM_FNS = {"spectral": spectral_norm, "l1": matrix_l1_norm, "frobenius": frobenius_norm}
 
-# Wire names for the benchmark estimators; the last two ignore the rule.
-ESTIMATOR_NAMES = ("diff-corr", "cov-normalize", "separate-corr", "sample-diff")
-RULE_FREE = ("sample-diff",)
+# Wire name -> fit with cross-validated tau, returning the difference matrix.
+_FITS = {
+    "diff-corr": lambda ds, rule, cfg: estimate_diff_corr(ds, None, rule, cfg).estimate,
+    "cov-normalize": lambda ds, rule, cfg: baseline_cov_then_normalize(ds, None, rule, cfg),
+    "separate-corr": lambda ds, rule, cfg: baseline_separate_corr(ds, None, rule, cfg),
+    "sample-diff": lambda ds, rule, cfg: baseline_sample_difference(ds),
+}
+ESTIMATOR_NAMES = tuple(_FITS)
+RULE_FREE = ("sample-diff",)  # fits that ignore the rule
 
 _MIN_EIG = 1e-3
 _REDRAW_BUDGET = 20
@@ -196,27 +202,27 @@ class BenchmarkReport:
             raise KeyError(f"{len(hits)} rows match {filters}")
         return hits[0]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    def write_csv(self, fh) -> None:
+        """Write the rows as CSV to a text file opened with newline=""."""
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["model", "p", "n1", "n2", "estimator", "rule", "norm", "mean", "sd", "reps"]
+        )
+        for row in self.rows:
             writer.writerow(
-                ["model", "p", "n1", "n2", "estimator", "rule", "norm", "mean", "sd", "reps"]
+                [
+                    row.model,
+                    row.p,
+                    row.n1,
+                    row.n2,
+                    row.estimator,
+                    row.rule,
+                    row.norm,
+                    format(row.mean, ".17g"),
+                    format(row.sd, ".17g"),
+                    row.reps,
+                ]
             )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.model,
-                        row.p,
-                        row.n1,
-                        row.n2,
-                        row.estimator,
-                        row.rule,
-                        row.norm,
-                        format(row.mean, ".17g"),
-                        format(row.sd, ".17g"),
-                        row.reps,
-                    ]
-                )
 
     def format_table(self) -> str:
         header = f"{'model':8}{'p':>6}{'n1':>6}{'n2':>6}  {'estimator':<16}{'rule':<16}"
@@ -241,20 +247,6 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _fit(estimator: str, ds, rule, cfg):
-    if estimator == "diff-corr":
-        return estimate_diff_corr(ds, None, rule, cfg).estimate
-    if estimator == "cov-normalize":
-        return baseline_cov_then_normalize(ds, None, rule, cfg).estimate
-    if estimator == "separate-corr":
-        return baseline_separate_corr(ds, None, rule, cfg).estimate
-    if estimator == "sample-diff":
-        return baseline_sample_difference(ds).estimate
-    raise ValidationError(
-        f"unknown estimator {estimator!r}; choose from {ESTIMATOR_NAMES}"
-    )
-
-
 def _one_replication(kind, p, n1, n2, seeds, combos, cv):
     model_seed, w1_seed, w2_seed, x1_seed, x2_seed, cv_seed = seeds
     r1, r2 = generate_pair(kind, p, model_seed)
@@ -269,7 +261,7 @@ def _one_replication(kind, p, n1, n2, seeds, combos, cv):
     for estimator, rule in combos:
         cfg = replace(cv, seed=cv_seed, rule=rule or cv.rule)
         try:
-            dev = _fit(estimator, ds, rule, cfg) - truth
+            dev = _FITS[estimator](ds, rule, cfg) - truth
         except DiffCorrError as exc:
             failures.append((estimator, str(exc)))
             continue

@@ -200,11 +200,11 @@ def test_criterion_7_oracle_equivalence():
              naive_estimate_diff_cov(x1, x2, tau, kind)),
             (estimate_cross_corr(ds, split, tau, rule).estimate,
              naive_estimate_cross_corr(x1, x2, split, tau, kind)),
-            (baseline_cov_then_normalize(ds, tau, rule).estimate,
+            (baseline_cov_then_normalize(ds, tau, rule),
              naive_cov_then_normalize(x1, x2, tau, kind)),
-            (baseline_separate_corr(ds, tau, rule).estimate,
+            (baseline_separate_corr(ds, tau, rule),
              naive_separate_corr(x1, x2, tau, kind)),
-            (baseline_sample_difference(ds).estimate,
+            (baseline_sample_difference(ds),
              naive_sample_difference(x1, x2)),
         ]
         for got, expected in got_expected:

@@ -218,7 +218,8 @@ def test_degenerate_data_exit_code(tmp_path, capsys):
     path = _write_csv(tmp_path / "const.csv", ["a", "b"], [[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     code = main(["estimate-diff-corr", "--input1", path, "--input2", path, "--tau", "1"])
     assert code == 3
-    assert "DATA" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "DATA" in err and "variable b " in err
 
 
 def test_estimate_corr_and_cross(tmp_path, capsys):
@@ -444,11 +445,23 @@ def test_simulate_requires_sizes(capsys):
             "No such file or directory: {tmp}/missing/x.json",
         ),
         (["estimate-corr", "--tau", "1.0", "--input", "{tmp}/latin1.csv"], "latin1.csv: not valid UTF-8"),
+        (
+            ["test-equality", "--out-json", "{tmp}/missing/x.json"],
+            "No such file or directory: {tmp}/missing/x.json",
+        ),
+        (
+            ["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2",
+             "--out-csv", "{tmp}/missing/x.csv"],
+            "No such file or directory: {tmp}/missing/x.csv",
+        ),
+        (["cv", "--estimator", "cov-threshold"], "estimator 'cov-threshold' needs --input"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
         "support-rank-top-k", "nan-eta", "cv-split-diff-corr", "cv-split-single-corr",
         "missing-input", "directory-input", "missing-output-directory", "not-utf8-input",
+        "test-equality-missing-output-directory", "simulate-missing-output-directory",
+        "cv-single-group-without-input",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):

@@ -57,6 +57,17 @@ def test_degenerate_denominator():
         compute_statistic(TwoGroupDataset(x, x))
 
 
+def test_duplicated_column_gives_degenerate_variance():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x1, x2 = rng.standard_normal((200, 50)), rng.standard_normal((200, 50))
+        x1[:, 3] = x1[:, 0]
+        x2[:, 3] = x2[:, 0]
+        ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
+        with pytest.raises(DegenerateVarianceError):
+            compute_statistic(ds)
+
+
 def test_statistic_needs_two_variables():
     rng = np.random.default_rng(2)
     sm = SampleMatrix(rng.standard_normal((10, 1)))

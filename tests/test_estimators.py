@@ -172,31 +172,31 @@ def test_cross_corr_against_naive_oracle():
 def test_baseline_cov_then_normalize():
     ds = _same_group_dataset(16)
     assert np.array_equal(
-        baseline_cov_then_normalize(ds, 1.0, SOFT).estimate, np.zeros((4, 4))
+        baseline_cov_then_normalize(ds, 1.0, SOFT), np.zeros((4, 4))
     )
 
     ds2 = gaussian_dataset(17, p=4, n1=20, n2=18)
     m1, m2 = moment_set(ds2.group1), moment_set(ds2.group2)
     est0 = baseline_cov_then_normalize(ds2, 0.0, SOFT)
-    assert np.max(np.abs(est0.estimate - (m1.corr - m2.corr))) < 1e-14
+    assert np.max(np.abs(est0 - (m1.corr - m2.corr))) < 1e-14
 
     x1, x2 = ds2.group1.data, ds2.group2.data
-    got = baseline_cov_then_normalize(ds2, 1.1, HARD).estimate
+    got = baseline_cov_then_normalize(ds2, 1.1, HARD)
     expected = np.array(naive_cov_then_normalize(x1, x2, 1.1, "hard"))
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_baseline_separate_corr():
     ds = _same_group_dataset(18)
-    assert np.array_equal(baseline_separate_corr(ds, 0.7, SOFT).estimate, np.zeros((4, 4)))
+    assert np.array_equal(baseline_separate_corr(ds, 0.7, SOFT), np.zeros((4, 4)))
 
     ds2 = gaussian_dataset(19, p=4, n1=21, n2=19)
     m1, m2 = moment_set(ds2.group1), moment_set(ds2.group2)
     assert np.array_equal(
-        baseline_separate_corr(ds2, 0.0, SOFT).estimate, m1.corr - m2.corr
+        baseline_separate_corr(ds2, 0.0, SOFT), m1.corr - m2.corr
     )
 
-    got = baseline_separate_corr(ds2, 0.9, AL).estimate
+    got = baseline_separate_corr(ds2, 0.9, AL)
     expected = np.array(
         naive_separate_corr(ds2.group1.data, ds2.group2.data, 0.9, "adaptive-lasso")
     )
@@ -205,14 +205,13 @@ def test_baseline_separate_corr():
 
 def test_baseline_sample_difference():
     ds = _same_group_dataset(20)
-    assert np.array_equal(baseline_sample_difference(ds).estimate, np.zeros((4, 4)))
+    assert np.array_equal(baseline_sample_difference(ds), np.zeros((4, 4)))
 
     ds2 = gaussian_dataset(21, p=5, n1=24, n2=26)
-    est = baseline_sample_difference(ds2)
-    assert np.array_equal(est.estimate, estimate_diff_corr(ds2, 0.0, SOFT).estimate)
+    got = baseline_sample_difference(ds2)
+    assert np.array_equal(got, estimate_diff_corr(ds2, 0.0, SOFT).estimate)
     expected = np.array(naive_sample_difference(ds2.group1.data, ds2.group2.data))
-    assert np.max(np.abs(est.estimate - expected)) < 1e-10
-    assert np.array_equal(est.thresholds.values, np.zeros((5, 5)))
+    assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_support_ranking_zero_estimate():

@@ -74,6 +74,16 @@ def test_correlation_rejects_zero_variance():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
+def test_correlation_at_extreme_scales(scale):
+    # variance products at these scales leave the float range
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((30, 6)) @ (rng.standard_normal((6, 6)) + np.eye(6))
+    want = moment_set(SampleMatrix(x)).corr
+    got = moment_set(SampleMatrix(x * scale)).corr
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
 def test_covariance_noise_constant_data():
     x = np.zeros((4, 2)) + 3.0
     centered = x - x.mean(axis=0)

@@ -183,17 +183,16 @@ def test_benchmark_determinism():
 def test_benchmark_drops_cells_below_success_floor(monkeypatch):
     import diffcorr.simulation as sim
 
-    real_fit = sim._fit
+    real_fit = sim._FITS["diff-corr"]
     calls = {"n": 0}
 
-    def flaky_fit(estimator, ds, rule, cfg):
-        if estimator == "diff-corr":
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:  # fail half the replications
-                raise ValidationError("injected failure")
-        return real_fit(estimator, ds, rule, cfg)
+    def flaky_fit(ds, rule, cfg):
+        calls["n"] += 1
+        if calls["n"] % 2 == 0:  # fail half the replications
+            raise ValidationError("injected failure")
+        return real_fit(ds, rule, cfg)
 
-    monkeypatch.setattr(sim, "_fit", flaky_fit)
+    monkeypatch.setitem(sim._FITS, "diff-corr", flaky_fit)
     report = run_benchmark(
         "model2",
         [(8, 16, 16)],
