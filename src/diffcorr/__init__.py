@@ -59,7 +59,6 @@ from .simulation import (
     scale_to_covariance,
 )
 from .thresholding import (
-    ThresholdMatrix,
     ThresholdRule,
     apply_rule,
     apply_threshold,
@@ -86,7 +85,6 @@ __all__ = [
     "NotPSDError",
     "SampleMatrix",
     "TestResult",
-    "ThresholdMatrix",
     "ThresholdRule",
     "TwoGroupDataset",
     "UnsupportedDimensionError",

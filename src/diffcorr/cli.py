@@ -21,7 +21,7 @@ from .crossval import (
     cv_select_tau_single,
 )
 from .dataset import TwoGroupDataset, read_labeled_csv, read_sample_csv, write_matrix_csv
-from .equality_test import test_equality
+from .equality_test import critical_tau, test_equality
 from .errors import DiffCorrError, ValidationError
 from .estimators import (
     DifferentialEstimate,
@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .norms import frobenius_norm, matrix_l1_norm, spectral_norm
 from .simulation import ESTIMATOR_NAMES, run_benchmark
-from .thresholding import KINDS, RULE_NAMES, ThresholdRule
+from .thresholding import DEFAULT_RULE, KINDS, RULE_NAMES, ThresholdRule, check_split
 
 SCHEMA_VERSION = 1
 _EXIT_CODES = {"USER": 2, "DATA": 3, "INTERNAL": 4}
@@ -75,10 +75,14 @@ def _add_two_group_flags(sub):
     sub.add_argument("--groups", help='group mapping like "A+B:C" for the labeled CSV')
 
 
+def _add_rule_flags(sub):
+    sub.add_argument("--rule", choices=RULE_NAMES, default=DEFAULT_RULE.kind)
+    sub.add_argument("--eta", type=float, default=DEFAULT_RULE.eta, help="adaptive-lasso exponent")
+
+
 def _add_estimation_flags(sub):
     sub.add_argument("--tau", type=float, default=None, help="fixed thresholding constant (skips CV)")
-    sub.add_argument("--rule", choices=RULE_NAMES, default="adaptive-lasso")
-    sub.add_argument("--eta", type=float, default=4.0, help="adaptive-lasso exponent")
+    _add_rule_flags(sub)
     _add_cv_flags(sub)
     sub.add_argument("--out-matrix", help="write the estimate as a labeled CSV")
     sub.add_argument("--out-json", help="write the JSON summary")
@@ -98,14 +102,14 @@ def _add_cv_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _cv_config(args, rule) -> CvConfig:
+def _cv_config(args) -> CvConfig:
     given = {flag: field for flag, field, _ in _CV_FLAGS if getattr(args, field) is not None}
     if getattr(args, "tau", None) is not None and given:
         raise ValidationError(
             f"--tau fixes the constant; {', '.join(given)} would be ignored"
         )
     fields = {field: getattr(args, field) for field in given.values()}
-    return CvConfig(seed=args.seed, rule=rule, **fields)
+    return CvConfig(seed=args.seed, **fields)
 
 
 def _norm_summary(est: DifferentialEstimate) -> dict:
@@ -145,14 +149,23 @@ def _open_output(path, **kwargs):
     return open(path, "w", **kwargs) if path else contextlib.nullcontext()
 
 
+def _open_matrix(path):
+    return _open_output(path, newline="", encoding="utf-8")
+
+
+def _check_top_k(top_k: int) -> None:
+    if top_k < 0:
+        raise ValidationError(f"--top-k must be >= 0, got {top_k}")
+
+
 def _write_json(fh, payload) -> None:
     json.dump(payload, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
-def _emit_estimate(args, est: DifferentialEstimate, **extra) -> None:
-    if args.out_matrix:
-        write_matrix_csv(args.out_matrix, est.estimate, est.row_labels, est.col_labels)
+def _emit_estimate(args, est: DifferentialEstimate, json_out, matrix_out, **extra) -> None:
+    if matrix_out is not None:
+        write_matrix_csv(matrix_out, est.estimate, est.row_labels, est.col_labels)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -166,9 +179,8 @@ def _emit_estimate(args, est: DifferentialEstimate, **extra) -> None:
         "cv": _cv_summary(est.cv),
         **extra,
     }
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            _write_json(fh, payload)
+    if json_out is not None:
+        _write_json(json_out, payload)
     print(f"{args.command}: tau={est.tau} nonzero={payload['nonzero_count']}")
     _warn_at_grid_edge(est.cv)
 
@@ -187,39 +199,46 @@ _ESTIMATORS = {
 }
 
 
-def _estimate(args, kind) -> DifferentialEstimate:
+def _estimate(args, kind, rule, cfg) -> DifferentialEstimate:
     data = _ingest(args, kind)
-    rule = ThresholdRule(args.rule, args.eta)
-    cfg = _cv_config(args, rule)
     if KINDS[kind].cross_block:
         return estimate_cross_corr(data, args.split, args.tau, rule, cfg)
     return _ESTIMATORS[kind](data, args.tau, rule, cfg)
 
 
 def _cmd_estimate(args) -> int:
+    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
     extra = {"split": args.split} if KINDS[args.kind].cross_block else {}
-    _emit_estimate(args, _estimate(args, args.kind), **extra)
+    with _open_output(args.out_json) as json_out, _open_matrix(args.out_matrix) as matrix_out:
+        est = _estimate(args, args.kind, rule, cfg)
+        _emit_estimate(args, est, json_out, matrix_out, **extra)
     return 0
 
 
 def _cmd_support_rank(args) -> int:
-    if args.top_k < 0:
-        raise ValidationError(f"--top-k must be >= 0, got {args.top_k}")
-    est = _estimate(args, "diff-corr")
-    ranking = support_ranking(est)
-    if args.out_csv:
-        with open(args.out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    _check_top_k(args.top_k)
+    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
+    with (
+        _open_output(args.out_json) as json_out,
+        _open_output(args.out_csv, newline="") as csv_out,
+        _open_matrix(args.out_matrix) as matrix_out,
+    ):
+        est = _estimate(args, "diff-corr", rule, cfg)
+        ranking = support_ranking(est)
+        if csv_out is not None:
+            writer = csv.writer(csv_out)
             writer.writerow(["variable", "count"])
             writer.writerows(ranking)
-    extra = {"ranking": [[label, count] for label, count in ranking]}
-    _emit_estimate(args, est, **extra)
-    for label, count in ranking[: args.top_k]:
-        print(f"{label}\t{count}")
+        extra = {"ranking": [[label, count] for label, count in ranking]}
+        _emit_estimate(args, est, json_out, matrix_out, **extra)
+        for label, count in ranking[: args.top_k]:
+            print(f"{label}\t{count}")
     return 0
 
 
 def _cmd_test_equality(args) -> int:
+    _check_top_k(args.top_k)
+    critical_tau(args.alpha)  # rejects a bad alpha before any output is opened
     ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
     with _open_output(args.out_json) as out:
         result = test_equality(ds, args.alpha)
@@ -253,21 +272,19 @@ def _cmd_test_equality(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    rule = ThresholdRule(args.rule, args.eta)
-    cfg = _cv_config(args, rule)
-    data = _ingest(args, args.estimator)
-    if KINDS[args.estimator].two_group:
-        result = cv_select_tau(data, cfg, args.estimator, split=args.split)
-    elif args.split is not None:
-        raise ValidationError(f"a split index applies only to cross-corr, not {args.estimator!r}")
-    else:
-        result = cv_select_tau_single(data, cfg, args.estimator)
-    print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
-    _warn_at_grid_edge(result)
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
+    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
+    with _open_output(args.out_json) as out:
+        data = _ingest(args, args.estimator)
+        check_split(args.estimator, args.split, data.p)
+        if KINDS[args.estimator].two_group:
+            result = cv_select_tau(data, cfg, args.estimator, args.split, rule)
+        else:
+            result = cv_select_tau_single(data, cfg, args.estimator, rule)
+        print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
+        _warn_at_grid_edge(result)
+        if out is not None:
             _write_json(
-                fh,
+                out,
                 {
                     "schema_version": SCHEMA_VERSION,
                     "command": "cv",
@@ -290,7 +307,7 @@ def _cmd_simulate(args) -> int:
     estimators = [name for name in args.estimators.split(",") if name]
     if not rules or not estimators:
         raise ValidationError("--rules and --estimators each need at least one name")
-    cfg = _cv_config(args, rules[0])
+    cfg = _cv_config(args)
     with _open_output(args.out_csv, newline="") as out:
         report = run_benchmark(
             f"model{args.model}",
@@ -350,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(KINDS),
     )
     sub.add_argument("--split", type=int, default=None, help="block size for cross-corr")
-    sub.add_argument("--rule", choices=RULE_NAMES, default="adaptive-lasso")
-    sub.add_argument("--eta", type=float, default=4.0)
+    _add_rule_flags(sub)
     _add_cv_flags(sub)
     sub.add_argument("--out-json")
     sub.set_defaults(handler=_cmd_cv)
@@ -364,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n2", type=int, default=None)
     sub.add_argument("--reps", type=int, default=20)
     sub.add_argument("--rules", default="hard,adaptive-lasso")
-    sub.add_argument("--eta", type=float, default=4.0)
+    sub.add_argument("--eta", type=float, default=DEFAULT_RULE.eta)
     sub.add_argument("--estimators", default=",".join(ESTIMATOR_NAMES))
     _add_cv_flags(sub)
     sub.add_argument("--out-csv", help="write the report CSV")

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .moments import MomentSet, moment_set
-from .thresholding import KINDS, ThresholdRule, unit_thresholds
+from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
@@ -49,7 +49,6 @@ class CvConfig:
     h_repeats: int = 5
     grid_n: int = 50
     seed: int = 0
-    rule: ThresholdRule = ThresholdRule("adaptive-lasso")
 
     def __post_init__(self):
         if self.k_folds < 2:
@@ -158,7 +157,7 @@ def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _accumulate_losses(kind, cfg, samples, split) -> tuple[np.ndarray, np.ndarray]:
+def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.ndarray]:
     spec = KINDS[kind]
     grid = cfg.grid()
     loss_acc = np.zeros(grid.shape)
@@ -181,7 +180,7 @@ def _accumulate_losses(kind, cfg, samples, split) -> tuple[np.ndarray, np.ndarra
         unit = spec.block(unit_thresholds(spec.statistic, trains), split)
         raw = spec.raw(trains, split)
         target = spec.raw(tests, split)
-        loss_acc += _loss_curve(cfg.rule, raw, unit, target, grid, spec.raw_diagonal)
+        loss_acc += _loss_curve(rule, raw, unit, target, grid, spec.raw_diagonal)
     return grid, loss_acc / cfg.h_repeats
 
 
@@ -199,35 +198,34 @@ def cv_select_tau(
     cfg: CvConfig | None = None,
     estimator: str = "diff-corr",
     split: int | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
 ) -> CvResult:
     """Select tau for a two-group estimator kind ("diff-corr", "diff-cov" or
-    "cross-corr"; only the latter takes, and needs, the block split index)."""
+    "cross-corr"; only the latter takes, and needs, the block split index),
+    scoring the fits of the given thresholding rule."""
     cfg = cfg or CvConfig()
     if estimator not in TWO_GROUP_KINDS:
         raise ValidationError(
             f"unknown two-group estimator kind {estimator!r}; choose from {TWO_GROUP_KINDS}"
         )
-    if estimator == "cross-corr":
-        if split is None or not (1 <= split < ds.p):
-            raise ValidationError(
-                f"cross-corr needs a split index in [1, {ds.p - 1}], got {split}"
-            )
-    elif split is not None:
-        raise ValidationError(f"a split index applies only to cross-corr, not {estimator!r}")
-    grid, losses = _accumulate_losses(estimator, cfg, [ds.group1, ds.group2], split)
+    check_split(estimator, split, ds.p)
+    grid, losses = _accumulate_losses(estimator, cfg, [ds.group1, ds.group2], split, rule)
     return _finish(grid, losses, cfg)
 
 
 def cv_select_tau_single(
-    x: SampleMatrix, cfg: CvConfig | None = None, estimator: str = "single-corr"
+    x: SampleMatrix,
+    cfg: CvConfig | None = None,
+    estimator: str = "single-corr",
+    rule: ThresholdRule = DEFAULT_RULE,
 ) -> CvResult:
     """Select tau for a one-sample estimator kind ("single-corr" or
-    "cov-threshold")."""
+    "cov-threshold"), scoring the fits of the given thresholding rule."""
     cfg = cfg or CvConfig()
     if estimator not in SINGLE_GROUP_KINDS:
         raise ValidationError(
             f"unknown single-group estimator kind {estimator!r}; choose from "
             f"{SINGLE_GROUP_KINDS}"
         )
-    grid, losses = _accumulate_losses(estimator, cfg, [x], None)
+    grid, losses = _accumulate_losses(estimator, cfg, [x], None, rule)
     return _finish(grid, losses, cfg)

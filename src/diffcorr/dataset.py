@@ -259,19 +259,19 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
     return TwoGroupDataset(SampleMatrix(rows1, names), SampleMatrix(rows2, names))
 
 
-def write_matrix_csv(path, values: np.ndarray, row_labels, col_labels) -> None:
-    """Write a labeled matrix CSV with 17 significant digits (exact round trip)."""
+def write_matrix_csv(fh, values: np.ndarray, row_labels, col_labels) -> None:
+    """Write a labeled matrix CSV with 17 significant digits (exact round trip)
+    to a text file opened with newline="" and encoding="utf-8"."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(row_labels), len(col_labels)):
         raise ValidationError(
             f"matrix shape {values.shape} does not match labels "
             f"({len(row_labels)}, {len(col_labels)})"
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(col_labels))
-        for label, row in zip(row_labels, values):
-            writer.writerow([label] + [format(x, ".17g") for x in row])
+    writer = csv.writer(fh)
+    writer.writerow([""] + list(col_labels))
+    for label, row in zip(row_labels, values):
+        writer.writerow([label] + [format(x, ".17g") for x in row])
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:

@@ -145,6 +145,7 @@ def decide_test(t_n: float, p: int, alpha: float) -> tuple[bool, float]:
 def test_equality(ds: TwoGroupDataset, alpha: float = 0.05) -> TestResult:
     """Run the full equality test at level alpha."""
     _check_dimension(ds.p)
+    critical_tau(alpha)  # rejects a bad alpha before the O(p^2 n) statistic
     t_n, t_ij = test_statistic(ds)
     reject, tau_alpha = decide_test(t_n, ds.p, alpha)
     return TestResult(

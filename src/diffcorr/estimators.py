@@ -14,7 +14,7 @@ path driven by the kind table in thresholding. Diagonal conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,24 +23,23 @@ from .dataset import SampleMatrix, TwoGroupDataset
 from .errors import ValidationError
 from .moments import moment_set, sample_correlation
 from .thresholding import (
+    DEFAULT_RULE,
     KINDS,
     THRESHOLDS,
-    ThresholdMatrix,
     ThresholdRule,
     apply_threshold,
+    check_split,
 )
-
-DEFAULT_RULE = ThresholdRule("adaptive-lasso", 4.0)
 
 
 @dataclass(frozen=True)
 class DifferentialEstimate:
-    """A thresholded matrix estimate plus the thresholds, constant and rule
-    that produced it; cv holds the cross-validation result when tau was
-    selected by it."""
+    """A thresholded matrix estimate plus the per-entry threshold levels,
+    constant and rule that produced it; cv holds the cross-validation result
+    when tau was selected by it."""
 
     estimate: np.ndarray
-    thresholds: ThresholdMatrix
+    thresholds: np.ndarray
     tau: float
     rule: ThresholdRule
     row_labels: tuple[str, ...]
@@ -48,13 +47,14 @@ class DifferentialEstimate:
     cv: CvResult | None = None
 
     def __post_init__(self):
-        est = np.array(self.estimate, dtype=float)
-        if est.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValidationError(
-                f"estimate shape {est.shape} does not match labels"
-            )
-        est.flags.writeable = False
-        object.__setattr__(self, "estimate", est)
+        for field in ("estimate", "thresholds"):
+            values = np.array(getattr(self, field), dtype=float)
+            if values.shape != (len(self.row_labels), len(self.col_labels)):
+                raise ValidationError(
+                    f"{field} shape {values.shape} does not match labels"
+                )
+            values.flags.writeable = False
+            object.__setattr__(self, field, values)
 
     @property
     def is_square(self) -> bool:
@@ -78,26 +78,24 @@ def _fit(
     kind: str,
     data: TwoGroupDataset | SampleMatrix,
     tau: float | None,
-    rule: ThresholdRule | None,
+    rule: ThresholdRule,
     cv: CvConfig | None,
     split: int | None = None,
 ) -> DifferentialEstimate:
     """The shared recipe: select tau by cross-validation when it is None,
     then threshold the kind's statistic on the full data."""
     spec = KINDS[kind]
-    rule = rule or DEFAULT_RULE
-    cfg = replace(cv or CvConfig(), rule=rule)
+    check_split(kind, split, data.p)
     cv_result = None
     if tau is None:
         if spec.two_group:
-            cv_result = cv_select_tau(data, cfg, kind, split=split)
+            cv_result = cv_select_tau(data, cv, kind, split, rule)
         else:
-            cv_result = cv_select_tau_single(data, cfg, kind)
+            cv_result = cv_select_tau_single(data, cv, kind, rule)
         tau = cv_result.tau_hat
     groups = (data.group1, data.group2) if spec.two_group else (data,)
     moments = [moment_set(x) for x in groups]
-    full = THRESHOLDS[spec.statistic, len(moments)](*moments, tau)
-    thresholds = ThresholdMatrix(spec.block(full.values, split), tau)
+    thresholds = spec.block(THRESHOLDS[spec.statistic, len(moments)](*moments, tau), split)
     raw = spec.raw(moments, split)
     estimate = spec.set_diagonal(apply_threshold(raw, thresholds, rule), raw)
     names = data.names
@@ -108,7 +106,7 @@ def _fit(
 def estimate_diff_corr(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
     """Adaptive entrywise thresholding of the sample correlation difference.
@@ -122,7 +120,7 @@ def estimate_diff_corr(
 def estimate_single_corr(
     x: SampleMatrix,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
     """Thresholding estimate of a single sparse correlation matrix; the unit
@@ -133,7 +131,7 @@ def estimate_single_corr(
 def estimate_diff_cov(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
     """Adaptive entrywise thresholding of the sample covariance difference."""
@@ -144,23 +142,19 @@ def estimate_cross_corr(
     ds: TwoGroupDataset,
     split: int,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> DifferentialEstimate:
     """Thresholded cross block of the correlation difference: variables
     [0, split) against [split, p). Equals the corresponding block of
     estimate_diff_corr for the same tau."""
-    if not (1 <= split < ds.p):
-        raise ValidationError(
-            f"split must lie in [1, {ds.p - 1}], got {split}"
-        )
     return _fit("cross-corr", ds, tau, rule, cv, split)
 
 
 def baseline_cov_then_normalize(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> np.ndarray:
     """Baseline: threshold each group's covariance adaptively (raw variances
@@ -174,7 +168,7 @@ def baseline_cov_then_normalize(
 def baseline_separate_corr(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule | None = None,
+    rule: ThresholdRule = DEFAULT_RULE,
     cv: CvConfig | None = None,
 ) -> np.ndarray:
     """Baseline: threshold each group's correlation matrix separately and

@@ -188,8 +188,6 @@ class BenchmarkReport:
     """The aggregated rows of one benchmark run and the fits that failed."""
 
     rows: tuple[BenchmarkRow, ...]
-    reps_requested: int
-    seed: int
     failures: tuple[tuple[str, str], ...]  # (estimator, message) of failed fits
 
     def cell(self, **filters) -> BenchmarkRow:
@@ -235,13 +233,10 @@ class BenchmarkReport:
         for model, p, n1, n2, est, rule in keys:
             line = f"{model:8}{p:>6}{n1:>6}{n2:>6}  {est:<16}{rule:<16}"
             for norm in NORMS:
-                try:
-                    row = self.cell(
-                        model=model, p=p, n1=n1, n2=n2, estimator=est, rule=rule, norm=norm
-                    )
-                    cell_text = f"{row.mean:.3f} ({row.sd:.3f})"
-                except KeyError:
-                    cell_text = "n/a"
+                row = self.cell(
+                    model=model, p=p, n1=n1, n2=n2, estimator=est, rule=rule, norm=norm
+                )
+                cell_text = f"{row.mean:.3f} ({row.sd:.3f})"
                 line += f"{cell_text:>22}"
             lines.append(line)
         return "\n".join(lines)
@@ -257,9 +252,9 @@ def _one_replication(kind, p, n1, n2, seeds, combos, cv):
     ds = TwoGroupDataset(
         mvn_sample(sigma1, n1, x1_seed, names), mvn_sample(sigma2, n2, x2_seed, names)
     )
+    cfg = replace(cv, seed=cv_seed)
     losses, failures = {}, []
     for estimator, rule in combos:
-        cfg = replace(cv, seed=cv_seed, rule=rule or cv.rule)
         try:
             dev = _FITS[estimator](ds, rule, cfg) - truth
         except DiffCorrError as exc:
@@ -285,8 +280,10 @@ def run_benchmark(
     model2 is fixed), rescales to covariances with fresh diagonals, samples
     both groups, fits every estimator/rule combination with cross-validated
     tau, and records the loss against the true difference in all three norms.
-    Cells are aggregated as mean and sample standard deviation over the
-    successful replications and dropped when fewer than 80% succeed.
+    Cross-validation uses cv with its seed replaced by a per-replication seed
+    derived from seed, so every replication draws its own folds. Cells are
+    aggregated as mean and sample standard deviation over the successful
+    replications and dropped when fewer than 80% succeed.
     None selects the default rules (hard, adaptive-lasso) or all estimators;
     an empty list is an error.
     """
@@ -351,9 +348,4 @@ def run_benchmark(
                 )
         for res in results:
             all_failures.extend(res[1])
-    return BenchmarkReport(
-        rows=tuple(rows),
-        reps_requested=reps,
-        seed=seed,
-        failures=tuple(all_failures),
-    )
+    return BenchmarkReport(rows=tuple(rows), failures=tuple(all_failures))

@@ -1,4 +1,4 @@
-"""Entrywise thresholding rules and the data-driven threshold matrices.
+"""Entrywise thresholding rules and the data-driven threshold levels.
 
 The three rules share the same contract on a scalar z at level lam >= 0:
 they return 0 whenever |z| <= lam, and never move z by more than lam. The
@@ -47,20 +47,7 @@ class ThresholdRule:
         object.__setattr__(self, "eta", float(self.eta))
 
 
-@dataclass(frozen=True)
-class ThresholdMatrix:
-    """Per-entry nonnegative threshold levels and the constant tau they scale with."""
-
-    values: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise ValidationError("threshold matrix entries must be finite and >= 0")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tau", float(self.tau))
+DEFAULT_RULE = ThresholdRule("adaptive-lasso", 4.0)
 
 
 def apply_rule(rule: ThresholdRule, z, lam):
@@ -86,14 +73,17 @@ def apply_rule(rule: ThresholdRule, z, lam):
 
 
 def apply_threshold(m: np.ndarray, thresholds, rule: ThresholdRule) -> np.ndarray:
-    """Threshold a matrix entrywise with per-entry levels."""
+    """Threshold a matrix entrywise with per-entry levels, which must be
+    finite and >= 0 (noise that overflowed reaches the levels as inf or NaN)."""
     m = np.asarray(m, dtype=float)
-    values = thresholds.values if isinstance(thresholds, ThresholdMatrix) else np.asarray(thresholds, dtype=float)
-    if m.shape != values.shape:
+    levels = np.asarray(thresholds, dtype=float)
+    if m.shape != levels.shape:
         raise ValidationError(
-            f"matrix shape {m.shape} does not match threshold shape {values.shape}"
+            f"matrix shape {m.shape} does not match threshold shape {levels.shape}"
         )
-    return apply_rule(rule, m, values)
+    if not np.all(np.isfinite(levels)) or np.any(levels < 0.0):
+        raise ValidationError("threshold matrix entries must be finite and >= 0")
+    return apply_rule(rule, m, levels)
 
 
 def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -146,31 +136,31 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
     return total
 
 
-def _thresholds(statistic: str, moments, tau: float) -> ThresholdMatrix:
+def _thresholds(statistic: str, moments, tau: float) -> np.ndarray:
     _check_tau(tau)
-    return ThresholdMatrix(tau * unit_thresholds(statistic, moments), tau)
+    return tau * unit_thresholds(statistic, moments)
 
 
-def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> ThresholdMatrix:
+def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> np.ndarray:
     """Per-entry threshold levels for the difference of two sample correlations."""
     return _thresholds("corr", (m1, m2), tau)
 
 
-def single_corr_thresholds(m: MomentSet, tau: float) -> ThresholdMatrix:
+def single_corr_thresholds(m: MomentSet, tau: float) -> np.ndarray:
     """Single-sample analogue of diff_corr_thresholds."""
     return _thresholds("corr", (m,), tau)
 
 
-def diff_cov_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> ThresholdMatrix:
+def diff_cov_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> np.ndarray:
     """Per-entry threshold levels for the difference of two sample covariances."""
     return _thresholds("cov", (m1, m2), tau)
 
 
-def _cov_thresholds(m: MomentSet, tau: float) -> ThresholdMatrix:
+def _cov_thresholds(m: MomentSet, tau: float) -> np.ndarray:
     return _thresholds("cov", (m,), tau)
 
 
-# Threshold matrix by (statistic, number of groups). The estimators call the
+# Threshold levels by (statistic, number of groups). The estimators call the
 # public functions through this dict rather than through the kind table, so
 # tools that wrap module-level names (perfbench/layertrace.py) see each call.
 THRESHOLDS = {
@@ -215,6 +205,15 @@ KINDS = {
     "single-corr": EstimatorKind("corr", two_group=False, raw_diagonal=True, cross_block=False),
     "cov-threshold": EstimatorKind("cov", two_group=False, raw_diagonal=True, cross_block=False),
 }
+
+
+def check_split(kind: str, split: int | None, p: int) -> None:
+    """Only a cross-block kind takes a split index, and it needs one in [1, p - 1]."""
+    if KINDS[kind].cross_block:
+        if split is None or not (1 <= split < p):
+            raise ValidationError(f"{kind} needs a split index in [1, {p - 1}], got {split}")
+    elif split is not None:
+        raise ValidationError(f"a split index applies only to cross-corr, not {kind!r}")
 
 
 def _check_tau(tau: float) -> None:

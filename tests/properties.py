@@ -165,9 +165,9 @@ def check_tstat_invariances(seed=3, tol=1e-10):
 
 def check_cv_determinism(seed=4):
     ds = gaussian_dataset(seed, p=4, n1=20, n2=20)
-    cfg = CvConfig(k_folds=4, h_repeats=3, grid_n=5, seed=99, rule=ThresholdRule("soft"))
-    first = cv_select_tau(ds, cfg)
-    second = cv_select_tau(ds, cfg)
+    cfg = CvConfig(k_folds=4, h_repeats=3, grid_n=5, seed=99)
+    first = cv_select_tau(ds, cfg, rule=ThresholdRule("soft"))
+    second = cv_select_tau(ds, cfg, rule=ThresholdRule("soft"))
     assert first.tau_hat == second.tau_hat
     assert np.array_equal(first.grid, second.grid)
     assert np.array_equal(first.losses, second.losses)

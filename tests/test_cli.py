@@ -193,7 +193,8 @@ def test_matrix_round_trip_and_json_determinism(tmp_path, sample_files):
     rewritten = tmp_path / "rewrite.csv"
     from diffcorr import write_matrix_csv
 
-    write_matrix_csv(rewritten, reread, ("g1", "g2", "g3"), ("g1", "g2", "g3"))
+    with open(rewritten, "w", newline="", encoding="utf-8") as fh:
+        write_matrix_csv(fh, reread, ("g1", "g2", "g3"), ("g1", "g2", "g3"))
     assert rewritten.read_bytes() == out1_m.read_bytes()
     summary = json.loads(out1_j.read_text())
     assert summary["cv"]["tau_hat"] == summary["tau"]
@@ -455,13 +456,26 @@ def test_simulate_requires_sizes(capsys):
             "No such file or directory: {tmp}/missing/x.csv",
         ),
         (["cv", "--estimator", "cov-threshold"], "estimator 'cov-threshold' needs --input"),
+        (
+            ["estimate-diff-corr", "--out-matrix", "{tmp}/m.csv", "--out-json", "{tmp}/missing/x.json"],
+            "No such file or directory: {tmp}/missing/x.json",
+        ),
+        (["cv", "--out-json", "{tmp}/missing/c.json"], "No such file or directory: {tmp}/missing/c.json"),
+        (
+            ["support-rank", "--out-matrix", "{tmp}/m.csv", "--out-csv", "{tmp}/missing/r.csv"],
+            "No such file or directory: {tmp}/missing/r.csv",
+        ),
+        (["test-equality", "--alpha", "1.5", "--out-json", "{tmp}/t.json"], "alpha must lie in (0, 1), got 1.5"),
+        (["test-equality", "--top-k", "-1", "--out-json", "{tmp}/t.json"], "top-k must be >= 0"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
         "support-rank-top-k", "nan-eta", "cv-split-diff-corr", "cv-split-single-corr",
         "missing-input", "directory-input", "missing-output-directory", "not-utf8-input",
         "test-equality-missing-output-directory", "simulate-missing-output-directory",
-        "cv-single-group-without-input",
+        "cv-single-group-without-input", "estimate-missing-output-before-cv",
+        "cv-missing-output-directory", "support-rank-missing-output-before-cv",
+        "test-equality-alpha-before-output", "test-equality-top-k-before-output",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):
@@ -472,7 +486,9 @@ def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, mess
         argv = argv + ["--input", sample_files[0]]
     elif argv[0] != "simulate" and "--input" not in argv:
         argv = argv + ["--input1", sample_files[0], "--input2", sample_files[1]]
+    files = set(tmp_path.iterdir())
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "USER" in captured.err and message in captured.err
     assert captured.out == ""
+    assert set(tmp_path.iterdir()) == files  # no output, not even an empty one, was left

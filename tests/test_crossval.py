@@ -82,8 +82,8 @@ def test_determinism():
 @pytest.mark.parametrize("kind", ["hard", "soft", "adaptive-lasso"])
 def test_matches_naive_reimplementation(kind):
     ds = _model2_dataset()
-    cfg = CvConfig(k_folds=5, h_repeats=3, grid_n=10, seed=42, rule=ThresholdRule(kind))
-    result = cv_select_tau(ds, cfg, "diff-corr")
+    cfg = CvConfig(k_folds=5, h_repeats=3, grid_n=10, seed=42)
+    result = cv_select_tau(ds, cfg, "diff-corr", rule=ThresholdRule(kind))
     tau_naive, grid_naive, losses_naive = naive_cv_diff_corr(
         ds.group1.data, ds.group2.data, 5, 3, 10, 42, kind
     )
@@ -134,12 +134,22 @@ def test_single_sample_kinds_run():
 
 def test_cv_backed_estimate_refits_on_full_data():
     ds = _model2_dataset(p=12, n=40, seed=9)
-    cfg = CvConfig(grid_n=5, seed=11, rule=ThresholdRule("soft"))
+    cfg = CvConfig(grid_n=5, seed=11)
     est = estimate_diff_corr(ds, None, ThresholdRule("soft"), cfg)
     assert est.cv is not None
     assert est.tau == est.cv.tau_hat
     fixed = estimate_diff_corr(ds, est.tau, ThresholdRule("soft"))
     assert np.array_equal(est.estimate, fixed.estimate)
+
+
+def test_estimator_cross_validates_the_rule_it_fits():
+    ds = _model2_dataset(p=12, n=40, seed=9)
+    cfg = CvConfig(grid_n=5, seed=11)
+    hard = ThresholdRule("hard")
+    est = estimate_diff_corr(ds, None, hard, cfg)
+    assert np.array_equal(est.cv.losses, cv_select_tau(ds, cfg, rule=hard).losses)
+    # the default rule scores a different curve, so the comparison is not vacuous
+    assert not np.array_equal(est.cv.losses, cv_select_tau(ds, cfg).losses)
 
 
 def _curve_by_fitting(rule, raw, unit, target, grid, kind):

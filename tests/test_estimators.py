@@ -50,8 +50,21 @@ def test_diff_corr_identical_groups_is_zero():
 def test_diff_corr_large_tau_kills_everything():
     ds = gaussian_dataset(10, p=4, n1=25, n2=25)
     est = estimate_diff_corr(ds, 1e8, SOFT)
-    assert np.all(est.thresholds.values[~np.eye(4, dtype=bool)] > 2.0)
+    assert np.all(est.thresholds[~np.eye(4, dtype=bool)] > 2.0)
     assert np.array_equal(est.estimate, np.zeros((4, 4)))
+
+
+def test_overflowing_noise_levels_are_rejected():
+    # at 1e150 the fourth moments overflow, so the noise levels are inf or NaN
+    rng = np.random.default_rng(16)
+    ds = TwoGroupDataset(
+        SampleMatrix(rng.standard_normal((20, 4)) * 1e150),
+        SampleMatrix(rng.standard_normal((20, 4)) * 1e150),
+    )
+    for fit in (estimate_diff_corr, estimate_diff_cov):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"threshold matrix entries must be finite and >= 0"):
+                fit(ds, 1.0, SOFT)
 
 
 def test_diff_corr_zero_diagonal_and_symmetry():
@@ -67,7 +80,7 @@ def test_diff_corr_materialized_conditions():
     raw = m1.corr - m2.corr
     for rule in (HARD, SOFT, AL):
         est = estimate_diff_corr(ds, 0.6, rule)
-        lam = est.thresholds.values
+        lam = est.thresholds
         assert np.all(est.estimate[np.abs(raw) <= lam] == 0.0)
         assert np.all(np.abs(est.estimate - raw) <= lam + 1e-12)
 
@@ -101,7 +114,7 @@ def test_single_corr_perfectly_correlated_pair():
     x = SampleMatrix(np.hstack([base, 2.0 * base]))
     tau = 0.4
     est = estimate_single_corr(x, tau, SOFT)
-    lam = est.thresholds.values[0, 1]
+    lam = est.thresholds[0, 1]
     assert est.estimate[0, 1] == pytest.approx(max(1.0 - lam, 0.0), abs=1e-12)
 
 

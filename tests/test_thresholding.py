@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from diffcorr import (
     SampleMatrix,
-    ThresholdMatrix,
     ThresholdRule,
     ValidationError,
     apply_rule,
@@ -92,14 +91,13 @@ def test_rules_match_scalar_oracle(z, lam, kind):
 def test_diff_corr_thresholds_zero_tau():
     m1, m2 = _moments(1), _moments(2)
     t = diff_corr_thresholds(m1, m2, 0.0)
-    assert np.array_equal(t.values, np.zeros((3, 3)))
-    assert t.tau == 0.0
+    assert np.array_equal(t, np.zeros((3, 3)))
 
 
 def test_diff_corr_thresholds_p1_log_term_vanishes():
     m1, m2 = _moments(3, p=1), _moments(4, p=1)
     t = diff_corr_thresholds(m1, m2, 2.0)
-    assert t.values[0, 0] == 0.0  # log 1 = 0 by the formula's literal value
+    assert t[0, 0] == 0.0  # log 1 = 0 by the formula's literal value
 
 
 def test_diff_corr_thresholds_hand_evaluation():
@@ -113,7 +111,7 @@ def test_diff_corr_thresholds_hand_evaluation():
     m2 = moment_set(SampleMatrix(np.vstack([x, x])))  # the same statistics at n = 8
     tau = 0.7
     scale = tau * (math.sqrt(math.log(3) / 4) + math.sqrt(math.log(3) / 8))
-    got = diff_corr_thresholds(m1, m2, tau).values
+    got = diff_corr_thresholds(m1, m2, tau)
     assert got[0, 0] == 0.0
     assert got[0, 1] == pytest.approx(scale * 1.0, rel=1e-12)
     assert got[0, 2] == pytest.approx(
@@ -124,38 +122,38 @@ def test_diff_corr_thresholds_hand_evaluation():
 
 def test_diff_corr_thresholds_sample_size_scaling():
     m1, m2 = _moments(5), _moments(6)
-    base = diff_corr_thresholds(m1, m2, 1.3).values
+    base = diff_corr_thresholds(m1, m2, 1.3)
     doubled = diff_corr_thresholds(
         replace(m1, n=2 * m1.n), replace(m2, n=2 * m2.n), 1.3
-    ).values
+    )
     assert np.max(np.abs(doubled - base / math.sqrt(2.0))) < 1e-14
 
 
 def test_diff_corr_thresholds_symmetric_and_dim_checked():
     m1, m2 = _moments(7), _moments(8)
     t = diff_corr_thresholds(m1, m2, 0.9)
-    assert np.array_equal(t.values, t.values.T)
+    assert np.array_equal(t, t.T)
     with pytest.raises(ValidationError):
         diff_corr_thresholds(m1, _moments(9, p=2), 0.9)
 
 
 def test_single_corr_thresholds_scaling():
     m = _moments(10)
-    base = single_corr_thresholds(m, 1.0).values
-    quadrupled = single_corr_thresholds(replace(m, n=4 * m.n), 1.0).values
+    base = single_corr_thresholds(m, 1.0)
+    quadrupled = single_corr_thresholds(replace(m, n=4 * m.n), 1.0)
     assert np.max(np.abs(quadrupled - base / 2.0)) < 1e-14
-    assert np.array_equal(single_corr_thresholds(m, 0.0).values, np.zeros((3, 3)))
+    assert np.array_equal(single_corr_thresholds(m, 0.0), np.zeros((3, 3)))
 
 
 def test_diff_cov_thresholds():
     m1, m2 = _moments(11), _moments(12)
-    assert np.array_equal(diff_cov_thresholds(m1, m2, 0.0).values, np.zeros((3, 3)))
+    assert np.array_equal(diff_cov_thresholds(m1, m2, 0.0), np.zeros((3, 3)))
 
     # two +/-1 columns with a constant product: no centered product varies
     quiet = moment_set(SampleMatrix(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])))
-    assert np.array_equal(diff_cov_thresholds(quiet, quiet, 2.0).values, np.zeros((2, 2)))
+    assert np.array_equal(diff_cov_thresholds(quiet, quiet, 2.0), np.zeros((2, 2)))
 
-    got = diff_cov_thresholds(m1, m2, 1.7).values
+    got = diff_cov_thresholds(m1, m2, 1.7)
     expected = 1.7 * (
         np.sqrt(math.log(3) / m1.n * _noise(m1, "cov"))
         + np.sqrt(math.log(3) / m2.n * _noise(m2, "cov"))
@@ -170,24 +168,24 @@ def test_diff_corr_thresholds_scale_invariant_in_data():
     scales = rng.uniform(0.5, 3.0, size=4)
     base = diff_corr_thresholds(
         moment_set(SampleMatrix(x1)), moment_set(SampleMatrix(x2)), 1.2
-    ).values
+    )
     rescaled = diff_corr_thresholds(
         moment_set(SampleMatrix(x1 * scales)), moment_set(SampleMatrix(x2 * scales)), 1.2
-    ).values
+    )
     assert np.max(np.abs(rescaled - base)) < 1e-10
 
 
 def test_apply_threshold_identity_when_zero():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4))
-    zero = ThresholdMatrix(np.zeros((4, 4)), 0.0)
+    zero = np.zeros((4, 4))
     assert np.array_equal(apply_threshold(m, zero, ThresholdRule("soft")), m)
 
 
 def test_apply_threshold_kills_everything_above_max():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((3, 3))
-    big = ThresholdMatrix(np.full((3, 3), np.max(np.abs(m)) + 1.0), 1.0)
+    big = np.full((3, 3), np.max(np.abs(m)) + 1.0)
     for kind in ("hard", "soft", "adaptive-lasso"):
         assert np.array_equal(apply_threshold(m, big, ThresholdRule(kind)), np.zeros((3, 3)))
 
@@ -195,7 +193,7 @@ def test_apply_threshold_kills_everything_above_max():
 def test_apply_threshold_entrywise_oracle():
     m = np.array([[0.5, -2.0, 1.1], [3.0, -0.2, 0.0], [1.5, 2.5, -4.0]])
     t = np.array([[1.0, 1.0, 1.2], [2.0, 0.1, 0.5], [1.5, 3.0, 3.5]])
-    got = apply_threshold(m, ThresholdMatrix(t, 1.0), ThresholdRule("hard"))
+    got = apply_threshold(m, t, ThresholdRule("hard"))
     expected = np.array(
         [[naive_rule("hard", m[i, j], t[i, j]) for j in range(3)] for i in range(3)]
     )
@@ -204,9 +202,10 @@ def test_apply_threshold_entrywise_oracle():
 
 def test_apply_threshold_shape_mismatch():
     with pytest.raises(ValidationError):
-        apply_threshold(np.zeros((2, 2)), ThresholdMatrix(np.zeros((3, 3)), 0.0), ThresholdRule("soft"))
+        apply_threshold(np.zeros((2, 2)), np.zeros((3, 3)), ThresholdRule("soft"))
 
 
-def test_threshold_matrix_rejects_negative_entries():
-    with pytest.raises(ValidationError):
-        ThresholdMatrix(np.array([[-0.1]]), 1.0)
+def test_apply_threshold_rejects_negative_or_non_finite_levels():
+    for level in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            apply_threshold(np.ones((1, 1)), np.array([[level]]), ThresholdRule("soft"))
