@@ -9,8 +9,10 @@ timestamps, byte-identical for identical config and seed).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
+import errno
 import json
 import os
 import sys
@@ -32,7 +34,7 @@ from .estimators import (
     support_ranking,
 )
 from .norms import frobenius_norm, matrix_l1_norm, spectral_norm
-from .simulation import ESTIMATOR_NAMES, run_benchmark
+from .simulation import DEFAULT_RULES, ESTIMATOR_NAMES, run_benchmark
 from .thresholding import DEFAULT_RULE, KINDS, RULE_NAMES, ThresholdRule, check_split
 
 SCHEMA_VERSION = 1
@@ -144,9 +146,38 @@ def _warn_at_grid_edge(cv) -> None:
         )
 
 
+@contextlib.contextmanager
 def _open_output(path, **kwargs):
-    """Open an optional output before the work, so a bad path fails before any output."""
-    return open(path, "w", **kwargs) if path else contextlib.nullcontext()
+    """Open an optional output before the work, so a bad path fails before any
+    work. A regular file is written beside its target and renamed over it
+    only when the block succeeds; on any failure the partial file is removed
+    and an earlier file at path stays as it was. A directory fails and a
+    device or pipe (such as /dev/stdout) is written in place, as open() does."""
+    if not path:
+        yield None
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+        return
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target = os.path.realpath(path)  # a symlink stays a link to the new file
+    head, tail = os.path.split(target)
+    partial = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.partial")
+    try:
+        # O_EXCL never reuses an existing file; mode 0o666 less the umask, as open() gives
+        fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None  # name the path given
+    try:
+        with open(fd, "w", **kwargs) as fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(partial)
+        raise
 
 
 def _open_matrix(path):
@@ -310,17 +341,14 @@ def _cmd_simulate(args) -> int:
     cfg = _cv_config(args)
     with _open_output(args.out_csv, newline="") as out:
         report = run_benchmark(
-            f"model{args.model}",
-            [(args.p, n1, n2)],
-            args.reps,
-            rules,
-            estimators,
-            seed=args.seed,
-            cv=cfg,
+            f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators,
+            seed=args.seed, cv=cfg,
         )
         print(report.format_table())
         if report.failures:
-            print(f"({len(report.failures)} replication failures)", file=sys.stderr)
+            failed = collections.Counter(est for est, _ in report.failures)
+            counts = ", ".join(f"{est} {failed[est]}" for est in ESTIMATOR_NAMES if est in failed)
+            print(f"({len(report.failures)} failed fits: {counts})", file=sys.stderr)
         if out is not None:
             report.write_csv(out)
     return 0
@@ -379,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n1", type=int, default=None)
     sub.add_argument("--n2", type=int, default=None)
     sub.add_argument("--reps", type=int, default=20)
-    sub.add_argument("--rules", default="hard,adaptive-lasso")
+    sub.add_argument("--rules", default=",".join(DEFAULT_RULES))
     sub.add_argument("--eta", type=float, default=DEFAULT_RULE.eta)
     sub.add_argument("--estimators", default=",".join(ESTIMATOR_NAMES))
     _add_cv_flags(sub)

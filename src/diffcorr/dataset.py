@@ -271,7 +271,7 @@ def write_matrix_csv(fh, values: np.ndarray, row_labels, col_labels) -> None:
     writer = csv.writer(fh)
     writer.writerow([""] + list(col_labels))
     for label, row in zip(row_labels, values):
-        writer.writerow([label] + [format(x, ".17g") for x in row])
+        writer.writerow([label] + [format(x, ".17g") for x in row.tolist()])
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diffcorr import (
+    CvConfig,
     SampleMatrix,
     ThresholdRule,
     TwoGroupDataset,
@@ -49,6 +50,12 @@ MODEL2_DIFF_CORR_FROBENIUS = (3.36, 2.53)
 
 BENCH_ESTIMATORS = ["diff-corr", "cov-normalize", "sample-diff"]
 
+MODEL2_BELOW_DETECTION = (
+    "Note: model 2 at p=100 is below detection for n up to 2000 (the hard-rule "
+    "estimate keeps none of its true pairs at n=50 to 2000), so this cell "
+    "measures false positives, not recovery; criterion 10 checks recovery"
+)
+
 
 def _report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -64,7 +71,7 @@ def _within(mean, reference):
 @pytest.fixture(scope="module")
 def model1_run():
     return run_benchmark(
-        "model1", [(100, 50, 50)], reps=20, rules=[HARD],
+        "model1", 100, 50, 50, reps=20, rules=[HARD],
         estimators=BENCH_ESTIMATORS, seed=SEED,
     )
 
@@ -72,7 +79,7 @@ def model1_run():
 @pytest.fixture(scope="module")
 def model2_run():
     return run_benchmark(
-        "model2", [(100, 50, 50)], reps=20, rules=[HARD],
+        "model2", 100, 50, 50, reps=20, rules=[HARD],
         estimators=BENCH_ESTIMATORS, seed=SEED + 1,
     )
 
@@ -80,7 +87,7 @@ def model2_run():
 @pytest.fixture(scope="module")
 def model2_large_n_run():
     return run_benchmark(
-        "model2", [(100, 500, 500)], reps=20, rules=[HARD],
+        "model2", 100, 500, 500, reps=20, rules=[HARD],
         estimators=["diff-corr"], seed=SEED + 2,
     )
 
@@ -109,7 +116,8 @@ def test_criterion_2_model2_reference_cells(model2_run):
         f"model2 thresholded means: spectral {spec:.3f} "
         f"(reference {MODEL2_DIFF_CORR_SPECTRAL[0]} +/- {3 * MODEL2_DIFF_CORR_SPECTRAL[1]:.2f}), "
         f"frobenius {fro:.3f} "
-        f"(reference {MODEL2_DIFF_CORR_FROBENIUS[0]} +/- {3 * MODEL2_DIFF_CORR_FROBENIUS[1]:.2f})",
+        f"(reference {MODEL2_DIFF_CORR_FROBENIUS[0]} +/- {3 * MODEL2_DIFF_CORR_FROBENIUS[1]:.2f}). "
+        f"{MODEL2_BELOW_DETECTION}",
     )
 
 
@@ -132,7 +140,8 @@ def test_criterion_4_rate_direction(model2_run, model2_large_n_run):
     _report(
         4,
         large_n < small_n,
-        f"model2 spectral mean at n=500 is {large_n:.3f} vs {small_n:.3f} at n=50",
+        f"model2 spectral mean at n=500 is {large_n:.3f} vs {small_n:.3f} at n=50. "
+        f"{MODEL2_BELOW_DETECTION}",
     )
 
 
@@ -248,3 +257,61 @@ def test_criterion_9_closed_forms():
         f"critical value at alpha=0.05 is {got:.12f} (reference {reference:.12f}); "
         "p-value at the rejection boundary returns alpha to 1e-10",
     )
+
+
+def _detectable_pair(rng):
+    """p=100 correlations with a 0.2 block on the first 50 variables; group 2
+    adds +/-0.4 to one entry per pair of block variables (a random pairing),
+    so the perturbed block keeps its smallest eigenvalue at 0.4."""
+    p, half = 100, 50
+    r1 = np.eye(p)
+    r1[:half, :half] = 0.2
+    np.fill_diagonal(r1, 1.0)
+    pairs = rng.permutation(half).reshape(-1, 2)
+    signs = rng.choice([-0.4, 0.4], size=len(pairs))
+    r2 = r1.copy()
+    r2[pairs[:, 0], pairs[:, 1]] += signs
+    r2[pairs[:, 1], pairs[:, 0]] += signs
+    return r1, r2
+
+
+def test_criterion_10_detectable_difference():
+    # Unlike model 2 at p=100, this difference is large enough to detect, so
+    # the loss can only fall if the estimate finds its entries.
+    sizes, reps = (200, 400, 800, 1600), 10
+    rules = ("hard", "adaptive-lasso")
+    fro = {rule: {n: [] for n in sizes} for rule in rules}
+    kept = {rule: 0 for rule in rules}  # true pairs estimated nonzero at n=1600
+    false = {rule: 0 for rule in rules}  # nonzero pairs off the truth at n=1600
+    upper = np.triu_indices(100, k=1)
+    for rep in range(reps):
+        r1, r2 = _detectable_pair(np.random.default_rng([SEED + 6, rep]))
+        truth = r1 - r2
+        true_pair = truth[upper] != 0.0
+        for n in sizes:
+            s1, s2, cv_seed = np.random.SeedSequence([SEED + 6, rep, n]).generate_state(
+                3, np.uint64
+            ).tolist()
+            ds = TwoGroupDataset(mvn_sample(r1, n, s1), mvn_sample(r2, n, s2))
+            for rule in rules:
+                est = estimate_diff_corr(ds, None, ThresholdRule(rule), CvConfig(seed=cv_seed))
+                fro[rule][n].append(float(np.linalg.norm(est.estimate - truth)))
+                if n == sizes[-1]:
+                    found = est.estimate[upper] != 0.0
+                    kept[rule] += int(np.sum(found & true_pair))
+                    false[rule] += int(np.sum(found & ~true_pair))
+    bound = 0.25 * float(np.linalg.norm(truth))
+    true_total = reps * 25
+    ok, details = True, []
+    for rule in rules:
+        means = [float(np.mean(fro[rule][n])) for n in sizes]
+        ok = ok and all(b < a for a, b in zip(means, means[1:]))
+        ok = ok and means[-1] < bound
+        ok = ok and kept[rule] >= 0.9 * true_total and false[rule] <= kept[rule]
+        details.append(
+            f"{rule}: Frobenius means {', '.join(f'{m:.3f}' for m in means)} "
+            f"at n = {', '.join(map(str, sizes))} (must fall, and end below {bound:.3f}); "
+            f"at n={sizes[-1]} {kept[rule]}/{true_total} true pairs kept "
+            f"(need {0.9 * true_total:.0f}) and {false[rule]} false pairs"
+        )
+    _report(10, ok, "; ".join(details))

@@ -467,6 +467,7 @@ def test_simulate_requires_sizes(capsys):
         ),
         (["test-equality", "--alpha", "1.5", "--out-json", "{tmp}/t.json"], "alpha must lie in (0, 1), got 1.5"),
         (["test-equality", "--top-k", "-1", "--out-json", "{tmp}/t.json"], "top-k must be >= 0"),
+        (["estimate-diff-corr", "--tau", "1.0", "--out-json", "{tmp}"], "Is a directory: {tmp}"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
@@ -476,6 +477,7 @@ def test_simulate_requires_sizes(capsys):
         "cv-single-group-without-input", "estimate-missing-output-before-cv",
         "cv-missing-output-directory", "support-rank-missing-output-before-cv",
         "test-equality-alpha-before-output", "test-equality-top-k-before-output",
+        "output-is-a-directory",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):
@@ -492,3 +494,39 @@ def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, mess
     assert "USER" in captured.err and message in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == files  # no output, not even an empty one, was left
+
+
+@pytest.mark.parametrize(
+    ("inputs", "code"),
+    [(["--input1", "{tmp}/nope.csv", "--input2", "{b}"], 2),
+     (["--input1", "{tmp}/const.csv", "--input2", "{tmp}/const.csv"], 3)],
+    ids=["missing-input", "degenerate-data"],
+)
+def test_failed_run_keeps_earlier_outputs(tmp_path, sample_files, inputs, code):
+    a, b = sample_files
+    _write_csv(tmp_path / "const.csv", ["a", "b"], [[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+    out_json, out_matrix = tmp_path / "e.json", tmp_path / "m.csv"
+    argv = ["estimate-diff-corr", "--tau", "1", "--out-json", str(out_json),
+            "--out-matrix", str(out_matrix)]
+    assert main(argv + ["--input1", a, "--input2", b]) == 0
+    before = {path: path.read_bytes() for path in (out_json, out_matrix)}
+    files = set(tmp_path.iterdir())
+    inputs = [arg.replace("{tmp}", str(tmp_path)).replace("{b}", b) for arg in inputs]
+    assert main(argv + inputs) == code
+    assert {path: path.read_bytes() for path in before} == before
+    assert set(tmp_path.iterdir()) == files  # no partial file was left behind
+
+
+def test_outputs_are_plain_files_with_the_mode_of_open(tmp_path, sample_files):
+    a, b = sample_files
+    plain = tmp_path / "plain.json"
+    plain.open("w").close()
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    argv = ["estimate-diff-corr", "--input1", a, "--input2", b, "--tau", "1"]
+    assert main(argv + ["--out-json", str(link), "--out-matrix", str(tmp_path / "m.csv")]) == 0
+    assert link.is_symlink() and json.loads(target.read_text())["tau"] == 1.0
+    mode = plain.stat().st_mode
+    assert (tmp_path / "m.csv").stat().st_mode == mode and target.stat().st_mode == mode

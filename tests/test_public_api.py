@@ -1,9 +1,13 @@
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import diffcorr
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def test_every_public_name_resolves_and_is_documented():
@@ -29,3 +33,20 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
+
+
+def test_every_traced_name_resolves():
+    # the layer trace patches these names; one a refactor drops would leave
+    # its layer at zero calls and the traced benchmark run incorrect
+    tree = ast.parse(LAYERTRACE.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    assert targets
+    for module, attribute, _ in targets:
+        obj = importlib.import_module(f"diffcorr.{module}")
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"diffcorr.{module}.{attribute}"

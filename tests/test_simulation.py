@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from diffcorr import (
     sample_correlation,
     scale_to_covariance,
 )
+from diffcorr.cli import main
+from diffcorr.simulation import NORMS
 
 HARD = ThresholdRule("hard")
 
@@ -152,38 +156,34 @@ def test_mvn_sample_semidefinite_fallback_and_rejection():
 
 def test_benchmark_shape_contract():
     report = run_benchmark(
-        "model2",
-        [(10, 20, 20)],
-        reps=2,
-        rules=[ThresholdRule("soft"), HARD],
-        estimators=["diff-corr", "sample-diff"],
-        seed=5,
+        "model2", 10, 20, 20, 2, [ThresholdRule("soft"), HARD], ["diff-corr", "sample-diff"], seed=5
     )
     # 2 rules for the thresholding estimator + 1 rule-free baseline, 3 norms each
     assert len(report.rows) == (2 + 1) * 3
     assert all(np.isfinite(row.mean) and np.isfinite(row.sd) and row.sd >= 0 for row in report.rows)
     assert {row.norm for row in report.rows} == {"spectral", "l1", "frobenius"}
     assert all(row.reps == 2 for row in report.rows)
+    # the table has one line per fit, ordered by ESTIMATOR_NAMES, then rule
+    lines = report.format_table().splitlines()[2:]
+    assert [line.split()[4:6] for line in lines] == [
+        ["diff-corr", "hard"], ["diff-corr", "soft"], ["sample-diff", "none"]
+    ]
+    row = report.cell(estimator="diff-corr", rule="hard", norm="frobenius")
+    assert lines[0].endswith(f"{row.mean:.3f} ({row.sd:.3f})")
 
 
 def test_benchmark_determinism():
-    kwargs = dict(
-        kind="model1",
-        sizes=[(8, 16, 16)],
-        reps=2,
-        rules=[HARD],
-        estimators=["diff-corr"],
-        seed=12,
-    )
-    first = run_benchmark(**kwargs)
-    second = run_benchmark(**kwargs)
+    args = ("model1", 8, 16, 16, 2, [HARD], ["diff-corr"])
+    first = run_benchmark(*args, seed=12)
+    second = run_benchmark(*args, seed=12)
     assert first.rows == second.rows
 
 
-def test_benchmark_drops_cells_below_success_floor(monkeypatch):
+def _make_flaky(monkeypatch, estimator):
+    """Make every second fit of one estimator fail."""
     import diffcorr.simulation as sim
 
-    real_fit = sim._FITS["diff-corr"]
+    real_fit = sim._FITS[estimator]
     calls = {"n": 0}
 
     def flaky_fit(ds, rule, cfg):
@@ -192,48 +192,61 @@ def test_benchmark_drops_cells_below_success_floor(monkeypatch):
             raise ValidationError("injected failure")
         return real_fit(ds, rule, cfg)
 
-    monkeypatch.setitem(sim._FITS, "diff-corr", flaky_fit)
-    report = run_benchmark(
-        "model2",
-        [(8, 16, 16)],
-        reps=4,
-        rules=[HARD],
-        estimators=["diff-corr", "sample-diff"],
-        seed=3,
-    )
+    monkeypatch.setitem(sim._FITS, estimator, flaky_fit)
+
+
+def test_benchmark_drops_cells_below_success_floor(monkeypatch):
+    _make_flaky(monkeypatch, "diff-corr")
+    report = run_benchmark("model2", 8, 16, 16, 4, [HARD], ["diff-corr", "sample-diff"], seed=3)
     # 2/4 successes is below the 80% floor: the flaky estimator's rows vanish
     assert {row.estimator for row in report.rows} == {"sample-diff"}
     assert len(report.failures) == 2
     assert all(est == "diff-corr" for est, _ in report.failures)
 
 
-def test_benchmark_multiple_cells():
-    report = run_benchmark(
-        "model2",
-        [(8, 16, 16), (12, 20, 24)],
-        reps=2,
-        rules=[HARD],
-        estimators=["diff-corr"],
-        seed=7,
-    )
-    assert len(report.rows) == 2 * 3
-    first = report.cell(p=8, norm="spectral")
-    second = report.cell(p=12, norm="spectral")
-    assert (first.n1, first.n2) == (16, 16)
-    assert (second.n1, second.n2) == (20, 24)
+def test_simulate_counts_failed_fits_per_estimator(monkeypatch, capsys):
+    _make_flaky(monkeypatch, "diff-corr")
+    _make_flaky(monkeypatch, "cov-normalize")
+    argv = ["simulate", "--model", "2", "--p", "8", "--n", "16", "--reps", "3",
+            "--estimators", "cov-normalize,sample-diff,diff-corr", "--cv-grid", "5"]
+    assert main(argv) == 0
+    # per estimator, 2 rules x 3 replications = 6 fits, every second one failing;
+    # the counts follow ESTIMATOR_NAMES, not the order asked for
+    assert capsys.readouterr().err == "(6 failed fits: diff-corr 3, cov-normalize 3)\n"
+
+
+def test_benchmark_holds_its_unequal_cell_once():
+    report = run_benchmark("model2", 12, 20, 24, 2, [HARD], ["diff-corr"], seed=7)
+    assert (report.model, report.p, report.n1, report.n2) == ("model2", 12, 20, 24)
+    assert len(report.rows) == 3
+    out = io.StringIO(newline="")
+    report.write_csv(out)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "model,p,n1,n2,estimator,rule,norm,mean,sd,reps"
+    assert [line.split(",")[:7] for line in lines[1:]] == [
+        ["model2", "12", "20", "24", "diff-corr", "hard", norm] for norm in NORMS
+    ]
+    row = report.cell(norm="spectral")
+    assert lines[1].split(",")[7:] == [format(row.mean, ".17g"), format(row.sd, ".17g"), "2"]
 
 
 def test_benchmark_validation():
     with pytest.raises(ValidationError):
-        run_benchmark("model2", [(8, 16, 16)], reps=1)
+        run_benchmark("model2", 8, 16, 16, 1, [HARD], ["diff-corr"])
     with pytest.raises(ValidationError):
-        run_benchmark("model9", [(8, 16, 16)], reps=2)
+        run_benchmark("model9", 8, 16, 16, 2, [HARD], ["diff-corr"])
     with pytest.raises(ValidationError):
-        run_benchmark("model2", [(8, 16, 16)], reps=2, estimators=["nope"])
+        run_benchmark("model2", 8, 16, 16, 2, [HARD], ["nope"])
+    # a repeated name would give two rows for one (estimator, rule, norm)
+    with pytest.raises(ValidationError):
+        run_benchmark("model2", 8, 16, 16, 2, [HARD, HARD], ["diff-corr"])
+    with pytest.raises(ValidationError):
+        run_benchmark("model2", 8, 16, 16, 2, [HARD], ["diff-corr", "diff-corr"])
 
 
 @pytest.mark.parametrize("empty", ["rules", "estimators"])
 def test_benchmark_rejects_empty_lists(empty):
-    # only None selects the defaults; an empty list must not run them silently
+    # an empty list must not run anything silently
+    lists = {"rules": [HARD], "estimators": ["diff-corr"], empty: []}
     with pytest.raises(ValidationError):
-        run_benchmark("model2", [(8, 16, 16)], reps=2, **{empty: []})
+        run_benchmark("model2", 8, 16, 16, 2, **lists)
