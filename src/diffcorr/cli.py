@@ -24,7 +24,7 @@ from .crossval import (
 )
 from .dataset import TwoGroupDataset, read_labeled_csv, read_sample_csv, write_matrix_csv
 from .equality_test import critical_tau, test_equality
-from .errors import DiffCorrError, ValidationError
+from .errors import DataError, DiffCorrError, ValidationError
 from .estimators import (
     DifferentialEstimate,
     estimate_cross_corr,
@@ -344,9 +344,13 @@ def _cmd_simulate(args) -> int:
             f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators,
             seed=args.seed, cv=cfg,
         )
+        failed = collections.Counter(est for est, _ in report.failures)
+        reported = {row.estimator for row in report.rows}
+        if missing := [est for est in ESTIMATOR_NAMES if est in estimators and est not in reported]:
+            lost = ", ".join(f"{est} ({failed[est]} failed fits)" for est in missing)
+            raise DataError(f"too many fits failed to report {lost}")
         print(report.format_table())
         if report.failures:
-            failed = collections.Counter(est for est, _ in report.failures)
             counts = ", ".join(f"{est} {failed[est]}" for est in ESTIMATOR_NAMES if est in failed)
             print(f"({len(report.failures)} failed fits: {counts})", file=sys.stderr)
         if out is not None:

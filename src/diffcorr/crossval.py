@@ -101,7 +101,7 @@ def _draw_folds(rng, x: SampleMatrix, n_test: int) -> tuple[MomentSet, MomentSet
     return moment_set(train), moment_set(test)
 
 
-def _loss_curve(rule, raw, unit, target, grid, raw_diagonal) -> np.ndarray:
+def _loss_curve(rule, raw, unit, target, grid) -> np.ndarray:
     """Squared Frobenius distance from target of the estimate thresholded at
     tau * unit, for every tau on the increasing grid, without fitting at each.
 
@@ -110,14 +110,9 @@ def _loss_curve(rule, raw, unit, target, grid, raw_diagonal) -> np.ndarray:
     apply_rule makes, so it is kept on the first k grid points and zero,
     contributing t**2, from grid point k on. While kept it is z - s_g with
     s_g = z * (tau_g * u / |z|)**e (e = 1 for soft, eta for adaptive-lasso,
-    s_g = 0 for hard) and contributes d**2 - 2 d s_g + s_g**2.
+    s_g = 0 for hard) and contributes d**2 - 2 d s_g + s_g**2. An entry with
+    u = 0 (a single group's diagonal) is kept unshrunk at every tau unless z = 0.
     """
-    constant = 0.0
-    if raw_diagonal:  # the diagonal keeps its raw value at every tau
-        dev = np.diag(raw) - np.diag(target)
-        constant = float(dev @ dev)
-        off = ~np.eye(raw.shape[0], dtype=bool)
-        raw, unit, target = raw[off], unit[off], target[off]
     z, u, t = raw.ravel(), unit.ravel(), target.ravel()
     n_grid = len(grid)
     absz = np.abs(z)
@@ -132,7 +127,7 @@ def _loss_curve(rule, raw, unit, target, grid, raw_diagonal) -> np.ndarray:
     # every entry killed, plus what keeping each one adds (a suffix sum, so an
     # entry whose kept and killed terms are equal leaves exact ties in place)
     gain = np.bincount(k, d * d - t * t, minlength=n_grid + 1)
-    loss = float(t @ t) + constant + np.cumsum(gain[::-1])[::-1][1:]
+    loss = float(t @ t) + np.cumsum(gain[::-1])[::-1][1:]
     if rule.kind == "hard":
         return loss
     e = 1.0 if rule.kind == "soft" else rule.eta
@@ -180,7 +175,7 @@ def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.
         unit = spec.block(unit_thresholds(spec.statistic, trains), split)
         raw = spec.raw(trains, split)
         target = spec.raw(tests, split)
-        loss_acc += _loss_curve(rule, raw, unit, target, grid, spec.raw_diagonal)
+        loss_acc += _loss_curve(rule, raw, unit, target, grid)
     return grid, loss_acc / cfg.h_repeats
 
 

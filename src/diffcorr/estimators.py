@@ -3,7 +3,8 @@ structure, the comparison baselines, and per-variable support ranking.
 
 Every estimator accepts a fixed thresholding constant tau; passing tau=None
 selects it by cross-validation (see crossval). All of them fit through one
-path driven by the kind table in thresholding. Diagonal conventions:
+path driven by the kind table in thresholding. Diagonal conventions, set
+by the threshold levels alone (a single group's are 0 on the diagonal):
 
 - the correlation-difference estimate has an exactly zero diagonal,
 - a single thresholded correlation matrix keeps its unit diagonal,
@@ -96,8 +97,7 @@ def _fit(
     groups = (data.group1, data.group2) if spec.two_group else (data,)
     moments = [moment_set(x) for x in groups]
     thresholds = spec.block(THRESHOLDS[spec.statistic, len(moments)](*moments, tau), split)
-    raw = spec.raw(moments, split)
-    estimate = spec.set_diagonal(apply_threshold(raw, thresholds, rule), raw)
+    estimate = apply_threshold(spec.raw(moments, split), thresholds, rule)
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
     return DifferentialEstimate(estimate, thresholds, tau, rule, rows, cols, cv_result)

@@ -10,9 +10,10 @@ adaptive thresholding of Cai and Liu, 2011); unit_thresholds defines the
 noise levels and is the only code that computes them.
 
 Every estimator kind follows one recipe; KINDS records, per kind, which
-statistic it thresholds, over how many groups, its diagonal policy and
-whether it keeps only a cross block. The estimators and cross-validation
-both read that table.
+statistic it thresholds, over how many groups and whether it keeps only a
+cross block; the estimators and cross-validation both read it. It records no
+diagonal policy: unit_thresholds gives a single group levels of 0 on the
+diagonal, and every rule leaves an entry at level 0 exactly as it is.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
 
     cov_noise_ij  = mean over the n rows of (c_i c_j - cov_ij)^2
     corr_noise_ij = cov_noise_ij / (cov_ii cov_jj)
+
+    A single group's levels are exactly 0 on the diagonal, so every rule keeps
+    its unit correlations or raw variances; a difference's are not.
     """
     dims = [m.p for m in moments]
     if len(set(dims)) != 1:
@@ -133,6 +137,8 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
                 + 0.5 * np.abs(m.corr) * (root_diag[:, None] + root_diag[None, :])
             )
         total = total + term
+    if len(moments) == 1:
+        np.fill_diagonal(total, 0.0)
     return total
 
 
@@ -147,7 +153,7 @@ def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> np.ndarray
 
 
 def single_corr_thresholds(m: MomentSet, tau: float) -> np.ndarray:
-    """Single-sample analogue of diff_corr_thresholds."""
+    """Single-sample analogue of diff_corr_thresholds, 0 on the diagonal."""
     return _thresholds("corr", (m,), tau)
 
 
@@ -178,7 +184,6 @@ class EstimatorKind:
 
     statistic: str  # the MomentSet field thresholded: "corr" or "cov"
     two_group: bool  # group 1 minus group 2, or a single group
-    raw_diagonal: bool  # the diagonal keeps its raw, unthresholded value
     cross_block: bool  # only the [:split, split:] block
 
     def block(self, m: np.ndarray, split: int | None) -> np.ndarray:
@@ -191,19 +196,13 @@ class EstimatorKind:
             stat = stat - getattr(moments[1], self.statistic)
         return self.block(stat, split)
 
-    def set_diagonal(self, estimate: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        """Apply the diagonal policy to a thresholded raw statistic, in place."""
-        if self.raw_diagonal:
-            np.fill_diagonal(estimate, np.diag(raw))
-        return estimate
-
 
 KINDS = {
-    "diff-corr": EstimatorKind("corr", two_group=True, raw_diagonal=False, cross_block=False),
-    "diff-cov": EstimatorKind("cov", two_group=True, raw_diagonal=False, cross_block=False),
-    "cross-corr": EstimatorKind("corr", two_group=True, raw_diagonal=False, cross_block=True),
-    "single-corr": EstimatorKind("corr", two_group=False, raw_diagonal=True, cross_block=False),
-    "cov-threshold": EstimatorKind("cov", two_group=False, raw_diagonal=True, cross_block=False),
+    "diff-corr": EstimatorKind("corr", two_group=True, cross_block=False),
+    "diff-cov": EstimatorKind("cov", two_group=True, cross_block=False),
+    "cross-corr": EstimatorKind("corr", two_group=True, cross_block=True),
+    "single-corr": EstimatorKind("corr", two_group=False, cross_block=False),
+    "cov-threshold": EstimatorKind("cov", two_group=False, cross_block=False),
 }
 
 

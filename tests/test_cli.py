@@ -424,6 +424,18 @@ def test_simulate_csv_row_count(tmp_path, capsys):
     assert "diff-corr" in table and "sample-diff" in table
 
 
+def test_simulate_fails_when_an_estimator_has_no_results(tmp_path, capsys):
+    # 3 observations cannot be split into 5 CV folds, so every diff-corr fit fails
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--model", "2", "--p", "10", "--n", "3", "--reps", "2",
+            "--estimators", "diff-corr", "--out-csv", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [DATA]: too many fits failed to report diff-corr (4 failed fits)\n"
+    assert not out.exists()
+
+
 def test_simulate_requires_sizes(capsys):
     assert main(["simulate", "--model", "2", "--p", "10"]) == 2
 

@@ -20,7 +20,7 @@ from diffcorr import (
 from diffcorr import test_equality as run_equality_test
 from diffcorr import thresholding
 from diffcorr.crossval import _draw_split, _loss_curve
-from diffcorr.thresholding import KINDS, apply_rule
+from diffcorr.thresholding import apply_rule
 from oracles import naive_cv_diff_corr
 from properties import check_cv_determinism, gaussian_dataset
 
@@ -152,13 +152,11 @@ def test_estimator_cross_validates_the_rule_it_fits():
     assert not np.array_equal(est.cv.losses, cv_select_tau(ds, cfg).losses)
 
 
-def _curve_by_fitting(rule, raw, unit, target, grid, kind):
-    """The loss curve the slow way: fit at every tau, apply the kind's
-    diagonal policy, and score."""
+def _curve_by_fitting(rule, raw, unit, target, grid):
+    """The loss curve the slow way: fit at every tau and score."""
     losses = []
     for tau in grid:
-        est = KINDS[kind].set_diagonal(apply_rule(rule, raw, tau * unit), raw)
-        dev = est - target
+        dev = apply_rule(rule, raw, tau * unit) - target
         losses.append(float(np.sum(dev * dev)))
     return np.array(losses)
 
@@ -187,9 +185,11 @@ def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
     for i, j in ((2, 3), (4, 5), (5, 5), (1, 1)):  # |z| exactly at a grid level
         g = rng.integers(len(grid))
         raw[i, j] = rng.choice([-1.0, 1.0]) * (grid[g] * unit[i, j])
-    for kind in ("diff-corr", "single-corr"):  # thresholded and raw diagonal
-        want = _curve_by_fitting(rule, raw, unit, target, grid, kind)
-        got = _loss_curve(rule, raw, unit, target, grid, KINDS[kind].raw_diagonal)
+    single = unit.copy()
+    np.fill_diagonal(single, 0.0)  # a single group's levels keep the raw diagonal
+    for levels in (unit, single):
+        want = _curve_by_fitting(rule, raw, levels, target, grid)
+        got = _loss_curve(rule, raw, levels, target, grid)
         tol = 1e-12 * np.max(want)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= tol

@@ -105,8 +105,28 @@ def test_single_corr_zero_tau_returns_sample_correlation():
 def test_single_corr_keeps_unit_diagonal():
     rng = np.random.default_rng(4)
     x = SampleMatrix(rng.standard_normal((12, 3)))
-    est = estimate_single_corr(x, 50.0, HARD)
-    assert np.array_equal(est.estimate, np.eye(3))
+    for rule in (HARD, SOFT, AL):
+        est = estimate_single_corr(x, 50.0, rule)
+        assert np.array_equal(est.estimate, np.eye(3))
+        assert np.array_equal(np.diag(est.thresholds), np.zeros(3))
+
+
+def test_diagonal_only_overflow_is_never_applied():
+    # at 1e80 only column 0's fourth moment with itself overflows, so its
+    # diagonal noise level is NaN and every other one is finite
+    rng = np.random.default_rng(16)
+    x1, x2 = rng.standard_normal((20, 4)), rng.standard_normal((20, 4))
+    big1, big2 = (x * np.array([1e80, 1.0, 1.0, 1.0]) for x in (x1, x2))
+    ds = TwoGroupDataset(SampleMatrix(big1), SampleMatrix(big2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a single covariance's diagonal level is 0, so the NaN is never applied
+        got = baseline_cov_then_normalize(ds, 1.0)
+        # the correlation levels carry the diagonal noise terms off the diagonal
+        with pytest.raises(ValidationError, match=r"threshold matrix entries must be finite and >= 0"):
+            estimate_single_corr(SampleMatrix(big1), 1.0)
+    # covariance thresholding is scale-equivariant, so the scaling changes nothing
+    want = baseline_cov_then_normalize(TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2)), 1.0)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_single_corr_perfectly_correlated_pair():

@@ -17,7 +17,7 @@ from diffcorr import (
     moment_set,
     single_corr_thresholds,
 )
-from diffcorr.thresholding import _noise
+from diffcorr.thresholding import _noise, unit_thresholds
 from oracles import naive_rule
 from properties import check_rule_conditions
 
@@ -143,6 +143,14 @@ def test_single_corr_thresholds_scaling():
     quadrupled = single_corr_thresholds(replace(m, n=4 * m.n), 1.0)
     assert np.max(np.abs(quadrupled - base / 2.0)) < 1e-14
     assert np.array_equal(single_corr_thresholds(m, 0.0), np.zeros((3, 3)))
+
+
+def test_single_group_levels_are_zero_on_the_diagonal():
+    m1, m2 = _moments(20), _moments(21)
+    for statistic in ("corr", "cov"):
+        assert np.array_equal(np.diag(unit_thresholds(statistic, [m1])), np.zeros(3))
+        # a difference thresholds its diagonal like any other entry
+        assert np.all(np.diag(unit_thresholds(statistic, [m1, m2])) > 0.0)
 
 
 def test_diff_cov_thresholds():
