@@ -9,7 +9,6 @@ timestamps, byte-identical for identical config and seed).
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import csv
 import errno
@@ -24,7 +23,7 @@ from .crossval import (
 )
 from .dataset import TwoGroupDataset, read_labeled_csv, read_sample_csv, write_matrix_csv
 from .equality_test import critical_tau, test_equality
-from .errors import DataError, DiffCorrError, ValidationError
+from .errors import DiffCorrError, ValidationError
 from .estimators import (
     DifferentialEstimate,
     estimate_cross_corr,
@@ -44,6 +43,12 @@ _EXIT_CODES = {"USER": 2, "DATA": 3, "INTERNAL": 4}
 _EXIT_BROKEN_PIPE = 141
 
 
+def _reject_ignored(reason, **flags) -> None:
+    """Fail on each flag that was given although the command would ignore it."""
+    if given := [f"--{name.replace('_', '-')}" for name, value in flags.items() if value is not None]:
+        raise ValidationError(f"{reason}; {', '.join(given)} would be ignored")
+
+
 def ingest_two_group(
     input1=None, input2=None, input=None, label_column=None, groups=None
 ) -> TwoGroupDataset:
@@ -55,6 +60,7 @@ def ingest_two_group(
         if label_column is None:
             raise ValidationError("--input requires --label-column")
         return read_labeled_csv(input, label_column, groups)
+    _reject_ignored("no labeled --input", label_column=label_column, groups=groups)
     if input1 is None or input2 is None:
         raise ValidationError("provide --input1 and --input2, or --input with --label-column")
     return TwoGroupDataset(read_sample_csv(input1), read_sample_csv(input2))
@@ -66,6 +72,8 @@ def _ingest(args, kind):
         return ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
     if args.input is None:
         raise ValidationError(f"estimator {kind!r} needs --input")
+    ignored = {name: getattr(args, name, None) for name in ("input1", "input2", "label_column", "groups")}
+    _reject_ignored(f"estimator {kind!r} reads one --input", **ignored)
     return read_sample_csv(args.input)
 
 
@@ -344,15 +352,7 @@ def _cmd_simulate(args) -> int:
             f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators,
             seed=args.seed, cv=cfg,
         )
-        failed = collections.Counter(est for est, _ in report.failures)
-        reported = {row.estimator for row in report.rows}
-        if missing := [est for est in ESTIMATOR_NAMES if est in estimators and est not in reported]:
-            lost = ", ".join(f"{est} ({failed[est]} failed fits)" for est in missing)
-            raise DataError(f"too many fits failed to report {lost}")
         print(report.format_table())
-        if report.failures:
-            counts = ", ".join(f"{est} {failed[est]}" for est in ESTIMATOR_NAMES if est in failed)
-            print(f"({len(report.failures)} failed fits: {counts})", file=sys.stderr)
         if out is not None:
             report.write_csv(out)
     return 0

@@ -105,23 +105,20 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     return float(t_ij.max()), t_ij
 
 
-def _check_dimension(p: int) -> None:
+def _centering(p: int) -> float:
+    """4 log p - log log p, subtracted from t_n before the extreme value law;
+    the calibration needs p >= 3."""
     if p < 3:
         raise UnsupportedDimensionError(
             f"extreme-value calibration needs p >= 3, got {p}"
         )
-
-
-def _centering(p: int) -> float:
     return 4.0 * math.log(p) - math.log(math.log(p))
 
 
 def extreme_value_pvalue(t_n: float, p: int) -> float:
     """P-value of the max statistic under the extreme value null, clamped to
     [0, 1]."""
-    _check_dimension(p)
-    t = t_n - 4.0 * math.log(p) + math.log(math.log(p))
-    exponent = -0.5 * t - 0.5 * _LOG_8PI
+    exponent = -0.5 * (t_n - _centering(p)) - 0.5 * _LOG_8PI
     if exponent > 700.0:  # exp would overflow; p-value saturates at 1
         return 1.0
     pv = -math.expm1(-math.exp(exponent))
@@ -137,21 +134,21 @@ def critical_tau(alpha: float) -> float:
 
 def decide_test(t_n: float, p: int, alpha: float) -> tuple[bool, float]:
     """Reject when t_n >= 4 log p - log log p + critical_tau(alpha)."""
-    _check_dimension(p)
+    centering = _centering(p)
     tau_alpha = critical_tau(alpha)
-    return bool(t_n >= _centering(p) + tau_alpha), tau_alpha
+    return bool(t_n >= centering + tau_alpha), tau_alpha
 
 
 def test_equality(ds: TwoGroupDataset, alpha: float = 0.05) -> TestResult:
     """Run the full equality test at level alpha."""
-    _check_dimension(ds.p)
+    centering = _centering(ds.p)
     critical_tau(alpha)  # rejects a bad alpha before the O(p^2 n) statistic
     t_n, t_ij = test_statistic(ds)
     reject, tau_alpha = decide_test(t_n, ds.p, alpha)
     return TestResult(
         t_n=t_n,
         t_ij=t_ij,
-        centered=t_n - _centering(ds.p),
+        centered=t_n - centering,
         p_value=extreme_value_pvalue(t_n, ds.p),
         alpha=float(alpha),
         reject=reject,

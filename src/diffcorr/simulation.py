@@ -28,12 +28,7 @@ import numpy as np
 
 from .crossval import CvConfig
 from .dataset import SampleMatrix, TwoGroupDataset, check_square_symmetric, default_names
-from .errors import (
-    DiffCorrError,
-    GenerationFailedError,
-    NotPSDError,
-    ValidationError,
-)
+from .errors import GenerationFailedError, NotPSDError, ValidationError
 from .estimators import (
     baseline_cov_then_normalize,
     baseline_separate_corr,
@@ -60,7 +55,6 @@ RULE_FREE = ("sample-diff",)  # fits that ignore the rule
 
 _MIN_EIG = 1e-3
 _REDRAW_BUDGET = 20
-_MIN_SUCCESS_FRACTION = 0.8
 
 
 def generate_pair(kind: str, p: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +185,14 @@ _COLUMNS = ("model", "p", "n1", "n2", "estimator", "rule", "norm", "mean", "sd",
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """The aggregated rows of one benchmark cell and the fits that failed.
-    Rows come three at a time, one per norm in NORMS order, for each
-    (estimator, rule) that kept enough replications."""
+    """The aggregated rows of one benchmark cell. Rows come three at a time,
+    one per norm in NORMS order, for each (estimator, rule) fitted."""
 
     model: str
     p: int
     n1: int
     n2: int
     rows: tuple[BenchmarkRow, ...]
-    failures: tuple[tuple[str, str], ...]  # (estimator, message) of failed fits
 
     def cell(self, **filters) -> BenchmarkRow:
         hits = [
@@ -237,8 +229,8 @@ class BenchmarkReport:
 
 
 def _one_replication(kind, p, n1, n2, entropy, combos, cv):
-    """One sample and one fit per (estimator, rule) combination: the fit's
-    losses in NORMS order, or None when it failed, and the failures."""
+    """One sample and one fit per (estimator, rule) combination: each fit's
+    losses in NORMS order. A fit's error propagates."""
     seeds = np.random.SeedSequence(entropy).generate_state(6, np.uint64).tolist()
     model_seed, w1_seed, w2_seed, x1_seed, x2_seed, cv_seed = seeds
     r1, r2 = generate_pair(kind, p, model_seed)
@@ -250,16 +242,11 @@ def _one_replication(kind, p, n1, n2, entropy, combos, cv):
         mvn_sample(sigma1, n1, x1_seed, names), mvn_sample(sigma2, n2, x2_seed, names)
     )
     cfg = replace(cv, seed=cv_seed)
-    losses, failures = [], []
+    losses = []
     for estimator, rule in combos:
-        try:
-            dev = _FITS[estimator](ds, rule, cfg) - truth
-        except DiffCorrError as exc:
-            losses.append(None)
-            failures.append((estimator, str(exc)))
-            continue
+        dev = _FITS[estimator](ds, rule, cfg) - truth
         losses.append([_NORM_FNS[norm](dev) for norm in NORMS])
-    return losses, failures
+    return losses
 
 
 def run_benchmark(
@@ -281,9 +268,10 @@ def run_benchmark(
     tau, and records the loss against the true difference in all three norms.
     Cross-validation uses cv with its seed replaced by a per-replication seed
     derived from seed, so every replication draws its own folds. Each
-    combination is aggregated as mean and sample standard deviation over the
-    successful replications and dropped when fewer than 80% succeed. rules
-    and estimators each need at least one entry and may not repeat one.
+    combination is aggregated as mean and sample standard deviation over all
+    reps replications. The first error a fit raises stops the run and
+    propagates. rules and estimators each need at least one entry and may not
+    repeat one.
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
@@ -306,14 +294,11 @@ def run_benchmark(
         _one_replication(kind, p, n1, n2, [seed, 0, rep], combos, cv) for rep in range(reps)
     ]
     rows = []
-    for (estimator, rule), fits in zip(combos, zip(*(losses for losses, _ in results))):
-        losses = np.array([fit for fit in fits if fit is not None])  # (successes, norms)
-        if len(losses) < _MIN_SUCCESS_FRACTION * reps:
-            continue  # combination dropped; its failures are recorded below
+    # results index (rep, combination, norm); each combination gets (norm, rep)
+    for (estimator, rule), losses in zip(combos, np.array(results).transpose(1, 2, 0)):
         name = rule.kind if rule is not None else "none"
         rows.extend(
-            BenchmarkRow(estimator, name, norm, float(v.mean()), float(v.std(ddof=1)), len(v))
-            for norm, v in zip(NORMS, losses.T)
+            BenchmarkRow(estimator, name, norm, float(v.mean()), float(v.std(ddof=1)), reps)
+            for norm, v in zip(NORMS, losses)
         )
-    failures = tuple(failure for _, fails in results for failure in fails)
-    return BenchmarkReport(kind, p, n1, n2, tuple(rows), failures)
+    return BenchmarkReport(kind, p, n1, n2, tuple(rows))

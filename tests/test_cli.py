@@ -1,8 +1,10 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import diffcorr
 from diffcorr import read_matrix_csv, read_sample_csv
-from diffcorr.cli import ingest_two_group, main
+from diffcorr.cli import build_parser, ingest_two_group, main
 from diffcorr.errors import InsufficientSamplesError, ValidationError
 from oracles import naive_cv_diff_corr
 
@@ -425,15 +427,23 @@ def test_simulate_csv_row_count(tmp_path, capsys):
 
 
 def test_simulate_fails_when_an_estimator_has_no_results(tmp_path, capsys):
-    # 3 observations cannot be split into 5 CV folds, so every diff-corr fit fails
+    # folds too small for the samples fail every CV fit: the run stops with the
+    # fit's own category and message and leaves an earlier report as it was
     out = tmp_path / "r.csv"
-    argv = ["simulate", "--model", "2", "--p", "10", "--n", "3", "--reps", "2",
-            "--estimators", "diff-corr", "--out-csv", str(out)]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error [DATA]: too many fits failed to report diff-corr (4 failed fits)\n"
-    assert not out.exists()
+    out.write_bytes(b"earlier,report\r\n")
+    cases = [
+        (["--model", "2", "--p", "10", "--n", "3", "--reps", "2", "--estimators", "diff-corr"],
+         "cannot split 3 observations into 5 folds"),
+        (["--model", "1", "--p", "4", "--n", "10", "--cv-folds", "10"],
+         "cannot split 10 observations into 10 folds"),
+    ]
+    for flags, message in cases:
+        assert main(["simulate", *flags, "--out-csv", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [USER]: {message}: both parts need at least 2 observations\n"
+        assert out.read_bytes() == b"earlier,report\r\n"
+        assert set(tmp_path.iterdir()) == {out}
 
 
 def test_simulate_requires_sizes(capsys):
@@ -480,6 +490,15 @@ def test_simulate_requires_sizes(capsys):
         (["test-equality", "--alpha", "1.5", "--out-json", "{tmp}/t.json"], "alpha must lie in (0, 1), got 1.5"),
         (["test-equality", "--top-k", "-1", "--out-json", "{tmp}/t.json"], "top-k must be >= 0"),
         (["estimate-diff-corr", "--tau", "1.0", "--out-json", "{tmp}"], "Is a directory: {tmp}"),
+        (["estimate-diff-corr", "--tau", "1", "--groups", "A:B"],
+         "no labeled --input; --groups would be ignored"),
+        (["estimate-diff-corr", "--tau", "1", "--label-column", "grp"],
+         "no labeled --input; --label-column would be ignored"),
+        (["test-equality", "--groups", "A:B"], "no labeled --input; --groups would be ignored"),
+        (["cv", "--estimator", "single-corr", "--input1", "{tmp}/b.csv"],
+         "estimator 'single-corr' reads one --input; --input1 would be ignored"),
+        (["cv", "--estimator", "single-corr", "--label-column", "grp", "--groups", "A:B"],
+         "estimator 'single-corr' reads one --input; --label-column, --groups would be ignored"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
@@ -489,7 +508,8 @@ def test_simulate_requires_sizes(capsys):
         "cv-single-group-without-input", "estimate-missing-output-before-cv",
         "cv-missing-output-directory", "support-rank-missing-output-before-cv",
         "test-equality-alpha-before-output", "test-equality-top-k-before-output",
-        "output-is-a-directory",
+        "output-is-a-directory", "ignored-groups", "ignored-label-column",
+        "test-equality-ignored-groups", "cv-single-ignored-input1", "cv-single-ignored-labels",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):
@@ -542,3 +562,20 @@ def test_outputs_are_plain_files_with_the_mode_of_open(tmp_path, sample_files):
     assert link.is_symlink() and json.loads(target.read_text())["tau"] == 1.0
     mode = plain.stat().st_mode
     assert (tmp_path / "m.csv").stat().st_mode == mode and target.stat().st_mode == mode
+
+
+def test_cli_snapshot_runs_every_command(tmp_path):
+    # tools/cli_snapshot.py records every command's output for byte-identity
+    # checks of a refactor; a subcommand missing from it could change unseen
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    snapshot = types.ModuleType("cli_snapshot")
+    exec(compile(path.read_text(), str(path), "exec"), vars(snapshot))
+    names = [name for name, _ in snapshot.COMMANDS]
+    assert len(set(names)) == len(names)
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for _, argv in snapshot.COMMANDS} == set(subcommands.choices)
+    assert snapshot.main([str(tmp_path / "snap")]) == 0
+    for index, name in enumerate(names):
+        want = "2" if name.startswith(("simulate-too", "ignored-")) else "0"
+        assert (tmp_path / "snap" / f"{index:02d}-{name}" / "exit").read_text() == f"{want}\n", name

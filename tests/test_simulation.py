@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diffcorr import (
+    CvConfig,
+    DegenerateSplitError,
     NotPSDError,
     ThresholdRule,
     ValidationError,
@@ -15,7 +17,8 @@ from diffcorr import (
     scale_to_covariance,
 )
 from diffcorr.cli import main
-from diffcorr.simulation import NORMS
+from diffcorr.simulation import ESTIMATOR_NAMES, MODEL_KINDS, NORMS
+from diffcorr.thresholding import RULE_NAMES
 
 HARD = ThresholdRule("hard")
 
@@ -179,40 +182,45 @@ def test_benchmark_determinism():
     assert first.rows == second.rows
 
 
-def _make_flaky(monkeypatch, estimator):
-    """Make every second fit of one estimator fail."""
+def test_a_failed_fit_stops_the_benchmark(monkeypatch, tmp_path, capsys):
     import diffcorr.simulation as sim
 
-    real_fit = sim._FITS[estimator]
+    real_fit = sim._FITS["diff-corr"]
     calls = {"n": 0}
 
-    def flaky_fit(ds, rule, cfg):
+    def fit_failing_once(ds, rule, cfg):
         calls["n"] += 1
-        if calls["n"] % 2 == 0:  # fail half the replications
-            raise ValidationError("injected failure")
+        if calls["n"] == 3:  # the third of five replications
+            raise DegenerateSplitError("injected degenerate split")
         return real_fit(ds, rule, cfg)
 
-    monkeypatch.setitem(sim._FITS, estimator, flaky_fit)
+    monkeypatch.setitem(sim._FITS, "diff-corr", fit_failing_once)
+    with pytest.raises(DegenerateSplitError, match="injected degenerate split"):
+        run_benchmark("model2", 8, 16, 16, 5, [HARD], ["diff-corr", "sample-diff"], seed=3)
+    calls["n"] = 0
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--model", "2", "--p", "8", "--n", "16", "--reps", "5", "--rules", "hard",
+            "--estimators", "diff-corr,sample-diff", "--seed", "3", "--out-csv", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [DATA]: injected degenerate split\n"
+    assert not out.exists()
 
 
-def test_benchmark_drops_cells_below_success_floor(monkeypatch):
-    _make_flaky(monkeypatch, "diff-corr")
-    report = run_benchmark("model2", 8, 16, 16, 4, [HARD], ["diff-corr", "sample-diff"], seed=3)
-    # 2/4 successes is below the 80% floor: the flaky estimator's rows vanish
-    assert {row.estimator for row in report.rows} == {"sample-diff"}
-    assert len(report.failures) == 2
-    assert all(est == "diff-corr" for est, _ in report.failures)
-
-
-def test_simulate_counts_failed_fits_per_estimator(monkeypatch, capsys):
-    _make_flaky(monkeypatch, "diff-corr")
-    _make_flaky(monkeypatch, "cov-normalize")
-    argv = ["simulate", "--model", "2", "--p", "8", "--n", "16", "--reps", "3",
-            "--estimators", "cov-normalize,sample-diff,diff-corr", "--cv-grid", "5"]
-    assert main(argv) == 0
-    # per estimator, 2 rules x 3 replications = 6 fits, every second one failing;
-    # the counts follow ESTIMATOR_NAMES, not the order asked for
-    assert capsys.readouterr().err == "(6 failed fits: diff-corr 3, cov-normalize 3)\n"
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_smallest_legal_folds_never_fail(kind):
+    # 2k observations in k folds hold out 2 at a time, the fewest a split allows;
+    # a Gaussian column is constant over 2 draws with probability 0
+    for k in (2, 5):
+        cv = CvConfig(k_folds=k)
+        for seed in (0, 1):
+            report = run_benchmark(
+                kind, 6, 2 * k, 2 * k, 5, [ThresholdRule(rule) for rule in RULE_NAMES],
+                list(ESTIMATOR_NAMES), seed=seed, cv=cv,
+            )
+            assert len(report.rows) == (3 * len(RULE_NAMES) + 1) * len(NORMS)
+            assert all(row.reps == 5 and np.isfinite(row.mean) for row in report.rows)
 
 
 def test_benchmark_holds_its_unequal_cell_once():

@@ -1,0 +1,148 @@
+"""Record what every diffcorr command prints and writes, for byte-identity checks.
+
+Usage:
+
+    PYTHONPATH=path/to/tree/src python tools/cli_snapshot.py OUT_DIR
+
+writes seeded input CSVs to OUT_DIR/inputs, then runs `diffcorr.cli.main`
+in-process over COMMANDS. Each command runs in its own directory
+OUT_DIR/NN-name, which receives its exit code (`exit`), its `stdout` and
+`stderr`, and the files it writes. Paths are relative, so two snapshots taken
+from different trees compare with
+
+    diff -r OUT_A OUT_B
+
+The commands cover `cv` for every estimator kind and rule, every estimate
+command under every rule, `support-rank`, `test-equality`, two `simulate`
+cells, and user-side settings that must exit 2. A full run takes about 1 s
+on 2 cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+RULES = ("hard", "soft", "adaptive-lasso")
+KINDS = ("diff-corr", "diff-cov", "cross-corr", "single-corr", "cov-threshold")
+ESTIMATES = ("estimate-diff-corr", "estimate-diff-cov", "estimate-corr", "estimate-cross")
+
+TWO_FILES = ["--input1", "../inputs/x1.csv", "--input2", "../inputs/x2.csv"]
+LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
+ONE_FILE = ["--input", "../inputs/x1.csv"]
+
+
+def _inputs_of(command: str, kind: str | None = None) -> list[str]:
+    if command == "estimate-corr" or kind in ("single-corr", "cov-threshold"):
+        return ONE_FILE
+    split = ["--split", "6"] if command == "estimate-cross" or kind == "cross-corr" else []
+    return TWO_FILES + split
+
+
+def _commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) pairs; each name is unique and becomes a directory."""
+    commands = []
+    for kind in KINDS:
+        for rule in RULES:
+            argv = ["cv", "--estimator", kind, "--rule", rule, *_inputs_of("cv", kind)]
+            commands.append((f"cv-{kind}-{rule}", argv + ["--out-json", "cv.json"]))
+    for command in ESTIMATES:
+        for rule in RULES:
+            argv = [command, "--rule", rule, *_inputs_of(command), "--seed", "3"]
+            outputs = ["--out-json", "summary.json", "--out-matrix", "estimate.csv"]
+            commands.append((f"{command}-{rule}", argv + outputs))
+    commands += [
+        ("support-rank", ["support-rank", *LABELED, "--top-k", "5", "--out-json", "summary.json",
+                          "--out-csv", "ranking.csv", "--out-matrix", "estimate.csv"]),
+        ("test-equality", ["test-equality", *TWO_FILES, "--top-k", "5", "--out-json", "test.json"]),
+        ("simulate-model1", ["simulate", "--model", "1", "--p", "100", "--n", "50", "--reps", "2",
+                             "--seed", "1", "--out-csv", "report.csv"]),
+        ("simulate-model2", ["simulate", "--model", "2", "--p", "20", "--n1", "30", "--n2", "40",
+                             "--reps", "3", "--rules", "soft,hard",
+                             "--estimators", "sample-diff,diff-corr", "--cv-grid", "10",
+                             "--out-csv", "report.csv"]),
+        # user-side settings: each must exit 2 and name its cause
+        ("simulate-too-few-rows", ["simulate", "--model", "2", "--p", "10", "--n", "3", "--reps",
+                                   "2", "--estimators", "diff-corr", "--out-csv", "report.csv"]),
+        ("simulate-too-many-folds", ["simulate", "--model", "1", "--p", "4", "--n", "10",
+                                     "--cv-folds", "10", "--out-csv", "report.csv"]),
+        ("ignored-groups", ["estimate-diff-corr", *TWO_FILES, "--tau", "1", "--groups", "A:B"]),
+        ("ignored-label-column", ["estimate-diff-corr", *TWO_FILES, "--tau", "1",
+                                  "--label-column", "grp"]),
+        ("ignored-test-groups", ["test-equality", *TWO_FILES, "--groups", "A:B"]),
+        ("ignored-input1", ["cv", "--estimator", "single-corr", *ONE_FILE,
+                            "--input1", "../inputs/x2.csv"]),
+        ("ignored-labels", ["cv", "--estimator", "single-corr", *ONE_FILE,
+                            "--label-column", "grp", "--groups", "A:B"]),
+    ]
+    return commands
+
+
+COMMANDS = _commands()
+
+
+def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> None:
+    """Two correlated Gaussian samples with a shared header, and the same rows
+    as one labeled CSV whose labels A and B pool into group 1 and C is group 2."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(20141)
+    header = [f"v{i}" for i in range(p)]
+    mix = np.eye(p) + 0.4 * (rng.random((p, p)) < 0.2)
+    samples = [rng.standard_normal((n, p)) @ mix for n in (n1, n2)]
+    samples[1][:, 1] += 0.8 * samples[1][:, 0]
+    for name, x in zip(("x1.csv", "x2.csv"), samples):
+        _write_csv(directory / name, header, x.tolist())
+    labels = ["A" if i % 2 else "B" for i in range(n1)] + ["C"] * n2
+    rows = [[label, *row] for label, row in zip(labels, np.vstack(samples).tolist())]
+    _write_csv(directory / "labeled.csv", ["grp", *header], rows)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def run_one(main, directory: Path, argv: list[str]) -> None:
+    directory.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    (directory / "exit").write_text(f"{code}\n")
+    (directory / "stdout").write_text(out.getvalue(), encoding="utf-8")
+    (directory / "stderr").write_text(err.getvalue(), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: PYTHONPATH=TREE/src python tools/cli_snapshot.py OUT_DIR", file=sys.stderr)
+        return 2
+    from diffcorr.cli import main as diffcorr_main
+
+    root = Path(argv[0])
+    if root.exists() and any(root.iterdir()):
+        print(f"{root} exists and is not empty", file=sys.stderr)
+        return 2
+    write_inputs(root / "inputs")
+    for index, (name, command) in enumerate(COMMANDS):
+        run_one(diffcorr_main, root / f"{index:02d}-{name}", command)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
