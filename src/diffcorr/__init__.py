@@ -27,7 +27,6 @@ from .errors import (
     DegenerateVariableError,
     DegenerateVarianceError,
     DiffCorrError,
-    GenerationFailedError,
     InsufficientSamplesError,
     NotPSDError,
     UnsupportedDimensionError,
@@ -79,7 +78,6 @@ __all__ = [
     "DegenerateVarianceError",
     "DiffCorrError",
     "DifferentialEstimate",
-    "GenerationFailedError",
     "InsufficientSamplesError",
     "MomentSet",
     "NotPSDError",

@@ -87,7 +87,16 @@ def _add_two_group_flags(sub):
 
 def _add_rule_flags(sub):
     sub.add_argument("--rule", choices=RULE_NAMES, default=DEFAULT_RULE.kind)
-    sub.add_argument("--eta", type=float, default=DEFAULT_RULE.eta, help="adaptive-lasso exponent")
+    sub.add_argument("--eta", type=float, help="adaptive-lasso exponent")
+
+
+def _rules(names, eta) -> list[ThresholdRule]:
+    """One rule per name; --eta sets the adaptive-lasso exponent, so it fails
+    when no rule named is adaptive-lasso."""
+    rules = [ThresholdRule(name) if eta is None else ThresholdRule(name, eta) for name in names]
+    if all(rule.kind != "adaptive-lasso" for rule in rules):
+        _reject_ignored("only adaptive-lasso has an exponent", eta=eta)
+    return rules
 
 
 def _add_estimation_flags(sub):
@@ -103,23 +112,20 @@ _CV_FLAGS = (
     ("--cv-folds", "k_folds", "K in K-fold CV"),
     ("--cv-repeats", "h_repeats", "number of random splits"),
     ("--cv-grid", "grid_n", "grid resolution N for {0, 1/N, ..., 5}"),
+    ("--seed", "seed", "random seed"),
 )
 
 
 def _add_cv_flags(sub):
     for flag, field, text in _CV_FLAGS:
         sub.add_argument(flag, type=int, dest=field, help=f"{text} (default {getattr(CvConfig, field)})")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _cv_config(args) -> CvConfig:
     given = {flag: field for flag, field, _ in _CV_FLAGS if getattr(args, field) is not None}
     if getattr(args, "tau", None) is not None and given:
-        raise ValidationError(
-            f"--tau fixes the constant; {', '.join(given)} would be ignored"
-        )
-    fields = {field: getattr(args, field) for field in given.values()}
-    return CvConfig(seed=args.seed, **fields)
+        raise ValidationError(f"--tau fixes the constant; {', '.join(given)} would be ignored")
+    return CvConfig(**{field: getattr(args, field) for field in given.values()})
 
 
 def _norm_summary(est: DifferentialEstimate) -> dict:
@@ -152,6 +158,18 @@ def _warn_at_grid_edge(cv) -> None:
             f"grid [{cv.grid[0]:g}, {cv.grid[-1]:g}]; the grid may be too narrow",
             file=sys.stderr,
         )
+
+
+def _reject_shared_outputs(**paths) -> None:
+    """Fail when two output flags name one regular file (symlinks resolved),
+    which would keep only the last output; a device such as /dev/stdout may."""
+    seen = {}
+    for name, path in paths.items():
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            given = f"--{name.replace('_', '-')} {path}"
+            if (target := os.path.realpath(path)) in seen:
+                raise ValidationError(f"{seen[target]} and {given} name the same file")
+            seen[target] = given
 
 
 @contextlib.contextmanager
@@ -202,7 +220,7 @@ def _write_json(fh, payload) -> None:
     fh.write("\n")
 
 
-def _emit_estimate(args, est: DifferentialEstimate, json_out, matrix_out, **extra) -> None:
+def _emit_estimate(args, est: DifferentialEstimate, seed, json_out, matrix_out, **extra) -> None:
     if matrix_out is not None:
         write_matrix_csv(matrix_out, est.estimate, est.row_labels, est.col_labels)
     payload = {
@@ -211,7 +229,7 @@ def _emit_estimate(args, est: DifferentialEstimate, json_out, matrix_out, **extr
         "rule": est.rule.kind,
         "eta": est.rule.eta,
         "tau": est.tau,
-        "seed": args.seed,
+        "seed": seed,
         "shape": list(est.estimate.shape),
         "nonzero_count": est.nonzero_count(),
         "norms": _norm_summary(est),
@@ -246,17 +264,19 @@ def _estimate(args, kind, rule, cfg) -> DifferentialEstimate:
 
 
 def _cmd_estimate(args) -> int:
-    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
+    (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
+    _reject_shared_outputs(out_json=args.out_json, out_matrix=args.out_matrix)
     extra = {"split": args.split} if KINDS[args.kind].cross_block else {}
     with _open_output(args.out_json) as json_out, _open_matrix(args.out_matrix) as matrix_out:
         est = _estimate(args, args.kind, rule, cfg)
-        _emit_estimate(args, est, json_out, matrix_out, **extra)
+        _emit_estimate(args, est, cfg.seed, json_out, matrix_out, **extra)
     return 0
 
 
 def _cmd_support_rank(args) -> int:
     _check_top_k(args.top_k)
-    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
+    (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
+    _reject_shared_outputs(out_json=args.out_json, out_csv=args.out_csv, out_matrix=args.out_matrix)
     with (
         _open_output(args.out_json) as json_out,
         _open_output(args.out_csv, newline="") as csv_out,
@@ -269,7 +289,7 @@ def _cmd_support_rank(args) -> int:
             writer.writerow(["variable", "count"])
             writer.writerows(ranking)
         extra = {"ranking": [[label, count] for label, count in ranking]}
-        _emit_estimate(args, est, json_out, matrix_out, **extra)
+        _emit_estimate(args, est, cfg.seed, json_out, matrix_out, **extra)
         for label, count in ranking[: args.top_k]:
             print(f"{label}\t{count}")
     return 0
@@ -295,7 +315,6 @@ def _cmd_test_equality(args) -> int:
                 {
                     "schema_version": SCHEMA_VERSION,
                     "command": "test-equality",
-                    "seed": args.seed,
                     "test": {
                         "t_n": result.t_n,
                         "centered": result.centered,
@@ -311,7 +330,7 @@ def _cmd_test_equality(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    rule, cfg = ThresholdRule(args.rule, args.eta), _cv_config(args)
+    (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
     with _open_output(args.out_json) as out:
         data = _ingest(args, args.estimator)
         check_split(args.estimator, args.split, data.p)
@@ -330,7 +349,7 @@ def _cmd_cv(args) -> int:
                     "estimator": args.estimator,
                     "rule": rule.kind,
                     "eta": rule.eta,
-                    "seed": args.seed,
+                    "seed": cfg.seed,
                     "cv": _cv_summary(result),
                 },
             )
@@ -338,11 +357,13 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n1 is not None and args.n2 is not None:
+        _reject_ignored("--n1 and --n2 set both group sizes", n=args.n)
     n1 = args.n1 if args.n1 is not None else args.n
     n2 = args.n2 if args.n2 is not None else args.n
     if n1 is None or n2 is None:
         raise ValidationError("simulate needs --p and --n (or --n1/--n2)")
-    rules = [ThresholdRule(name, args.eta) for name in args.rules.split(",") if name]
+    rules = _rules([name for name in args.rules.split(",") if name], args.eta)
     estimators = [name for name in args.estimators.split(",") if name]
     if not rules or not estimators:
         raise ValidationError("--rules and --estimators each need at least one name")
@@ -350,7 +371,7 @@ def _cmd_simulate(args) -> int:
     with _open_output(args.out_csv, newline="") as out:
         report = run_benchmark(
             f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators,
-            seed=args.seed, cv=cfg,
+            seed=cfg.seed, cv=cfg,
         )
         print(report.format_table())
         if out is not None:
@@ -387,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_two_group_flags(sub)
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--top-k", type=int, default=20)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-json")
     sub.set_defaults(handler=_cmd_test_equality)
 
@@ -412,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n2", type=int, default=None)
     sub.add_argument("--reps", type=int, default=20)
     sub.add_argument("--rules", default=",".join(DEFAULT_RULES))
-    sub.add_argument("--eta", type=float, default=DEFAULT_RULE.eta)
+    sub.add_argument("--eta", type=float, help="adaptive-lasso exponent")
     sub.add_argument("--estimators", default=",".join(ESTIMATOR_NAMES))
     _add_cv_flags(sub)
     sub.add_argument("--out-csv", help="write the report CSV")

@@ -23,10 +23,6 @@ from .errors import (
 SYMMETRY_RTOL = 1e-12
 
 
-def default_names(p: int) -> tuple[str, ...]:
-    return tuple(f"v{i + 1}" for i in range(p))
-
-
 def check_finite(values: np.ndarray, what: str = "matrix") -> None:
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{what} contains non-finite entries")
@@ -76,9 +72,7 @@ class SampleMatrix:
                 f"need at least 2 observations, got {n}"
             )
         check_finite(data, "sample matrix")
-        names = self.names
-        if names is None:
-            names = default_names(p)
+        names = self.names if self.names is not None else [f"v{i + 1}" for i in range(p)]
         names = tuple(str(x) for x in names)
         if len(names) != p:
             raise ValidationError(

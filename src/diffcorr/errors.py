@@ -59,9 +59,5 @@ class DegenerateSplitError(DataError):
     """Cross-validation could not draw a non-degenerate split."""
 
 
-class GenerationFailedError(DataError):
-    """A simulation model generator exhausted its redraw budget."""
-
-
 class NotPSDError(DataError):
     """Matrix is not positive semidefinite within tolerance."""

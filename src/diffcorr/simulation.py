@@ -5,15 +5,16 @@ Model 1 (random sparse difference): both correlation matrices are the
 identity on the lower-right half and a constant-0.2 block on the upper-left;
 the second matrix perturbs that block by lam * d0 where d0 has independent
 +/-1 entries with probability 0.05 each and lam is the largest value in
-(0, 0.2] keeping the block positive definite.
+(0, 0.2] keeping the block's smallest eigenvalue at or above 1e-3, in
+closed form (see _model1).
 
-Model 2 (banded difference): deterministic banded matrices whose difference
-has bandwidth 2. Its largest entry is 0.133, and at p = 100 it is below
-detection for n up to 2000: over 10 seeds at each of n = 50, 500, 1000 and
-2000, the hard-rule cross-validated estimate kept none of its 197 true
-pairs, and its few nonzero entries were false. The paper's abstract does
-not state the model formulas, so they are kept as written and not checked
-against it.
+Model 2 (banded difference): deterministic banded matrices, positive
+definite at every p (see _model2), whose difference has bandwidth 2. Its
+largest entry is 0.133, and at p = 100 it is below detection for n up to
+2000: over 10 seeds at each of n = 50, 500, 1000 and 2000, the hard-rule
+cross-validated estimate kept none of its 197 true pairs, and its few
+nonzero entries were false. The paper's abstract does not state the model
+formulas, so they are kept as written and not checked against it.
 
 Both models are rescaled to covariances with random diagonals before
 sampling. Per-replication RNG streams derive from (seed, replication).
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crossval import CvConfig
-from .dataset import SampleMatrix, TwoGroupDataset, check_square_symmetric, default_names
-from .errors import GenerationFailedError, NotPSDError, ValidationError
+from .dataset import SampleMatrix, TwoGroupDataset, check_square_symmetric
+from .errors import NotPSDError, ValidationError
 from .estimators import (
     baseline_cov_then_normalize,
     baseline_separate_corr,
@@ -53,9 +54,6 @@ ESTIMATOR_NAMES = tuple(_FITS)
 DEFAULT_RULES = ("hard", "adaptive-lasso")  # the rules `simulate` compares unless told otherwise
 RULE_FREE = ("sample-diff",)  # fits that ignore the rule
 
-_MIN_EIG = 1e-3
-_REDRAW_BUDGET = 20
-
 
 def generate_pair(kind: str, p: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The two correlation matrices of a synthetic model: "model1" needs an
@@ -70,63 +68,37 @@ def generate_pair(kind: str, p: int, seed: int = 0) -> tuple[np.ndarray, np.ndar
 
 
 def _model1(p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random sparse difference pair; the perturbed block keeps its smallest
-    eigenvalue at or above 1e-3."""
+    """Random sparse difference pair. With block - 1e-3 I = L L^T and
+    M = L^-1 d0 L^-T, block + lam * d0 - 1e-3 I = L (I + lam M) L^T is
+    semidefinite (Sylvester) exactly when 1 + lam * min eig(M) >= 0, so the
+    largest feasible lam in (0, 0.2] is 0.2 when min eig(M) >= -5, else
+    -1 / min eig(M). lam > 0 for every draw: block's eigenvalues are 0.8 and
+    above, so block - 1e-3 I is positive definite and M is finite."""
     half = p // 2
     block = np.full((half, half), 0.2)
     np.fill_diagonal(block, 1.0)
     rng = np.random.default_rng(seed)
-    for _ in range(_REDRAW_BUDGET):
-        draw = rng.choice([1.0, 0.0, -1.0], size=(half, half), p=[0.05, 0.9, 0.05])
-        d0 = np.triu(draw, k=1)
-        d0 = d0 + d0.T
-        lam = _largest_feasible_scale(block, d0)
-        if lam is not None:
-            break
-    else:
-        raise GenerationFailedError(
-            f"model1: no positive-definite perturbation found in {_REDRAW_BUDGET} draws"
-        )
-    r1 = np.eye(p)
+    draw = rng.choice([1.0, 0.0, -1.0], size=(half, half), p=[0.05, 0.9, 0.05])
+    d0 = np.triu(draw, k=1)
+    d0 = d0 + d0.T
+    l_inv = np.linalg.inv(np.linalg.cholesky(block - 1e-3 * np.eye(half)))
+    lowest = float(np.linalg.eigvalsh(l_inv @ d0 @ l_inv.T)[0])
+    lam = 0.2 if lowest >= -5.0 else -1.0 / lowest
+    r1, r2 = np.eye(p), np.eye(p)
     r1[:half, :half] = block
-    r2 = np.eye(p)
     r2[:half, :half] = block + lam * d0
     return r1, r2
 
 
-def _largest_feasible_scale(block: np.ndarray, d0: np.ndarray) -> float | None:
-    """Largest lam in (0, 0.2] with min eigenvalue of block + lam * d0 at
-    least 1e-3, found by bisection; None when even lam = 1e-4 fails."""
-
-    def feasible(lam):
-        return float(np.linalg.eigvalsh(block + lam * d0)[0]) >= _MIN_EIG
-
-    if feasible(0.2):
-        return 0.2
-    if not feasible(1e-4):
-        return None
-    lo, hi = 1e-4, 0.2
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _model2(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic banded-difference pair; errors if the displayed formulas
-    are not positive semidefinite at this p."""
+    """Deterministic banded-difference pair, positive definite at every p:
+    both are Toeplitz, with symbols 0.2 + 0.8 F10(t + pi) >= 0.2 and that plus
+    0.2 (F3(t) - 1) >= 0.0093 (FN the non-negative Fejer kernel of order N),
+    and by Grenander-Szego no eigenvalue lies below its symbol's minimum."""
     dist = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
     sign = np.where(dist % 2 == 0, 1.0, -1.0)
     r1 = 0.2 * np.eye(p) + 0.8 * sign * np.maximum(1.0 - dist / 10.0, 0.0)
     r2 = r1 + 0.2 * (1.0 - np.eye(p)) * np.maximum(1.0 - dist / 3.0, 0.0)
-    for name, r in (("first", r1), ("second", r2)):
-        if float(np.linalg.eigvalsh(r)[0]) < -1e-10:
-            raise GenerationFailedError(
-                f"model2: the {name} matrix is indefinite at p = {p}"
-            )
     return r1, r2
 
 
@@ -139,10 +111,7 @@ def scale_to_covariance(r: np.ndarray, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     p = r.shape[0]
     w = rng.standard_normal(p)
-    while True:
-        small = np.abs(w) < 1e-6
-        if not np.any(small):
-            break
+    while np.any(small := np.abs(w) < 1e-6):
         w[small] = rng.standard_normal(int(small.sum()))
     scale = np.sqrt(np.abs(w))
     return np.outer(scale, scale) * r
@@ -237,10 +206,7 @@ def _one_replication(kind, p, n1, n2, entropy, combos, cv):
     truth = r1 - r2
     sigma1 = scale_to_covariance(r1, w1_seed)
     sigma2 = scale_to_covariance(r2, w2_seed)
-    names = default_names(p)
-    ds = TwoGroupDataset(
-        mvn_sample(sigma1, n1, x1_seed, names), mvn_sample(sigma2, n2, x2_seed, names)
-    )
+    ds = TwoGroupDataset(mvn_sample(sigma1, n1, x1_seed), mvn_sample(sigma2, n2, x2_seed))
     cfg = replace(cv, seed=cv_seed)
     losses = []
     for estimator, rule in combos:
@@ -262,7 +228,7 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Monte-Carlo loss comparison at one (p, n1, n2) cell.
 
-    Every replication regenerates the model (model1 redraws its perturbation,
+    Every replication regenerates the model (model1 draws a fresh perturbation,
     model2 is fixed), rescales to covariances with fresh diagonals, samples
     both groups, fits every estimator/rule combination with cross-validated
     tau, and records the loss against the true difference in all three norms.

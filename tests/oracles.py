@@ -301,3 +301,26 @@ def naive_cv_diff_corr(x1, x2, k_folds, h_repeats, grid_n, seed, kind, eta=4.0):
     losses = [v / h_repeats for v in losses]
     best = min(range(len(grid)), key=lambda idx: (losses[idx], idx))
     return grid[best], grid, losses
+
+
+def bisection_model1_scale(block, d0):
+    """Reference for model 1's closed-form scale: the largest lam in (0, 0.2]
+    with min eigenvalue of block + lam * d0 at least 1e-3, by bisection to
+    within 0.2 / 2**50; None when even lam = 1e-4 fails. It shares no algebra
+    with the closed form, only numpy's eigvalsh."""
+
+    def feasible(lam):
+        return float(np.linalg.eigvalsh(block + lam * d0)[0]) >= 1e-3
+
+    if feasible(0.2):
+        return 0.2
+    if not feasible(1e-4):
+        return None
+    lo, hi = 1e-4, 0.2
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -499,6 +499,15 @@ def test_simulate_requires_sizes(capsys):
          "estimator 'single-corr' reads one --input; --input1 would be ignored"),
         (["cv", "--estimator", "single-corr", "--label-column", "grp", "--groups", "A:B"],
          "estimator 'single-corr' reads one --input; --label-column, --groups would be ignored"),
+        (["estimate-diff-corr", "--tau", "1", "--seed", "9"], "--tau fixes the constant; --seed would be ignored"),
+        (["support-rank", "--tau", "1", "--seed", "9"], "--tau fixes the constant; --seed would be ignored"),
+        (["estimate-diff-corr", "--rule", "hard", "--eta", "2"],
+         "only adaptive-lasso has an exponent; --eta would be ignored"),
+        (["cv", "--rule", "soft", "--eta", "2"], "only adaptive-lasso has an exponent; --eta would be ignored"),
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2", "--rules", "hard,soft",
+          "--eta", "2"], "only adaptive-lasso has an exponent; --eta would be ignored"),
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--n1", "20", "--n2", "30", "--reps", "2"],
+         "--n1 and --n2 set both group sizes; --n would be ignored"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
@@ -510,6 +519,8 @@ def test_simulate_requires_sizes(capsys):
         "test-equality-alpha-before-output", "test-equality-top-k-before-output",
         "output-is-a-directory", "ignored-groups", "ignored-label-column",
         "test-equality-ignored-groups", "cv-single-ignored-input1", "cv-single-ignored-labels",
+        "ignored-seed-with-tau", "support-rank-ignored-seed-with-tau", "ignored-eta-hard",
+        "cv-ignored-eta-soft", "simulate-ignored-eta", "simulate-ignored-n",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):
@@ -526,6 +537,53 @@ def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, mess
     assert "USER" in captured.err and message in captured.err
     assert captured.out == ""
     assert set(tmp_path.iterdir()) == files  # no output, not even an empty one, was left
+
+
+def test_test_equality_has_no_seed(sample_files, capsys):
+    a, b = sample_files
+    with pytest.raises(SystemExit) as exc:
+        main(["test-equality", "--input1", a, "--input2", b, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "flags"),
+    [
+        (["estimate-diff-corr", "--out-json", "{tmp}/out", "--out-matrix", "{tmp}/out"],
+         ("--out-json", "--out-matrix")),
+        (["estimate-diff-corr", "--out-json", "{tmp}/link", "--out-matrix", "{tmp}/./out"],
+         ("--out-json", "--out-matrix")),
+        (["support-rank", "--out-csv", "{tmp}/out", "--out-matrix", "{tmp}/out"],
+         ("--out-csv", "--out-matrix")),
+        (["support-rank", "--out-json", "{tmp}/out", "--out-csv", "{tmp}/other",
+          "--out-matrix", "{tmp}/link"], ("--out-json", "--out-matrix")),
+    ],
+    ids=["estimate-same-path", "estimate-symlink", "support-rank-csv-matrix",
+         "support-rank-json-symlink"],
+)
+def test_two_outputs_on_one_file_exit_2(tmp_path, sample_files, capsys, argv, flags):
+    # both partial files would be renamed onto the one path, losing an output
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier\n")
+    (tmp_path / "link").symlink_to(target)
+    files = set(tmp_path.iterdir())
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--input1", sample_files[0], "--input2", sample_files[1], "--tau", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [USER]: ") and "name the same file" in captured.err
+    assert all(flag in captured.err for flag in flags)
+    assert captured.out == ""
+    assert target.read_bytes() == b"earlier\n"
+    assert set(tmp_path.iterdir()) == files
+
+
+def test_a_device_may_take_two_outputs(sample_files, capsys):
+    a, b = sample_files
+    argv = ["estimate-diff-corr", "--input1", a, "--input2", b, "--tau", "1",
+            "--out-json", os.devnull, "--out-matrix", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("estimate-diff-corr: tau=1.0")
 
 
 @pytest.mark.parametrize(
@@ -564,12 +622,17 @@ def test_outputs_are_plain_files_with_the_mode_of_open(tmp_path, sample_files):
     assert (tmp_path / "m.csv").stat().st_mode == mode and target.stat().st_mode == mode
 
 
-def test_cli_snapshot_runs_every_command(tmp_path):
-    # tools/cli_snapshot.py records every command's output for byte-identity
-    # checks of a refactor; a subcommand missing from it could change unseen
+def _cli_snapshot():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
     snapshot = types.ModuleType("cli_snapshot")
     exec(compile(path.read_text(), str(path), "exec"), vars(snapshot))
+    return snapshot
+
+
+def test_cli_snapshot_runs_every_command(tmp_path):
+    # tools/cli_snapshot.py records every command's output for byte-identity
+    # checks of a refactor; a subcommand missing from it could change unseen
+    snapshot = _cli_snapshot()
     names = [name for name, _ in snapshot.COMMANDS]
     assert len(set(names)) == len(names)
     parser = build_parser()
@@ -577,5 +640,34 @@ def test_cli_snapshot_runs_every_command(tmp_path):
     assert {argv[0] for _, argv in snapshot.COMMANDS} == set(subcommands.choices)
     assert snapshot.main([str(tmp_path / "snap")]) == 0
     for index, name in enumerate(names):
-        want = "2" if name.startswith(("simulate-too", "ignored-")) else "0"
+        want = "2" if name.startswith(("simulate-too", "ignored-", "same-file-")) else "0"
         assert (tmp_path / "snap" / f"{index:02d}-{name}" / "exit").read_text() == f"{want}\n", name
+
+
+def test_cli_snapshot_compares_numbers(tmp_path, capsys):
+    snapshot = _cli_snapshot()
+    trees = {}
+    for name, report in (("base", "a,1.0,2\n"), ("close", "a,1.0000000000001,2\n"),
+                         ("far", "a,1.001,2\n"), ("text", "b,1.0,2\n")):
+        (tmp_path / name / "00-cell").mkdir(parents=True)
+        (tmp_path / name / "00-cell" / "report.csv").write_text(report)
+        trees[name] = tmp_path / name
+    compare = snapshot.compare
+    assert compare(trees["base"], trees["base"], 1e-12) == 0
+    assert capsys.readouterr().out == ""
+    assert compare(trees["base"], trees["close"], 1e-12) == 0
+    head, worst = capsys.readouterr().out.rsplit(" ", 1)
+    assert head == "00-cell/report.csv: numeric, largest relative difference"
+    assert float(worst) == pytest.approx(1e-13, rel=1e-2)
+    assert compare(trees["base"], trees["far"], 1e-12) == 1
+    assert "(above 1e-12)" in capsys.readouterr().out
+    assert compare(trees["base"], trees["far"], 1e-2) == 0
+    capsys.readouterr()
+    assert compare(trees["base"], trees["text"], 1.0) == 1
+    assert capsys.readouterr().out == (
+        "00-cell/report.csv: non-numeric difference\n  < a,1.0,2\n  > b,1.0,2\n"
+    )
+    (trees["text"] / "00-cell" / "extra").write_text("")
+    assert compare(trees["base"], trees["text"], 1.0) == 1
+    assert f"00-cell/extra: only in {trees['text']}" in capsys.readouterr().out
+    assert snapshot.main(["--compare", str(trees["base"]), str(trees["far"]), "--rtol", "0.01"]) == 0

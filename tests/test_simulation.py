@@ -19,6 +19,7 @@ from diffcorr import (
 from diffcorr.cli import main
 from diffcorr.simulation import ESTIMATOR_NAMES, MODEL_KINDS, NORMS
 from diffcorr.thresholding import RULE_NAMES
+from oracles import bisection_model1_scale
 
 HARD = ThresholdRule("hard")
 
@@ -67,6 +68,37 @@ def test_model1_difference_support():
     assert len(magnitudes) == 1
     assert 1e-4 <= magnitudes[0] <= 0.2
     assert np.array_equal(diff, diff.T)
+
+
+def _model1_parts(p, seed):
+    """block, d0 and lam read back from model 1's pair: lam > 0, so d0 is the
+    sign of the difference and lam its magnitude (0.2 when d0 is zero)."""
+    r1, r2 = generate_pair("model1", p, seed)
+    half = p // 2
+    block, diff = r1[:half, :half], (r2 - r1)[:half, :half]
+    d0 = np.sign(diff)
+    lam = float(np.max(np.abs(diff))) if d0.any() else 0.2
+    return block, d0, lam, r2
+
+
+@pytest.mark.parametrize("p", [*range(4, 41, 2), 100, 200, 400])
+def test_model1_scale_is_the_largest_feasible(p):
+    for seed in range(40):
+        block, d0, lam, r2 = _model1_parts(p, seed)
+        # the closed form agrees with a bisection on the eigenvalue condition
+        assert lam == pytest.approx(bisection_model1_scale(block, d0), rel=1e-12, abs=0)
+        # feasible: the perturbed block keeps its smallest eigenvalue at 1e-3
+        assert np.linalg.eigvalsh(r2)[0] >= 1e-3 - 1e-12
+        # maximal: below the cap, a slightly larger scale breaks the floor
+        if lam < 0.2:
+            assert np.linalg.eigvalsh(block + lam * (1 + 1e-9) * d0)[0] < 1e-3
+
+
+def test_model2_is_positive_definite_at_every_p():
+    # the Toeplitz symbols' lower bound, 0.0093, holds at every section
+    for p in range(1, 401):
+        for r in generate_pair("model2", p):
+            assert np.linalg.eigvalsh(r)[0] >= 0.009, p
 
 
 def test_model1_determinism():

@@ -3,14 +3,22 @@
 Usage:
 
     PYTHONPATH=path/to/tree/src python tools/cli_snapshot.py OUT_DIR
+    python tools/cli_snapshot.py --compare OUT_A OUT_B [--rtol R]
 
-writes seeded input CSVs to OUT_DIR/inputs, then runs `diffcorr.cli.main`
-in-process over COMMANDS. Each command runs in its own directory
-OUT_DIR/NN-name, which receives its exit code (`exit`), its `stdout` and
-`stderr`, and the files it writes. Paths are relative, so two snapshots taken
-from different trees compare with
+The first form writes seeded input CSVs to OUT_DIR/inputs, then runs
+`diffcorr.cli.main` in-process over COMMANDS. Each command runs in its own
+directory OUT_DIR/NN-name, which receives its exit code (`exit`), its `stdout`
+and `stderr`, and the files it writes. Paths are relative, so two snapshots
+taken from different trees compare byte for byte with
 
     diff -r OUT_A OUT_B
+
+The second form compares two snapshots number by number, for a change that
+moves results in their last digits. It prints each differing file with the
+largest relative difference among its numeric tokens, and each file that
+differs anywhere else (or exists in one snapshot only) with its first
+differing line. It exits 1 when any difference is non-numeric or above R
+(default 1e-12), else 0.
 
 The commands cover `cv` for every estimator kind and rule, every estimate
 command under every rule, `support-rank`, `test-equality`, two `simulate`
@@ -20,10 +28,12 @@ on 2 cores.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -80,6 +90,15 @@ def _commands() -> list[tuple[str, list[str]]]:
                             "--input1", "../inputs/x2.csv"]),
         ("ignored-labels", ["cv", "--estimator", "single-corr", *ONE_FILE,
                             "--label-column", "grp", "--groups", "A:B"]),
+        ("ignored-tau-seed", ["estimate-diff-corr", *TWO_FILES, "--tau", "1", "--seed", "9"]),
+        ("ignored-hard-eta", ["estimate-diff-corr", *TWO_FILES, "--rule", "hard", "--eta", "2"]),
+        ("ignored-simulate-eta", ["simulate", "--model", "2", "--p", "10", "--n", "20", "--reps",
+                                  "2", "--rules", "hard", "--eta", "2"]),
+        ("ignored-simulate-n", ["simulate", "--model", "2", "--p", "10", "--n", "20", "--n1", "20",
+                                "--n2", "30", "--reps", "2"]),
+        ("ignored-test-seed", ["test-equality", *TWO_FILES, "--seed", "3"]),
+        ("same-file-outputs", ["estimate-diff-corr", *TWO_FILES, "--tau", "1",
+                               "--out-json", "out", "--out-matrix", "out"]),
     ]
     return commands
 
@@ -128,13 +147,68 @@ def run_one(main, directory: Path, argv: list[str]) -> None:
     (directory / "stderr").write_text(err.getvalue(), encoding="utf-8")
 
 
+# a decimal number, signed, with optional fraction and exponent
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(a: str, b: str) -> float | None:
+    """Largest relative difference between the numeric tokens of two texts,
+    or None when they differ anywhere else."""
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return None
+    worst = 0.0
+    for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)):
+        if x != y:
+            fx, fy = float(x), float(y)
+            scale = max(abs(fx), abs(fy))
+            worst = max(worst, abs(fx - fy) / scale if scale else 0.0)
+    return worst
+
+
+def _first_differing_line(a: str, b: str) -> str:
+    pairs = zip(a.splitlines() + [""], b.splitlines() + [""])
+    differ = ((x, y) for x, y in pairs if _NUMBER.split(x) != _NUMBER.split(y))
+    line_a, line_b = next(differ, ("(line endings differ)", ""))
+    return f"  < {line_a}\n  > {line_b}"
+
+
+def compare(root_a: Path, root_b: Path, rtol: float) -> int:
+    """Print every file that differs between two snapshots; 1 when any
+    difference is non-numeric or above rtol."""
+    tree_a, tree_b = ({p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+                      for root in (root_a, root_b))
+    failed = bool(tree_a ^ tree_b)
+    for name in sorted(tree_a ^ tree_b):
+        print(f"{name}: only in {root_a if name in tree_a else root_b}")
+    for name in sorted(tree_a & tree_b):
+        a, b = ((root / name).read_text(encoding="utf-8") for root in (root_a, root_b))
+        if a == b:
+            continue
+        worst = numeric_difference(a, b)
+        if worst is None:
+            print(f"{name}: non-numeric difference\n{_first_differing_line(a, b)}")
+        else:
+            above = f" (above {rtol:g})" if worst > rtol else ""
+            print(f"{name}: numeric, largest relative difference {worst:.3g}{above}")
+        failed |= worst is None or worst > rtol
+    return int(failed)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: PYTHONPATH=TREE/src python tools/cli_snapshot.py OUT_DIR", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="cli_snapshot.py", description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, help="write a snapshot here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OUT_A", "OUT_B"),
+                        help="compare two snapshots number by number")
+    parser.add_argument("--rtol", type=float, default=1e-12,
+                        help="largest relative difference --compare accepts (default 1e-12)")
+    args = parser.parse_args(argv)
+    if (args.out_dir is None) == (args.compare is None):
+        parser.error("give either OUT_DIR or --compare OUT_A OUT_B")
+    if args.compare:
+        return compare(*args.compare, args.rtol)
     from diffcorr.cli import main as diffcorr_main
 
-    root = Path(argv[0])
+    root = args.out_dir
     if root.exists() and any(root.iterdir()):
         print(f"{root} exists and is not empty", file=sys.stderr)
         return 2
