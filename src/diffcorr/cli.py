@@ -3,7 +3,9 @@
 Commands: estimate-diff-corr, estimate-corr, estimate-diff-cov,
 estimate-cross, test-equality, cv, simulate, support-rank. Estimates are
 written as labeled matrix CSVs, summaries as JSON (schema_version 1, no
-timestamps, byte-identical for identical config and seed).
+timestamps, byte-identical for identical config and seed). main opens every
+--out-* file as UTF-8 before a command reads its inputs; the command
+handlers only compute and write.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .crossval import (
     cv_select_tau_single,
 )
 from .dataset import TwoGroupDataset, read_labeled_csv, read_sample_csv, write_matrix_csv
-from .equality_test import critical_tau, test_equality
+from .equality_test import test_equality
 from .errors import DiffCorrError, ValidationError
 from .estimators import (
     DifferentialEstimate,
@@ -160,30 +162,37 @@ def _warn_at_grid_edge(cv) -> None:
         )
 
 
-def _reject_shared_outputs(**paths) -> None:
-    """Fail when two output flags name one regular file (symlinks resolved),
-    which would keep only the last output; a device such as /dev/stdout may."""
+def _output_paths(args) -> dict[str, str | None]:
+    """Every --out-* path of the command, by flag name without its "out_".
+    Fails when a given output names the same regular file (symlinks resolved)
+    as an input or another output, which the run would replace; two inputs
+    may share a file, and a device such as /dev/stdout may take several
+    outputs."""
+    outputs = {name: path for name, path in vars(args).items() if name.startswith("out_")}
     seen = {}
-    for name, path in paths.items():
+    for name in ("input1", "input2", "input", *outputs):
+        path = getattr(args, name, None)
         if path and (os.path.isfile(path) or not os.path.exists(path)):
-            given = f"--{name.replace('_', '-')} {path}"
-            if (target := os.path.realpath(path)) in seen:
+            target, given = os.path.realpath(path), f"--{name.replace('_', '-')} {path}"
+            if name in outputs and target in seen:
                 raise ValidationError(f"{seen[target]} and {given} name the same file")
-            seen[target] = given
+            seen.setdefault(target, given)
+    return {name.removeprefix("out_"): path for name, path in outputs.items()}
 
 
 @contextlib.contextmanager
-def _open_output(path, **kwargs):
-    """Open an optional output before the work, so a bad path fails before any
-    work. A regular file is written beside its target and renamed over it
-    only when the block succeeds; on any failure the partial file is removed
-    and an earlier file at path stays as it was. A directory fails and a
-    device or pipe (such as /dev/stdout) is written in place, as open() does."""
+def _open_output(path):
+    """Open an optional output as UTF-8 text with newline="", whatever the
+    locale, before the work, so a bad path fails before any work. A regular
+    file is written beside its target and renamed over it only when the block
+    succeeds; on any failure the partial file is removed and an earlier file
+    at path stays as it was. A directory fails and a device or pipe (such as
+    /dev/stdout) is written in place, as open() does."""
     if not path:
         yield None
         return
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", **kwargs) as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
         return
     if os.path.exists(path) and not os.access(path, os.W_OK):
@@ -197,7 +206,7 @@ def _open_output(path, **kwargs):
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None  # name the path given
     try:
-        with open(fd, "w", **kwargs) as fh:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(partial, target)
     except BaseException:
@@ -206,39 +215,29 @@ def _open_output(path, **kwargs):
         raise
 
 
-def _open_matrix(path):
-    return _open_output(path, newline="", encoding="utf-8")
-
-
 def _check_top_k(top_k: int) -> None:
     if top_k < 0:
         raise ValidationError(f"--top-k must be >= 0, got {top_k}")
 
 
-def _write_json(fh, payload) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def _write_json(args, out, **fields) -> None:
+    """The JSON summary under its schema version and command, if --out-json was given."""
+    if out.json is not None:
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
+        json.dump(payload, out.json, indent=2, sort_keys=True)
+        out.json.write("\n")
 
 
-def _emit_estimate(args, est: DifferentialEstimate, seed, json_out, matrix_out, **extra) -> None:
-    if matrix_out is not None:
-        write_matrix_csv(matrix_out, est.estimate, est.row_labels, est.col_labels)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "rule": est.rule.kind,
-        "eta": est.rule.eta,
-        "tau": est.tau,
-        "seed": seed,
-        "shape": list(est.estimate.shape),
-        "nonzero_count": est.nonzero_count(),
-        "norms": _norm_summary(est),
-        "cv": _cv_summary(est.cv),
-        **extra,
-    }
-    if json_out is not None:
-        _write_json(json_out, payload)
-    print(f"{args.command}: tau={est.tau} nonzero={payload['nonzero_count']}")
+def _emit_estimate(args, out, est: DifferentialEstimate, seed, **extra) -> None:
+    if out.matrix is not None:
+        write_matrix_csv(out.matrix, est.estimate, est.row_labels, est.col_labels)
+    nonzero = est.nonzero_count()
+    _write_json(
+        args, out, rule=est.rule.kind, eta=est.rule.eta, tau=est.tau, seed=seed,
+        shape=list(est.estimate.shape), nonzero_count=nonzero, norms=_norm_summary(est),
+        cv=_cv_summary(est.cv), **extra,
+    )
+    print(f"{args.command}: tau={est.tau} nonzero={nonzero}")
     _warn_at_grid_edge(est.cv)
 
 
@@ -263,100 +262,67 @@ def _estimate(args, kind, rule, cfg) -> DifferentialEstimate:
     return _ESTIMATORS[kind](data, args.tau, rule, cfg)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args, out) -> None:
     (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
-    _reject_shared_outputs(out_json=args.out_json, out_matrix=args.out_matrix)
     extra = {"split": args.split} if KINDS[args.kind].cross_block else {}
-    with _open_output(args.out_json) as json_out, _open_matrix(args.out_matrix) as matrix_out:
-        est = _estimate(args, args.kind, rule, cfg)
-        _emit_estimate(args, est, cfg.seed, json_out, matrix_out, **extra)
-    return 0
+    _emit_estimate(args, out, _estimate(args, args.kind, rule, cfg), cfg.seed, **extra)
 
 
-def _cmd_support_rank(args) -> int:
+def _cmd_support_rank(args, out) -> None:
     _check_top_k(args.top_k)
     (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
-    _reject_shared_outputs(out_json=args.out_json, out_csv=args.out_csv, out_matrix=args.out_matrix)
-    with (
-        _open_output(args.out_json) as json_out,
-        _open_output(args.out_csv, newline="") as csv_out,
-        _open_matrix(args.out_matrix) as matrix_out,
-    ):
-        est = _estimate(args, "diff-corr", rule, cfg)
-        ranking = support_ranking(est)
-        if csv_out is not None:
-            writer = csv.writer(csv_out)
-            writer.writerow(["variable", "count"])
-            writer.writerows(ranking)
-        extra = {"ranking": [[label, count] for label, count in ranking]}
-        _emit_estimate(args, est, cfg.seed, json_out, matrix_out, **extra)
-        for label, count in ranking[: args.top_k]:
-            print(f"{label}\t{count}")
-    return 0
+    est = _estimate(args, "diff-corr", rule, cfg)
+    ranking = support_ranking(est)
+    if out.csv is not None:
+        writer = csv.writer(out.csv)
+        writer.writerow(["variable", "count"])
+        writer.writerows(ranking)
+    _emit_estimate(args, out, est, cfg.seed, ranking=[[label, count] for label, count in ranking])
+    for label, count in ranking[: args.top_k]:
+        print(f"{label}\t{count}")
 
 
-def _cmd_test_equality(args) -> int:
+def _cmd_test_equality(args, out) -> None:
     _check_top_k(args.top_k)
-    critical_tau(args.alpha)  # rejects a bad alpha before any output is opened
     ds = ingest_two_group(args.input1, args.input2, args.input, args.label_column, args.groups)
-    with _open_output(args.out_json) as out:
-        result = test_equality(ds, args.alpha)
-        pairs = result.top_pairs(args.top_k)
-        decision = "reject" if result.reject else "accept"
-        print(f"t_n = {result.t_n:.6g}")
-        print(f"p-value = {result.p_value:.6g}")
-        print(f"decision at alpha={result.alpha:g}: {decision} equality")
-        print(f"top {args.top_k} pairs:")
-        for name_i, name_j, value in pairs:
-            print(f"  {name_i}\t{name_j}\t{value:.6g}")
-        if out is not None:
-            _write_json(
-                out,
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "test-equality",
-                    "test": {
-                        "t_n": result.t_n,
-                        "centered": result.centered,
-                        "p_value": result.p_value,
-                        "alpha": result.alpha,
-                        "reject": result.reject,
-                        "tau_alpha": result.tau_alpha,
-                        "top_pairs": [list(t) for t in pairs],
-                    },
-                },
-            )
-    return 0
+    result = test_equality(ds, args.alpha)
+    pairs = result.top_pairs(args.top_k)
+    decision = "reject" if result.reject else "accept"
+    print(f"t_n = {result.t_n:.6g}")
+    print(f"p-value = {result.p_value:.6g}")
+    print(f"decision at alpha={result.alpha:g}: {decision} equality")
+    print(f"top {args.top_k} pairs:")
+    for name_i, name_j, value in pairs:
+        print(f"  {name_i}\t{name_j}\t{value:.6g}")
+    test = {
+        "t_n": result.t_n,
+        "centered": result.centered,
+        "p_value": result.p_value,
+        "alpha": result.alpha,
+        "reject": result.reject,
+        "tau_alpha": result.tau_alpha,
+        "top_pairs": [list(t) for t in pairs],
+    }
+    _write_json(args, out, test=test)
 
 
-def _cmd_cv(args) -> int:
+def _cmd_cv(args, out) -> None:
     (rule,), cfg = _rules([args.rule], args.eta), _cv_config(args)
-    with _open_output(args.out_json) as out:
-        data = _ingest(args, args.estimator)
-        check_split(args.estimator, args.split, data.p)
-        if KINDS[args.estimator].two_group:
-            result = cv_select_tau(data, cfg, args.estimator, args.split, rule)
-        else:
-            result = cv_select_tau_single(data, cfg, args.estimator, rule)
-        print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
-        _warn_at_grid_edge(result)
-        if out is not None:
-            _write_json(
-                out,
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "cv",
-                    "estimator": args.estimator,
-                    "rule": rule.kind,
-                    "eta": rule.eta,
-                    "seed": cfg.seed,
-                    "cv": _cv_summary(result),
-                },
-            )
-    return 0
+    data = _ingest(args, args.estimator)
+    check_split(args.estimator, args.split, data.p)
+    if KINDS[args.estimator].two_group:
+        result = cv_select_tau(data, cfg, args.estimator, args.split, rule)
+    else:
+        result = cv_select_tau_single(data, cfg, args.estimator, rule)
+    print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
+    _warn_at_grid_edge(result)
+    _write_json(
+        args, out, estimator=args.estimator, rule=rule.kind, eta=rule.eta, seed=cfg.seed,
+        cv=_cv_summary(result),
+    )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out) -> None:
     if args.n1 is not None and args.n2 is not None:
         _reject_ignored("--n1 and --n2 set both group sizes", n=args.n)
     n1 = args.n1 if args.n1 is not None else args.n
@@ -367,16 +333,12 @@ def _cmd_simulate(args) -> int:
     estimators = [name for name in args.estimators.split(",") if name]
     if not rules or not estimators:
         raise ValidationError("--rules and --estimators each need at least one name")
-    cfg = _cv_config(args)
-    with _open_output(args.out_csv, newline="") as out:
-        report = run_benchmark(
-            f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators,
-            seed=cfg.seed, cv=cfg,
-        )
-        print(report.format_table())
-        if out is not None:
-            report.write_csv(out)
-    return 0
+    report = run_benchmark(
+        f"model{args.model}", args.p, n1, n2, args.reps, rules, estimators, _cv_config(args)
+    )
+    print(report.format_table())
+    if out.csv is not None:
+        report.write_csv(out.csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,9 +407,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        # every output is opened before the handler reads an input, and is
+        # kept only when the handler returns
+        with contextlib.ExitStack() as stack:
+            out = argparse.Namespace(**{
+                name: stack.enter_context(_open_output(path)) for name, path in _output_paths(args).items()
+            })
+            args.handler(args, out)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:
         # send what is still buffered to the null device, so the final flush
         # at interpreter exit does not hit the closed pipe again

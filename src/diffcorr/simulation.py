@@ -17,7 +17,7 @@ nonzero entries were false. The paper's abstract does not state the model
 formulas, so they are kept as written and not checked against it.
 
 Both models are rescaled to covariances with random diagonals before
-sampling. Per-replication RNG streams derive from (seed, replication).
+sampling. Per-replication RNG streams derive from (cv.seed, replication).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def scale_to_covariance(r: np.ndarray, seed: int) -> np.ndarray:
     return np.outer(scale, scale) * r
 
 
-def mvn_sample(sigma: np.ndarray, n: int, seed: int, names=None) -> SampleMatrix:
+def mvn_sample(sigma: np.ndarray, n: int, seed: int) -> SampleMatrix:
     """Draw n rows from N(0, sigma). Uses the Cholesky factor; if sigma is
     only semidefinite, falls back to an eigendecomposition with negative
     eigenvalues clipped at zero."""
@@ -133,7 +133,7 @@ def mvn_sample(sigma: np.ndarray, n: int, seed: int, names=None) -> SampleMatrix
         factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, sigma.shape[0]))
-    return SampleMatrix(z @ factor.T, names)
+    return SampleMatrix(z @ factor.T)
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,24 @@ class BenchmarkRow:
     norm: str
     mean: float
     sd: float
-    reps: int
 
 
-# report CSV columns: the cell's, held once by BenchmarkReport, then a row's
+# report CSV columns: each row's estimator, rule, norm, mean and sd, next to
+# the cell and reps held once by BenchmarkReport
 _COLUMNS = ("model", "p", "n1", "n2", "estimator", "rule", "norm", "mean", "sd", "reps")
 
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """The aggregated rows of one benchmark cell. Rows come three at a time,
-    one per norm in NORMS order, for each (estimator, rule) fitted."""
+    """The aggregated rows of one benchmark cell, each over reps
+    replications. Rows come three at a time, one per norm in NORMS order, for
+    each (estimator, rule) fitted."""
 
     model: str
     p: int
     n1: int
     n2: int
+    reps: int
     rows: tuple[BenchmarkRow, ...]
 
     def cell(self, **filters) -> BenchmarkRow:
@@ -223,7 +225,6 @@ def run_benchmark(
     reps: int,
     rules: list[ThresholdRule],
     estimators: list[str],
-    seed: int = 0,
     cv: CvConfig | None = None,
 ) -> BenchmarkReport:
     """Monte-Carlo loss comparison at one (p, n1, n2) cell.
@@ -232,12 +233,12 @@ def run_benchmark(
     model2 is fixed), rescales to covariances with fresh diagonals, samples
     both groups, fits every estimator/rule combination with cross-validated
     tau, and records the loss against the true difference in all three norms.
-    Cross-validation uses cv with its seed replaced by a per-replication seed
-    derived from seed, so every replication draws its own folds. Each
-    combination is aggregated as mean and sample standard deviation over all
-    reps replications. The first error a fit raises stops the run and
-    propagates. rules and estimators each need at least one entry and may not
-    repeat one.
+    Every replication's sample and cross-validation folds are drawn from
+    seeds derived from cv.seed and the replication, so every replication
+    draws its own folds. Each combination is aggregated as mean and sample
+    standard deviation over all reps replications. The first error a fit
+    raises stops the run and propagates. rules and estimators each need at
+    least one entry and may not repeat one.
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
@@ -257,14 +258,14 @@ def run_benchmark(
     combos = [(est, rule) for est in estimators for rule in ([None] if est in RULE_FREE else rules)]
     # 0 was a cell index; keeping it reproduces every earlier number and perfbench's reference
     results = [
-        _one_replication(kind, p, n1, n2, [seed, 0, rep], combos, cv) for rep in range(reps)
+        _one_replication(kind, p, n1, n2, [cv.seed, 0, rep], combos, cv) for rep in range(reps)
     ]
     rows = []
     # results index (rep, combination, norm); each combination gets (norm, rep)
     for (estimator, rule), losses in zip(combos, np.array(results).transpose(1, 2, 0)):
         name = rule.kind if rule is not None else "none"
         rows.extend(
-            BenchmarkRow(estimator, name, norm, float(v.mean()), float(v.std(ddof=1)), reps)
+            BenchmarkRow(estimator, name, norm, float(v.mean()), float(v.std(ddof=1)))
             for norm, v in zip(NORMS, losses)
         )
-    return BenchmarkReport(kind, p, n1, n2, tuple(rows))
+    return BenchmarkReport(kind, p, n1, n2, reps, tuple(rows))

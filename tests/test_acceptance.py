@@ -72,7 +72,7 @@ def _within(mean, reference):
 def model1_run():
     return run_benchmark(
         "model1", 100, 50, 50, reps=20, rules=[HARD],
-        estimators=BENCH_ESTIMATORS, seed=SEED,
+        estimators=BENCH_ESTIMATORS, cv=CvConfig(seed=SEED),
     )
 
 
@@ -80,7 +80,7 @@ def model1_run():
 def model2_run():
     return run_benchmark(
         "model2", 100, 50, 50, reps=20, rules=[HARD],
-        estimators=BENCH_ESTIMATORS, seed=SEED + 1,
+        estimators=BENCH_ESTIMATORS, cv=CvConfig(seed=SEED + 1),
     )
 
 
@@ -88,7 +88,7 @@ def model2_run():
 def model2_large_n_run():
     return run_benchmark(
         "model2", 100, 500, 500, reps=20, rules=[HARD],
-        estimators=["diff-corr"], seed=SEED + 2,
+        estimators=["diff-corr"], cv=CvConfig(seed=SEED + 2),
     )
 
 

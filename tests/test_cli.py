@@ -547,35 +547,82 @@ def test_test_equality_has_no_seed(sample_files, capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+_TWO_FILES = ["--input1", "{a}", "--input2", "{b}"]
+
+
 @pytest.mark.parametrize(
     ("argv", "flags"),
     [
-        (["estimate-diff-corr", "--out-json", "{tmp}/out", "--out-matrix", "{tmp}/out"],
-         ("--out-json", "--out-matrix")),
-        (["estimate-diff-corr", "--out-json", "{tmp}/link", "--out-matrix", "{tmp}/./out"],
-         ("--out-json", "--out-matrix")),
-        (["support-rank", "--out-csv", "{tmp}/out", "--out-matrix", "{tmp}/out"],
-         ("--out-csv", "--out-matrix")),
-        (["support-rank", "--out-json", "{tmp}/out", "--out-csv", "{tmp}/other",
-          "--out-matrix", "{tmp}/link"], ("--out-json", "--out-matrix")),
+        (["estimate-diff-corr", *_TWO_FILES, "--tau", "1", "--out-json", "{tmp}/out",
+          "--out-matrix", "{tmp}/out"], ("--out-json", "--out-matrix")),
+        (["estimate-diff-corr", *_TWO_FILES, "--tau", "1", "--out-json", "{tmp}/link",
+          "--out-matrix", "{tmp}/./out"], ("--out-json", "--out-matrix")),
+        (["support-rank", *_TWO_FILES, "--tau", "1", "--out-csv", "{tmp}/out",
+          "--out-matrix", "{tmp}/out"], ("--out-csv", "--out-matrix")),
+        (["support-rank", *_TWO_FILES, "--tau", "1", "--out-json", "{tmp}/out",
+          "--out-csv", "{tmp}/other", "--out-matrix", "{tmp}/link"], ("--out-json", "--out-matrix")),
+        (["estimate-diff-corr", *_TWO_FILES, "--tau", "1", "--out-matrix", "{a}"],
+         ("--input1", "--out-matrix")),
+        (["estimate-diff-corr", *_TWO_FILES, "--tau", "1", "--out-matrix", "{tmp}/a-link"],
+         ("--input1", "--out-matrix")),
+        (["test-equality", *_TWO_FILES, "--out-json", "{b}"], ("--input2", "--out-json")),
+        (["cv", "--input", "{tmp}/labeled.csv", "--label-column", "grp",
+          "--out-json", "{tmp}/labeled.csv"], ("--input", "--out-json")),
     ],
     ids=["estimate-same-path", "estimate-symlink", "support-rank-csv-matrix",
-         "support-rank-json-symlink"],
+         "support-rank-json-symlink", "estimate-matrix-over-input1",
+         "estimate-matrix-over-input1-symlink", "test-equality-json-over-input2",
+         "cv-json-over-labeled-input"],
 )
 def test_two_outputs_on_one_file_exit_2(tmp_path, sample_files, capsys, argv, flags):
-    # both partial files would be renamed onto the one path, losing an output
-    target = tmp_path / "out"
-    target.write_bytes(b"earlier\n")
-    (tmp_path / "link").symlink_to(target)
-    files = set(tmp_path.iterdir())
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert main([*argv, "--input1", sample_files[0], "--input2", sample_files[1], "--tau", "1"]) == 2
+    # both partial files would be renamed onto the one path, losing an output;
+    # an output on an input would replace the observations it came from
+    a, b = sample_files
+    (tmp_path / "out").write_bytes(b"earlier\n")
+    (tmp_path / "link").symlink_to(tmp_path / "out")
+    (tmp_path / "a-link").symlink_to(a)
+    _write_csv(tmp_path / "labeled.csv", ["grp", "x", "y"],
+               [["A" if i % 2 else "B", i, i * i % 7] for i in range(10)])
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{a}", a).replace("{b}", b) for arg in argv]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error [USER]: ") and "name the same file" in captured.err
     assert all(flag in captured.err for flag in flags)
     assert captured.out == ""
-    assert target.read_bytes() == b"earlier\n"
-    assert set(tmp_path.iterdir()) == files
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_two_inputs_may_share_a_file(tmp_path, sample_files):
+    a, _ = sample_files
+    (tmp_path / "link").symlink_to(a)
+    before = Path(a).read_bytes()
+    for second in (a, str(tmp_path / "link")):
+        argv = ["estimate-diff-corr", "--input1", a, "--input2", second, "--tau", "1",
+                "--out-json", str(tmp_path / "e.json")]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "e.json").read_text())["nonzero_count"] == 0
+    assert Path(a).read_bytes() == before
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    # the locale's encoding would fail on the label; every output is UTF-8
+    rng = np.random.default_rng(5)
+    header = ["\u03a9a", "b", "c"]
+    paths = [_write_csv(tmp_path / f"x{g}.csv", header, rng.standard_normal((10, 3)).tolist())
+             for g in (1, 2)]
+    env = {key: value for key, value in os.environ.items() if not key.startswith(("LC_", "PYTHON"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(diffcorr.__file__).parents[1]))
+    out = tmp_path / "r.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffcorr.cli", "support-rank", "--input1", paths[0],
+         "--input2", paths[1], "--tau", "0", "--top-k", "0", "--out-csv", str(out)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+    assert rows[0] == ["variable", "count"]
+    assert sorted(row[0] for row in rows[1:]) == sorted(header)
 
 
 def test_a_device_may_take_two_outputs(sample_files, capsys):

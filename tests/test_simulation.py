@@ -191,13 +191,14 @@ def test_mvn_sample_semidefinite_fallback_and_rejection():
 
 def test_benchmark_shape_contract():
     report = run_benchmark(
-        "model2", 10, 20, 20, 2, [ThresholdRule("soft"), HARD], ["diff-corr", "sample-diff"], seed=5
+        "model2", 10, 20, 20, 2, [ThresholdRule("soft"), HARD], ["diff-corr", "sample-diff"],
+        cv=CvConfig(seed=5),
     )
     # 2 rules for the thresholding estimator + 1 rule-free baseline, 3 norms each
     assert len(report.rows) == (2 + 1) * 3
     assert all(np.isfinite(row.mean) and np.isfinite(row.sd) and row.sd >= 0 for row in report.rows)
     assert {row.norm for row in report.rows} == {"spectral", "l1", "frobenius"}
-    assert all(row.reps == 2 for row in report.rows)
+    assert report.reps == 2
     # the table has one line per fit, ordered by ESTIMATOR_NAMES, then rule
     lines = report.format_table().splitlines()[2:]
     assert [line.split()[4:6] for line in lines] == [
@@ -209,8 +210,8 @@ def test_benchmark_shape_contract():
 
 def test_benchmark_determinism():
     args = ("model1", 8, 16, 16, 2, [HARD], ["diff-corr"])
-    first = run_benchmark(*args, seed=12)
-    second = run_benchmark(*args, seed=12)
+    first = run_benchmark(*args, cv=CvConfig(seed=12))
+    second = run_benchmark(*args, cv=CvConfig(seed=12))
     assert first.rows == second.rows
 
 
@@ -228,7 +229,7 @@ def test_a_failed_fit_stops_the_benchmark(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setitem(sim._FITS, "diff-corr", fit_failing_once)
     with pytest.raises(DegenerateSplitError, match="injected degenerate split"):
-        run_benchmark("model2", 8, 16, 16, 5, [HARD], ["diff-corr", "sample-diff"], seed=3)
+        run_benchmark("model2", 8, 16, 16, 5, [HARD], ["diff-corr", "sample-diff"], CvConfig(seed=3))
     calls["n"] = 0
     out = tmp_path / "r.csv"
     argv = ["simulate", "--model", "2", "--p", "8", "--n", "16", "--reps", "5", "--rules", "hard",
@@ -245,19 +246,18 @@ def test_smallest_legal_folds_never_fail(kind):
     # 2k observations in k folds hold out 2 at a time, the fewest a split allows;
     # a Gaussian column is constant over 2 draws with probability 0
     for k in (2, 5):
-        cv = CvConfig(k_folds=k)
         for seed in (0, 1):
             report = run_benchmark(
                 kind, 6, 2 * k, 2 * k, 5, [ThresholdRule(rule) for rule in RULE_NAMES],
-                list(ESTIMATOR_NAMES), seed=seed, cv=cv,
+                list(ESTIMATOR_NAMES), cv=CvConfig(k_folds=k, seed=seed),
             )
             assert len(report.rows) == (3 * len(RULE_NAMES) + 1) * len(NORMS)
-            assert all(row.reps == 5 and np.isfinite(row.mean) for row in report.rows)
+            assert report.reps == 5 and all(np.isfinite(row.mean) for row in report.rows)
 
 
 def test_benchmark_holds_its_unequal_cell_once():
-    report = run_benchmark("model2", 12, 20, 24, 2, [HARD], ["diff-corr"], seed=7)
-    assert (report.model, report.p, report.n1, report.n2) == ("model2", 12, 20, 24)
+    report = run_benchmark("model2", 12, 20, 24, 2, [HARD], ["diff-corr"], CvConfig(seed=7))
+    assert (report.model, report.p, report.n1, report.n2, report.reps) == ("model2", 12, 20, 24, 2)
     assert len(report.rows) == 3
     out = io.StringIO(newline="")
     report.write_csv(out)

@@ -99,6 +99,10 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("ignored-test-seed", ["test-equality", *TWO_FILES, "--seed", "3"]),
         ("same-file-outputs", ["estimate-diff-corr", *TWO_FILES, "--tau", "1",
                                "--out-json", "out", "--out-matrix", "out"]),
+        # an output naming an input would replace it; the inputs must outlive them
+        ("same-file-input-output", ["estimate-diff-corr", *TWO_FILES, "--tau", "1",
+                                    "--out-matrix", TWO_FILES[1]]),
+        ("same-file-labeled-input-output", ["cv", *LABELED, "--out-json", LABELED[1]]),
     ]
     return commands
 
