@@ -3,9 +3,9 @@
 Commands: estimate-diff-corr, estimate-corr, estimate-diff-cov,
 estimate-cross, test-equality, cv, simulate, support-rank. Estimates are
 written as labeled matrix CSVs, summaries as JSON (schema_version 1, no
-timestamps, byte-identical for identical config and seed). main opens every
---out-* file as UTF-8 before a command reads its inputs; the command
-handlers only compute and write.
+timestamps, byte-identical for identical config, seed and BLAS thread
+count). main opens every --out-* file as UTF-8 before a command reads its
+inputs; the command handlers only compute and write.
 """
 
 from __future__ import annotations
@@ -232,11 +232,12 @@ def _emit_estimate(args, out, est: DifferentialEstimate, seed, **extra) -> None:
     if out.matrix is not None:
         write_matrix_csv(out.matrix, est.estimate, est.row_labels, est.col_labels)
     nonzero = est.nonzero_count()
-    _write_json(
-        args, out, rule=est.rule.kind, eta=est.rule.eta, tau=est.tau, seed=seed,
-        shape=list(est.estimate.shape), nonzero_count=nonzero, norms=_norm_summary(est),
-        cv=_cv_summary(est.cv), **extra,
-    )
+    if out.json is not None:  # the norms are for the summary only
+        _write_json(
+            args, out, rule=est.rule.kind, eta=est.rule.eta, tau=est.tau, seed=seed,
+            shape=list(est.estimate.shape), nonzero_count=nonzero, norms=_norm_summary(est),
+            cv=_cv_summary(est.cv), **extra,
+        )
     print(f"{args.command}: tau={est.tau} nonzero={nonzero}")
     _warn_at_grid_edge(est.cv)
 

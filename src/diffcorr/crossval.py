@@ -14,7 +14,7 @@ grid, is zero above it, and while kept moves with tau by a fixed power law
 (constant for hard, linear for soft, tau**eta for adaptive-lasso). Binning
 the entries by the length of that run gives every grid point's loss from a
 few cumulative sums, equal to fitting at every tau up to rounding, in
-O(p^2 log G + G) time for G grid points.
+O(p^2 + G) time for G grid points.
 
 Per-repetition RNG streams are derived from (seed, repetition), so results do
 not depend on evaluation order.
@@ -114,13 +114,13 @@ def _loss_curve(rule, raw, unit, target, grid) -> np.ndarray:
     u = 0 (a single group's diagonal) is kept unshrunk at every tau unless z = 0.
     """
     z, u, t = raw.ravel(), unit.ravel(), target.ravel()
-    n_grid = len(grid)
+    n_grid = len(grid)  # CvConfig.grid: the 5 N + 1 points g / N
     absz = np.abs(z)
     # k = number of leading grid points at which the entry is kept: seeded
-    # from |z| / u, then settled by one exact step each way
+    # from ceil(|z| N / u), then settled by one exact step each way
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = np.searchsorted(grid, absz / u)
-    k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0))
+        k = np.minimum(np.ceil(absz * ((n_grid - 1) // 5) / u), n_grid)
+    k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0)).astype(np.intp)
     k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
     k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
     d = z - t

@@ -3,13 +3,17 @@
 CSV data format: first row holds the variable labels, every following row is
 one observation, comma separated, '.' decimal point. Files are UTF-8; a
 leading byte order mark and trailing blank rows are ignored. Parse failures
-report the 1-based row and column of the first offending cell.
+report the 1-based row and column of the first offending cell. Ingest is one
+C-level parse of the values (np.loadtxt); only quoted or malformed input is
+walked cell by cell, by the csv module and float(), and both give the same
+values and errors.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,15 +126,70 @@ class TwoGroupDataset:
         return self.group1.names
 
 
-def _read_rows(path) -> list[list[str]]:
-    """The rows of a CSV file, read as UTF-8 with any byte order mark
-    dropped and trailing blank rows removed. The header row must not be
-    blank, and every row must have as many cells as the header."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+# Characters on which np.loadtxt and float() disagree, so text holding one is
+# read by the csv module: the quote, which loadtxt does not parse, and the
+# ASCII separators 0x1c-0x1f, which loadtxt strips from a cell and float() rejects.
+_WALK_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def _read_table(path, label=None) -> tuple[tuple[str, ...], list[str], np.ndarray]:
+    """The stripped header cells of the value columns, the stripped cells of
+    the label column (none when label is None) and the value cells as floats,
+    of a CSV file read as UTF-8 with any byte order mark dropped and trailing
+    blank rows removed. label names the label column by 0-based index or by
+    header cell. The header row must not be blank, every row must have as
+    many cells as the header and every value must be finite.
+
+    One np.loadtxt call parses the values. When the text holds a character of
+    _WALK_ONLY, or loadtxt fails, skips a blank row or reads a non-finite
+    value, the csv module reads the rows and float() parses each cell in
+    turn, so the first bad cell is named by its row and column."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    # without a quote a row is a line, ended by \r\n, \r or \n as the csv
+    # module ends it, and its cells lie between commas
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    while lines and not lines[-1].replace(",", "").strip():
+        lines.pop()
+    fast = (
+        len(lines) > 1
+        and bool(lines[0].replace(",", "").strip())
+        and not any(c in text for c in _WALK_ONLY)
+    )
+    rows = None if fast else _csv_rows(path, text)
+    header = [cell.strip() for cell in (lines[0].split(",") if fast else rows[0])]
+    if isinstance(label, str):
+        if label not in header:
+            _csv_rows(path, text)  # a row of another width is reported first
+            raise ValidationError(f"{path}: label column {label!r} not found in header {header}")
+        label = header.index(label)
+    keep = [j for j in range(len(header)) if j != label]
+    names = tuple(header[j] for j in keep)
+    body = lines[1:]
+    # given usecols, loadtxt skips the cells past them instead of rejecting a
+    # longer row, so with a label column the commas are counted
+    usecols = None if label is None else keep
+    if fast and keep and (usecols is None or all(x.count(",") == len(keep) for x in body)):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            if values.shape == (len(body), len(keep)) and np.isfinite(values).all():
+                labels = [] if label is None else [x.split(",", label + 1)[label] for x in body]
+                return names, [x.strip() for x in labels], values
+    rows = rows or _csv_rows(path, text)
+    labels = [] if label is None else [row[label].strip() for row in rows[1:]]
+    values = np.array(
+        [[_parse_cell(row[j], path, i, j + 1) for j in keep] for i, row in enumerate(rows[1:], 2)]
+    ).reshape(len(rows) - 1, len(keep))
+    return names, labels, values
+
+
+def _csv_rows(path, text) -> list[list[str]]:
+    """The rows of the csv module's reading of text, trailing blank rows
+    removed, checked for a blank header and for rows of another width."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:
@@ -158,27 +217,10 @@ def _parse_cell(cell, path, row_no, col_no):
     return value
 
 
-def _parse_block(path, body, columns) -> np.ndarray:
-    """The cells of body (file rows 2, 3, ...; 1-based file columns given by
-    columns) as a float array. Parsed one by one only if the single numpy
-    conversion fails or leaves a non-finite value, to name the first bad cell."""
-    with contextlib.suppress(ValueError):
-        data = np.array(body, dtype=float).reshape(len(body), len(columns))
-        if np.isfinite(data).all():
-            return data
-    return np.array(
-        [
-            [_parse_cell(cell, path, i, j) for j, cell in zip(columns, row)]
-            for i, row in enumerate(body, start=2)
-        ]
-    ).reshape(len(body), len(columns))
-
-
 def read_sample_csv(path) -> SampleMatrix:
     """Read an observations CSV (header row of labels, then data rows)."""
-    rows = _read_rows(path)
-    names = tuple(cell.strip() for cell in rows[0])
-    return SampleMatrix(_parse_block(path, rows[1:], range(1, len(names) + 1)), names)
+    names, _, values = _read_table(path)
+    return SampleMatrix(values, names)
 
 
 def parse_group_spec(spec: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -205,22 +247,9 @@ def read_labeled_csv(path, label_column: str, groups: str | None = None) -> TwoG
     side is pooled into group1 and the right into group2; rows with other
     labels are dropped.
     """
-    rows = _read_rows(path)
-    header = [cell.strip() for cell in rows[0]]
-    if label_column not in header:
-        raise ValidationError(
-            f"{path}: label column {label_column!r} not found in header {header}"
-        )
-    label_idx = header.index(label_column)
-    names = tuple(x for i, x in enumerate(header) if i != label_idx)
+    names, labels, values = _read_table(path, label_column)
     if not names:
         raise ValidationError(f"{path}: no variable columns besides the label column")
-
-    keep = [j for j in range(len(header)) if j != label_idx]
-    labels = [row[label_idx].strip() for row in rows[1:]]
-    values = _parse_block(
-        path, [[row[j] for j in keep] for row in rows[1:]], [j + 1 for j in keep]
-    )
 
     if groups is None:
         distinct = list(dict.fromkeys(labels))
@@ -270,8 +299,5 @@ def write_matrix_csv(fh, values: np.ndarray, row_labels, col_labels) -> None:
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """Read a labeled matrix CSV as written by write_matrix_csv."""
-    rows = _read_rows(path)
-    col_labels = tuple(x.strip() for x in rows[0][1:])
-    row_labels = tuple(row[0].strip() for row in rows[1:])
-    body = [row[1:] for row in rows[1:]]
-    return _parse_block(path, body, range(2, len(col_labels) + 2)), row_labels, col_labels
+    col_labels, row_labels, values = _read_table(path, 0)
+    return values, tuple(row_labels), col_labels

@@ -5,9 +5,12 @@ shares no code path with the library: no vectorization, no shared helpers.
 Inputs are nested lists (or arrays indexed entry by entry).
 """
 
+import csv
 import math
 
 import numpy as np
+
+from diffcorr.errors import CsvFormatError, ValidationError
 
 
 def _as_rows(x):
@@ -324,3 +327,46 @@ def bisection_model1_scale(block, d0):
         else:
             hi = mid
     return lo
+
+
+def naive_read_csv(path, label=None):
+    """Reference CSV reader: (value column labels, label cells, values) as the
+    csv module reads the rows and float() parses each cell, with the errors
+    and messages of the library's readers. label is the label column's
+    0-based index or header cell, or None for no label column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    while rows and not any(cell.strip() for cell in rows[-1]):
+        rows.pop()
+    if not rows:
+        raise CsvFormatError(f"{path}: file is empty", row=1)
+    if not any(cell.strip() for cell in rows[0]):
+        raise CsvFormatError(f"{path}: empty header row", row=1)
+    width = len(rows[0])
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: expected {width} cells, got {len(row)}", row=i)
+    header = [cell.strip() for cell in rows[0]]
+    if isinstance(label, str):
+        if label not in header:
+            raise ValidationError(f"{path}: label column {label!r} not found in header {header}")
+        label = header.index(label)
+    keep = [j for j in range(width) if j != label]
+    values = []
+    for i, row in enumerate(rows[1:], start=2):
+        for j in keep:
+            try:
+                value = float(row[j])
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: cell {row[j]!r} is not numeric", row=i, column=j + 1
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"{path}: cell {row[j]!r} is not finite", row=i, column=j + 1)
+            values.append(value)
+    labels = [] if label is None else [row[label].strip() for row in rows[1:]]
+    names = tuple(header[j] for j in keep)
+    return names, labels, np.array(values, dtype=float).reshape(len(rows) - 1, len(keep))

@@ -203,6 +203,26 @@ def test_matrix_round_trip_and_json_determinism(tmp_path, sample_files):
     assert len(summary["cv"]["grid"]) == 26
 
 
+def test_norms_are_computed_only_for_the_json(tmp_path, sample_files, monkeypatch):
+    calls = []
+    spectral_norm = diffcorr.cli.spectral_norm
+
+    def counted(m):
+        calls.append(m.shape)
+        return spectral_norm(m)
+
+    monkeypatch.setattr(diffcorr.cli, "spectral_norm", counted)
+    a, b = sample_files
+    args = ["estimate-diff-corr", "--input1", a, "--input2", b, "--tau", "1"]
+    assert main(args + ["--out-matrix", str(tmp_path / "m.csv")]) == 0
+    assert calls == []
+    out = tmp_path / "summary.json"
+    assert main(args + ["--out-json", str(out)]) == 0
+    assert calls == [(3, 3)]
+    norms = json.loads(out.read_text())["norms"]
+    assert norms["spectral"] == spectral_norm(read_matrix_csv(tmp_path / "m.csv")[0])
+
+
 def test_tau_and_cv_flags_conflict(sample_files, capsys):
     a, b = sample_files
     code = main(
@@ -687,7 +707,7 @@ def test_cli_snapshot_runs_every_command(tmp_path):
     assert {argv[0] for _, argv in snapshot.COMMANDS} == set(subcommands.choices)
     assert snapshot.main([str(tmp_path / "snap")]) == 0
     for index, name in enumerate(names):
-        want = "2" if name.startswith(("simulate-too", "ignored-", "same-file-")) else "0"
+        want = "2" if name.startswith(("simulate-too", "ignored-", "same-file-", "bad-csv-")) else "0"
         assert (tmp_path / "snap" / f"{index:02d}-{name}" / "exit").read_text() == f"{want}\n", name
 
 

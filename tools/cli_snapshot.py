@@ -22,8 +22,8 @@ differing line. It exits 1 when any difference is non-numeric or above R
 
 The commands cover `cv` for every estimator kind and rule, every estimate
 command under every rule, `support-rank`, `test-equality`, two `simulate`
-cells, and user-side settings that must exit 2. A full run takes about 1 s
-on 2 cores.
+cells, user-side settings that must exit 2, and CSV inputs in unusual and
+malformed layouts. A full run takes about 1 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ ESTIMATES = ("estimate-diff-corr", "estimate-diff-cov", "estimate-corr", "estima
 TWO_FILES = ["--input1", "../inputs/x1.csv", "--input2", "../inputs/x2.csv"]
 LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
 ONE_FILE = ["--input", "../inputs/x1.csv"]
+# inputs/NAME.csv is x1.csv with its fifth line, file row 5, changed by the function
+MALFORMED = {
+    "blank-row": lambda line: "",
+    "hash-cell": lambda line: "#" + line[line.index(","):],
+    "short-row": lambda line: line.rsplit(",", 1)[0],
+}
 
 
 def _inputs_of(command: str, kind: str | None = None) -> list[str]:
@@ -103,6 +109,12 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("same-file-input-output", ["estimate-diff-corr", *TWO_FILES, "--tau", "1",
                                     "--out-matrix", TWO_FILES[1]]),
         ("same-file-labeled-input-output", ["cv", *LABELED, "--out-json", LABELED[1]]),
+        # ingest: a quoted file with a byte order mark, CRLF endings and trailing
+        # blank rows is read; a blank middle row, a '#' cell and a short row exit 2
+        ("quoted-csv", ["estimate-corr", "--input", "../inputs/quoted.csv", "--seed", "3",
+                        "--out-json", "summary.json", "--out-matrix", "estimate.csv"]),
+        *((f"bad-csv-{name}", ["estimate-corr", "--input", f"../inputs/{name}.csv", "--tau", "1"])
+          for name in MALFORMED),
     ]
     return commands
 
@@ -112,7 +124,8 @@ COMMANDS = _commands()
 
 def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> None:
     """Two correlated Gaussian samples with a shared header, and the same rows
-    as one labeled CSV whose labels A and B pool into group 1 and C is group 2."""
+    as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
+    then group 1 quoted throughout, and group 1 with each fault of MALFORMED."""
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(20141)
     header = [f"v{i}" for i in range(p)]
@@ -124,6 +137,14 @@ def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> No
     labels = ["A" if i % 2 else "B" for i in range(n1)] + ["C"] * n2
     rows = [[label, *row] for label, row in zip(labels, np.vstack(samples).tolist())]
     _write_csv(directory / "labeled.csv", ["grp", *header], rows)
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows([header, *samples[0].tolist()])
+    text = quoted.getvalue() + ",,\r\n\r\n"
+    (directory / "quoted.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for name, fault in MALFORMED.items():
+        lines = (directory / "x1.csv").read_text(encoding="utf-8").splitlines()
+        lines[4] = fault(lines[4])
+        (directory / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
