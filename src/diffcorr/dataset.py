@@ -189,7 +189,12 @@ def _read_table(path, label=None) -> tuple[tuple[str, ...], list[str], np.ndarra
 def _csv_rows(path, text) -> list[list[str]]:
     """The rows of the csv module's reading of text, trailing blank rows
     removed, checked for a blank header and for rows of another width."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:  # a cell longer than the csv module's field limit
+        raise CsvFormatError(f"{path}: {exc}", row=len(rows) + 1) from None
     while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
     if not rows:
@@ -293,8 +298,12 @@ def write_matrix_csv(fh, values: np.ndarray, row_labels, col_labels) -> None:
         )
     writer = csv.writer(fh)
     writer.writerow([""] + list(col_labels))
+    # a thresholded estimate is mostly zeros: only its nonzero cells are formatted
     for label, row in zip(row_labels, values):
-        writer.writerow([label] + [format(x, ".17g") for x in row.tolist()])
+        cells, floats = np.where(np.signbit(row), "-0", "0").tolist(), row.tolist()
+        for j in np.flatnonzero(row).tolist():
+            cells[j] = format(floats[j], ".17g")
+        writer.writerow([label] + cells)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:

@@ -7,6 +7,8 @@ Each off-diagonal pair (i, j) gets the standardized statistic
 with per-entry variances from moments.correlation_variance. The maximum t_n
 over i < j is calibrated against the type I extreme value limit of
 t_n - 4 log p + log log p, whose CDF is exp(-(8 pi)^(-1/2) exp(-t / 2)).
+The statistic is formed one block of rows of the upper triangle at a time,
+so beside each group's correlation only the p(p-1)/2 values t_ij are held.
 
 The calibration is asymptotic and its regularity conditions (sub-Gaussian
 tails, variances bounded away from zero, log p small relative to n^(1/3))
@@ -23,22 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TwoGroupDataset
-from .errors import (
-    DegenerateVarianceError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .moments import correlation_variance, moment_set
+from .errors import DegenerateVarianceError, UnsupportedDimensionError, ValidationError
+from .moments import correlation_variance, moment_set, row_blocks, standardized
 
 _LOG_8PI = math.log(8.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of the equality test at level alpha."""
+    """Outcome of the equality test at level alpha; t_pairs holds t_ij for
+    the pairs i < j in row-major order."""
 
     t_n: float
-    t_ij: np.ndarray
+    t_pairs: np.ndarray
     centered: float
     p_value: float
     alpha: float
@@ -51,8 +50,7 @@ class TestResult:
         labels; ties keep row-major order."""
         if k < 0:
             raise ValidationError(f"top-k must be >= 0, got {k}")
-        p = len(self.names)
-        values = self.t_ij[~np.tri(p, dtype=bool)]  # pairs i < j, row-major
+        p, values = len(self.names), self.t_pairs
         k = min(k, values.size)
         if k == 0:
             return []
@@ -68,50 +66,45 @@ class TestResult:
         starts = i * p - i * (i + 1) // 2
         rows = np.searchsorted(starts, order, side="right") - 1
         cols = order - starts[rows] + rows + 1
-        return [
-            (self.names[r], self.names[c], float(values[m]))
-            for r, c, m in zip(rows, cols, order)
-        ]
+        names = self.names
+        return [(names[r], names[c], float(values[m])) for r, c, m in zip(rows, cols, order)]
 
 
 def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
-    """Maximum standardized squared correlation difference and the full
-    per-pair matrix (symmetric, zero diagonal; the diagonal is excluded
-    because its variance is identically zero)."""
+    """Maximum standardized squared correlation difference and the per-pair
+    statistics t_ij of the pairs i < j in row-major order (the diagonal is
+    excluded because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    # one group at a time, so only one group's moments are alive at once
-    denom = np.zeros((ds.p, ds.p))
-    corrs = []
-    for group in (ds.group1, ds.group2):
-        moments = moment_set(group)
-        variance = correlation_variance(moments)
-        variance /= moments.n
-        denom += variance
-        corrs.append(moments.corr)
-        del moments, variance
-    # the diagonal variance is exactly zero; 1 there leaves t_ii = 0 / 1
-    np.fill_diagonal(denom, 1.0)
-    if np.any(denom == 0.0):
-        i, j = np.argwhere(denom == 0.0)[0]
-        raise DegenerateVarianceError(
-            f"pair ({ds.names[i]}, {ds.names[j]}) has zero variance estimate"
-        )
-    t_ij = corrs[0] - corrs[1]
-    del corrs
-    t_ij *= t_ij
-    t_ij /= denom
-    t_ij.flags.writeable = False
-    return float(t_ij.max()), t_ij
+    # one group at a time, so only one group's covariance is alive at once
+    groups = [standardized(moment_set(group)) for group in (ds.group1, ds.group2)]
+    t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
+    t_n, filled = 0.0, 0
+    for rows in row_blocks(ds.p):
+        r0 = rows.start
+        denom = sum(correlation_variance(g, rows) / g.n for g in groups)
+        upper = ~np.tri(rows.stop - r0, ds.p - r0, dtype=bool)  # pairs i < j
+        zero = np.argwhere(upper & (denom == 0.0))
+        if zero.size:
+            i, j = zero[0] + r0
+            raise DegenerateVarianceError(
+                f"pair ({ds.names[i]}, {ds.names[j]}) has zero variance estimate"
+            )
+        t = groups[0].corr[rows, r0:][upper] - groups[1].corr[rows, r0:][upper]
+        t *= t
+        t /= denom[upper]
+        t_pairs[filled:filled + t.size] = t
+        filled += t.size
+        t_n = max(t_n, float(t.max(initial=0.0)))
+    t_pairs.flags.writeable = False
+    return t_n, t_pairs
 
 
 def _centering(p: int) -> float:
     """4 log p - log log p, subtracted from t_n before the extreme value law;
     the calibration needs p >= 3."""
     if p < 3:
-        raise UnsupportedDimensionError(
-            f"extreme-value calibration needs p >= 3, got {p}"
-        )
+        raise UnsupportedDimensionError(f"extreme-value calibration needs p >= 3, got {p}")
     return 4.0 * math.log(p) - math.log(math.log(p))
 
 
@@ -143,11 +136,11 @@ def test_equality(ds: TwoGroupDataset, alpha: float = 0.05) -> TestResult:
     """Run the full equality test at level alpha."""
     centering = _centering(ds.p)
     critical_tau(alpha)  # rejects a bad alpha before the O(p^2 n) statistic
-    t_n, t_ij = test_statistic(ds)
+    t_n, t_pairs = test_statistic(ds)
     reject, tau_alpha = decide_test(t_n, ds.p, alpha)
     return TestResult(
         t_n=t_n,
-        t_ij=t_ij,
+        t_pairs=t_pairs,
         centered=t_n - centering,
         p_value=extreme_value_pvalue(t_n, ds.p),
         alpha=float(alpha),

@@ -6,9 +6,9 @@ the threshold formulas downstream are calibrated to that convention.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
-test's statistic. It expands theta into two Gram products of the
-standardized data and recomputes from the per-sample formula the few pairs
-where that expansion cancels too much to trust.
+test's statistic, in full or one row block at a time. It expands theta into
+Gram products of the standardized data and recomputes from the per-sample
+formula the few pairs where that expansion cancels too much to trust.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .errors import DegenerateVariableError
 # a pair whose expansion terms sum in magnitude to more than this multiple of
 # its theta is recomputed from the per-sample formula
 _CANCELLATION_GUARD = 100.0
+# p x p results are formed this many entries (1 MiB of floats) at a time
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,13 @@ def _positive_variances(cov: np.ndarray, names=None) -> np.ndarray:
     return var
 
 
+def row_blocks(p: int) -> list[slice]:
+    """Consecutive row slices of a p-column array, each at most
+    _BLOCK_ELEMENTS entries (and at least one row)."""
+    step = max(1, _BLOCK_ELEMENTS // max(p, 1))
+    return [slice(r0, min(r0 + step, p)) for r0 in range(0, p, step)]
+
+
 def _correlation(cov: np.ndarray, names=None) -> np.ndarray:
     # var = r * 4^k with r in [0.5, 2): scaling cov by the powers of two is
     # exact, and sqrt(r_i r_j) rounds to r when r_i == r_j, so two identical
@@ -60,8 +69,9 @@ def _correlation(cov: np.ndarray, names=None) -> np.ndarray:
     r = np.ldexp(mantissa, exponent - 2 * half)
     corr = np.ldexp(cov, -half[:, None])
     np.ldexp(corr, -half, out=corr)
-    denom = np.outer(r, r)
-    corr /= np.sqrt(denom, out=denom)
+    for rows in row_blocks(r.size):
+        denom = r[rows, None] * r
+        corr[rows] /= np.sqrt(denom, out=denom)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr
@@ -81,9 +91,17 @@ def moment_set(x: SampleMatrix) -> MomentSet:
     return MomentSet(centered=centered, cov=cov, corr=corr, n=x.n, p=x.p)
 
 
-def correlation_variance(moments: MomentSet) -> np.ndarray:
-    """Per-entry variance of a sample correlation entry including the
-    first-order correction terms.
+def standardized(moments: MomentSet) -> MomentSet:
+    """The moment set of a sample's standardized data, whose covariance is
+    the sample's correlation: one p x p array where a moment set holds two."""
+    a = moments.centered / np.sqrt(_positive_variances(moments.cov))
+    return MomentSet(centered=a, cov=moments.corr, corr=moments.corr, n=moments.n, p=moments.p)
+
+
+def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.ndarray:
+    """Per-entry variance theta of a sample correlation entry including the
+    first-order correction terms: the p x p matrix, or with rows=slice(r0, r1)
+    its block theta[r0:r1, r0:].
 
     theta_ij is the mean over samples of
         (a_i a_j - h_ij (a_i^2 + a_j^2))^2,  h = corr / 2,
@@ -95,48 +113,37 @@ def correlation_variance(moments: MomentSet) -> np.ndarray:
     then keeps few correct digits (Chan, Golub and LeVeque 1983). So the same
     sum is also formed with every term in absolute value, and each pair i < j
     whose magnitude exceeds _CANCELLATION_GUARD times its theta is recomputed
-    from the mean of squares above. The working set is a few p x p arrays
-    (the recomputation takes at most p pairs at a time, an n x p term). The
-    result is exactly symmetric, its diagonal is exactly zero and it is
-    clamped at 0.
+    from the mean of squares above, p pairs (an n x p term) at a time. The
+    working set is a few arrays of the result's size. Entries below the
+    diagonal mirror those above it; the diagonal is 0 and all are >= 0.
     """
-    var = _positive_variances(moments.cov)
-    n, p = moments.n, moments.p
-    a = moments.centered / np.sqrt(var)
+    p, n = moments.p, moments.n
+    r0, r1, _ = (rows or slice(0, p)).indices(p)
+    b = r1 - r0
+    # row i of the block is variable r0 + i, which is column i of a
+    a = moments.centered[:, r0:] / np.sqrt(_positive_variances(moments.cov)[r0:])
     sq = a * a
-    half_corr = 0.5 * moments.corr
-    m22 = sq.T @ sq
-    m22 /= n
-    m31 = (sq * a).T @ a
-    m31 /= n
+    cube = sq * a
+    half_corr = 0.5 * moments.corr[r0:r1, r0:]
+    m22 = sq[:, :b].T @ sq / n
+    m4 = np.einsum("kj,kj->j", sq, sq) / n
     # the terms that are never negative: M22_ij + h_ij^2 (M4_i + 2 M22_ij + M4_j)
-    plus = m22 * 2.0
-    m4 = np.diag(m22).copy()
-    plus += m4[:, None]
-    plus += m4
-    plus *= half_corr
-    plus *= half_corr
-    plus += m22
+    plus = (2.0 * m22 + m4[:b, None] + m4) * half_corr * half_corr + m22
     del m22
-    theta = m31 + m31.T
-    theta *= half_corr
-    theta *= -2.0
-    theta += plus
-    np.abs(m31, out=m31)
-    magnitude = m31 + m31.T
-    del m31
-    magnitude *= np.abs(half_corr)
-    magnitude *= 2.0
+    m31, m13 = cube[:, :b].T @ a / n, a[:, :b].T @ cube / n  # M31_ij, M31_ji
+    theta = plus - 2.0 * half_corr * (m31 + m13)
+    magnitude = np.abs(m31, out=m31)
+    magnitude += np.abs(m13, out=m13)
+    del m13
+    magnitude *= 2.0 * np.abs(half_corr)
     magnitude += plus
-    del plus
-    theta += theta.T
-    theta *= 0.5
-    rows, cols = np.nonzero(np.triu(magnitude > _CANCELLATION_GUARD * theta, k=1))
-    del magnitude
-    for start in range(0, rows.size, p):
-        i, j = rows[start:start + p], cols[start:start + p]
+    pairs_i, pairs_j = np.nonzero(np.triu(magnitude > _CANCELLATION_GUARD * theta, k=1))
+    for start in range(0, pairs_i.size, p):
+        i, j = pairs_i[start:start + p], pairs_j[start:start + p]
         term = a[:, i] * a[:, j]
         term -= half_corr[i, j] * (sq[:, i] + sq[:, j])
-        theta[i, j] = theta[j, i] = np.einsum("kj,kj->j", term, term) / n
-    np.fill_diagonal(theta, 0.0)
+        theta[i, j] = np.einsum("kj,kj->j", term, term) / n
+    square = theta[:, :b]
+    np.copyto(square, square.T, where=np.tri(b, k=-1, dtype=bool))
+    np.fill_diagonal(square, 0.0)
     return np.maximum(theta, 0.0, out=theta)

@@ -157,10 +157,10 @@ def check_tstat_invariances(seed=3, tol=1e-10):
         SampleMatrix(ds.group2.data * scales, ds.names),
     )
     _, t_scaled = test_statistic(scaled)
-    assert np.max(np.abs(t_scaled - t_base)) <= tol, "t_ij scale invariance"
+    assert np.max(np.abs(t_scaled - t_base)) <= tol, "t_pairs scale invariance"
 
     _, t_swapped = test_statistic(TwoGroupDataset(ds.group2, ds.group1))
-    assert np.max(np.abs(t_swapped - t_base)) <= tol, "t_ij group-swap symmetry"
+    assert np.max(np.abs(t_swapped - t_base)) <= tol, "t_pairs group-swap symmetry"
 
 
 def check_cv_determinism(seed=4):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -172,6 +173,30 @@ def test_estimate_diff_corr_identical_files(tmp_path, sample_files, capsys):
     assert summary["nonzero_count"] == 0
     assert summary["tau"] == 0.5
     assert summary["norms"]["frobenius"] == 0.0
+
+
+def test_cell_over_the_csv_field_limit_is_a_user_error(tmp_path, capsys):
+    # a quoted cell is read by the csv module, whose field limit is 131072 characters
+    path = tmp_path / "long.csv"
+    path.write_text('a,b\n1,2\n3,"' + "1" * 200000 + '"\n4,5\n')
+    assert main(["estimate-corr", "--input", str(path), "--tau", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "USER" in err and "field larger than field limit" in err and "(row 3)" in err
+
+
+def test_matrix_csv_is_the_bytes_of_formatting_every_cell(tmp_path):
+    values = np.array([[0.0, -0.0, 5e-324], [1e308, -1.5, 0.0], [-0.0, 2.5, -5e-324]])
+    labels = ("a", "b", "c")
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["", *labels])
+    for label, row in zip(labels, values.tolist()):
+        writer.writerow([label] + [format(x, ".17g") for x in row])
+    path = tmp_path / "m.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        diffcorr.write_matrix_csv(fh, values, labels, labels)
+    assert path.read_bytes() == want.getvalue().encode()
+    assert b",-0," in path.read_bytes()
 
 
 def test_matrix_round_trip_and_json_determinism(tmp_path, sample_files):

@@ -14,6 +14,7 @@ from diffcorr import (
     decide_test,
     extreme_value_pvalue,
 )
+from diffcorr import moments
 from diffcorr import test_equality as run_equality_test
 from diffcorr import test_statistic as compute_statistic
 from oracles import naive_test_statistic
@@ -24,19 +25,25 @@ PVALUE_AT_ZERO = 0.18083613862358884
 TAU_005 = 2.716219070555093
 
 
+def _upper(matrix):
+    """The entries i < j of a square matrix in row-major order."""
+    matrix = np.asarray(matrix)
+    return matrix[np.triu_indices(len(matrix), k=1)]
+
+
 def test_identical_groups_give_zero_statistic():
     rng = np.random.default_rng(0)
     sm = SampleMatrix(rng.standard_normal((20, 4)))
-    t_n, t_ij = compute_statistic(TwoGroupDataset(sm, sm))
+    t_n, t_pairs = compute_statistic(TwoGroupDataset(sm, sm))
     assert t_n == 0.0
-    assert np.array_equal(t_ij, np.zeros((4, 4)))
+    assert np.array_equal(t_pairs, np.zeros(6))
 
 
 def test_p2_single_entry():
     ds = gaussian_dataset(1, p=2, n1=25, n2=25)
-    t_n, t_ij = compute_statistic(ds)
-    assert t_n == t_ij[0, 1] == t_ij[1, 0]
-    assert t_ij[0, 0] == t_ij[1, 1] == 0.0
+    t_n, t_pairs = compute_statistic(ds)
+    assert t_pairs.shape == (1,)
+    assert t_n == t_pairs[0] > 0.0
 
 
 def test_statistic_against_naive_oracle():
@@ -44,10 +51,10 @@ def test_statistic_against_naive_oracle():
     x1 = rng.standard_normal((40, 5)) @ (rng.standard_normal((5, 5)) + np.eye(5))
     x2 = rng.standard_normal((40, 5)) @ (rng.standard_normal((5, 5)) + np.eye(5))
     ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
-    t_n, t_ij = compute_statistic(ds)
+    t_n, t_pairs = compute_statistic(ds)
     t_n_naive, t_ij_naive = naive_test_statistic(x1, x2)
     assert t_n == pytest.approx(t_n_naive, abs=1e-10)
-    assert np.max(np.abs(t_ij - np.array(t_ij_naive))) < 1e-10
+    assert np.max(np.abs(t_pairs - _upper(t_ij_naive))) < 1e-10
 
 
 def test_degenerate_denominator():
@@ -129,7 +136,7 @@ def test_dimension_and_alpha_validation():
 def test_full_test_result():
     ds = gaussian_dataset(3, p=5, n1=40, n2=35)
     result = run_equality_test(ds, alpha=0.1)
-    assert result.t_n == float(np.max(result.t_ij))
+    assert result.t_n == float(np.max(result.t_pairs))
     assert result.centered == pytest.approx(
         result.t_n - 4.0 * math.log(5) + math.log(math.log(5)), abs=1e-12
     )
@@ -143,25 +150,19 @@ def test_full_test_result():
 
 def _naive_top_pairs(result, k):
     p = len(result.names)
-    pairs = [
-        (result.names[i], result.names[j], float(result.t_ij[i, j]))
-        for i in range(p)
-        for j in range(i + 1, p)
-    ]
-    return sorted(pairs, key=lambda item: -item[2])[:k]  # stable: ties stay row-major
+    pairs = [(result.names[i], result.names[j]) for i in range(p) for j in range(i + 1, p)]
+    values = [(*pair, float(v)) for pair, v in zip(pairs, result.t_pairs, strict=True)]
+    return sorted(values, key=lambda item: -item[2])[:k]  # stable: ties stay row-major
 
 
 def _with_upper_values(result, values):
-    p = len(result.names)
-    t_ij = np.zeros((p, p))
-    t_ij[np.triu_indices(p, k=1)] = values
-    return replace(result, t_ij=t_ij + t_ij.T)
+    return replace(result, t_pairs=np.array(values, dtype=float))
 
 
 def test_top_pairs_match_naive_sort():
     result = run_equality_test(gaussian_dataset(4, p=7, n1=30, n2=40))
     # rounding the statistics makes ties among nonzero values
-    rounded = replace(result, t_ij=np.round(result.t_ij))
+    rounded = replace(result, t_pairs=np.round(result.t_pairs))
     # runs of 2, 7, 4, 2, 3 and 3 equal values, interleaved in row-major
     # order, so some k cuts through every run
     runs = _with_upper_values(
@@ -186,3 +187,46 @@ def test_top_pairs_ties_keep_row_major_order():
 
 def test_invariances():
     check_tstat_invariances()
+
+
+def _steps(p):
+    """Rows per block that split p variables into several blocks; p - 1
+    leaves a last block of one row."""
+    return (1, 2, 3, p - 1)
+
+
+@pytest.mark.parametrize("p", range(7, 14))
+def test_statistic_in_row_blocks_against_naive_oracle(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    x1 = rng.standard_normal((30, p))
+    x2 = rng.standard_normal((25, p)) @ (np.eye(p) + 0.3 * rng.standard_normal((p, p)))
+    ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
+    t_n_naive, t_ij_naive = naive_test_statistic(x1, x2)
+    for step in _steps(p):
+        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", step * p)
+        assert len(moments.row_blocks(p)) > 1
+        t_n, t_pairs = compute_statistic(ds)
+        assert t_n == pytest.approx(t_n_naive, abs=1e-10)
+        assert t_n == t_pairs.max()
+        assert np.max(np.abs(t_pairs - _upper(t_ij_naive))) < 1e-10
+
+
+def test_zero_variance_pair_in_a_later_block(monkeypatch):
+    # two identical two-valued columns: every per-sample term of the pair's
+    # variance is exactly 0, in both groups; (5, 8) comes before (7, 9)
+    rng = np.random.default_rng(12)
+    groups = []
+    for _ in range(2):
+        x = rng.standard_normal((20, 10))
+        x[:, 5] = x[:, 8] = np.tile([0.0, 2.0], 10)
+        x[:, 7] = x[:, 9] = np.tile([0.0, 0.0, 2.0, 2.0], 5)  # uncorrelated with column 5
+        groups.append(SampleMatrix(x))
+    ds = TwoGroupDataset(*groups)
+    with pytest.raises(DegenerateVarianceError) as whole:
+        compute_statistic(ds)
+    assert "(v6, v9)" in str(whole.value)
+    for step in _steps(10):
+        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", step * 10)
+        with pytest.raises(DegenerateVarianceError) as blocked:
+            compute_statistic(ds)
+        assert str(blocked.value) == str(whole.value)

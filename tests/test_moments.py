@@ -12,6 +12,7 @@ from diffcorr import (
     moment_set,
     sample_correlation,
 )
+from diffcorr import moments
 from diffcorr import test_statistic as compute_statistic
 from diffcorr.moments import _covariance
 from diffcorr.thresholding import _noise, _product_variance
@@ -228,8 +229,8 @@ def test_correlation_variance_recomputes_cancelling_pairs():
     naive = naive_eta(x)[0][3]
     assert abs(got[0, 3] - naive) <= 1e-2 * naive
     # a zero theta in both groups would make the pair's denominator zero
-    _, t_ij = compute_statistic(TwoGroupDataset(sm, sm))
-    assert t_ij[0, 3] == 0.0
+    _, t_pairs = compute_statistic(TwoGroupDataset(sm, sm))
+    assert t_pairs[2] == 0.0  # pair (0, 3) is the third of row 0
 
 
 def test_moment_set_consistent_with_pieces():
@@ -276,3 +277,50 @@ def test_corr_bounds_after_clamping():
     m = moment_set(x)
     assert np.all(np.abs(m.corr) <= 1.0)
     assert np.array_equal(np.diag(m.corr), np.ones(2))
+
+
+def test_correlation_variance_blocks_match_the_full_form():
+    rng = np.random.default_rng(5)
+    for p, n in ((2, 9), (7, 30), (13, 20), (25, 4)):
+        m = moment_set(SampleMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p))))
+        full = correlation_variance(m)
+        for step in (1, 2, 3, p - 1):
+            for r0 in range(0, p, step):
+                rows = slice(r0, min(r0 + step, p))
+                block = correlation_variance(m, rows)
+                assert block.shape == (rows.stop - r0, p - r0)
+                # the same sums from Gram products of other shapes: equal
+                # up to the last bits of a BLAS dot product
+                assert np.max(np.abs(block - full[rows, r0:])) <= 1e-14 * np.max(full)
+
+
+def test_correlation_variance_recomputes_cancelling_pairs_in_a_later_block(monkeypatch):
+    # pair (5, 7) is near-collinear; rows 3..5 hold it with columns 3..8
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((40, 9))
+    x[:, 7] = x[:, 5] + 1e-6 * rng.standard_normal(40)
+    sm = SampleMatrix(x)
+    m = moment_set(sm)
+    want = _per_sample_variance(x, m, 5, 7)
+    assert 0.0 < want < 1e-20
+    block = correlation_variance(m, slice(3, 6))
+    assert abs(block[2, 4] - want) <= 1e-12 * want
+    monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", 3 * 9)
+    _, t_pairs = compute_statistic(TwoGroupDataset(sm, sm))
+    assert np.array_equal(t_pairs, np.zeros(36))
+
+
+def test_correlation_in_row_blocks_is_the_outer_product_form(monkeypatch):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((12, 11)) * np.logspace(-150, 150, 11)
+    cov = _covariance(x - x.mean(axis=0))
+    # the division by sqrt(r_i r_j) with every product formed at once
+    mantissa, exponent = np.frexp(np.diag(cov))
+    half = exponent // 2
+    r = np.ldexp(mantissa, exponent - 2 * half)
+    want = np.ldexp(np.ldexp(cov, -half[:, None]), -half) / np.sqrt(np.outer(r, r))
+    np.clip(want, -1.0, 1.0, out=want)
+    np.fill_diagonal(want, 1.0)
+    for budget in (moments._BLOCK_ELEMENTS, 11, 2 * 11, 5 * 11):
+        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(sample_correlation(cov), want)
