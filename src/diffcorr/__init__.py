@@ -28,7 +28,6 @@ from .errors import (
     DegenerateVarianceError,
     DiffCorrError,
     InsufficientSamplesError,
-    NotPSDError,
     UnsupportedDimensionError,
     ValidationError,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "DifferentialEstimate",
     "InsufficientSamplesError",
     "MomentSet",
-    "NotPSDError",
     "SampleMatrix",
     "TestResult",
     "ThresholdRule",

@@ -8,13 +8,14 @@ the grid {0, 1/N, ..., 5}. Losses are averaged over repetitions and the
 smallest tau attaining the minimum is returned; the caller then refits on
 the full data with that tau.
 
-The loss curve of one split is computed in closed form rather than by
-fitting at each tau: an entry survives thresholding on a leading run of the
-grid, is zero above it, and while kept moves with tau by a fixed power law
-(constant for hard, linear for soft, tau**eta for adaptive-lasso). Binning
-the entries by the length of that run gives every grid point's loss from a
-few cumulative sums, equal to fitting at every tau up to rounding, in
-O(p^2 + G) time for G grid points.
+The loss curve is computed in closed form rather than by fitting at each
+tau: an entry survives thresholding on a leading run of the grid, is zero
+above it, and while kept moves with tau by a fixed power law (constant for
+hard, linear for soft, tau**eta for adaptive-lasso). Binning the entries by
+the length of that run gives every grid point's loss from a few cumulative
+sums, equal to fitting at every tau up to rounding, in O(p^2 + G) time for G
+grid points. The bins add up over row blocks of the upper triangle and over
+splits, so no p x p array is formed: the working set is O(rows x p + G).
 
 Per-repetition RNG streams are derived from (seed, repetition), so results do
 not depend on evaluation order.
@@ -32,13 +33,14 @@ from .errors import (
     DegenerateVariableError,
     ValidationError,
 )
-from .moments import MomentSet, moment_set
+from .moments import centered_columns, moment_rows
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
 
 _MAX_REDRAWS = 10
+_CV_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -92,18 +94,16 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _draw_folds(rng, x: SampleMatrix, n_test: int) -> tuple[MomentSet, MomentSet]:
-    """Draw one train/test split; raises DegenerateVariableError on a
-    zero-variance column in either part."""
-    train_idx, test_idx = _draw_split(rng, x.n, n_test)
-    train = SampleMatrix(x.data[train_idx], x.names)
-    test = SampleMatrix(x.data[test_idx], x.names)
-    return moment_set(train), moment_set(test)
+def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw one split: (centered data, column variances) of the training and the
+    held-out part; raises DegenerateVariableError on a zero variance in either."""
+    return [centered_columns(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]
 
 
-def _loss_curve(rule, raw, unit, target, grid) -> np.ndarray:
+def _loss_curve(rule, grid, parts) -> np.ndarray:
     """Squared Frobenius distance from target of the estimate thresholded at
-    tau * unit, for every tau on the increasing grid, without fitting at each.
+    tau * unit, for every tau on the increasing grid, without fitting at each,
+    over parts (weight, raw, unit, target) that count each entry weight times.
 
     With z the raw entry, u its unit threshold, t its target and d = z - t,
     an entry is kept at tau_g when |z| > fl(tau_g * u), the comparison
@@ -113,32 +113,39 @@ def _loss_curve(rule, raw, unit, target, grid) -> np.ndarray:
     s_g = 0 for hard) and contributes d**2 - 2 d s_g + s_g**2. An entry with
     u = 0 (a single group's diagonal) is kept unshrunk at every tau unless z = 0.
     """
-    z, u, t = raw.ravel(), unit.ravel(), target.ravel()
     n_grid = len(grid)  # CvConfig.grid: the 5 N + 1 points g / N
-    absz = np.abs(z)
-    # k = number of leading grid points at which the entry is kept: seeded
-    # from ceil(|z| N / u), then settled by one exact step each way
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = np.minimum(np.ceil(absz * ((n_grid - 1) // 5) / u), n_grid)
-    k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0)).astype(np.intp)
-    k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
-    k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
-    d = z - t
+    hard, e = rule.kind == "hard", 1.0 if rule.kind == "soft" else rule.eta
+    killed, bins = 0.0, np.zeros((3, n_grid + 1))
+    for weight, raw, unit, target in parts:
+        z, u, t = raw.ravel(), unit.ravel(), target.ravel()
+        absz = np.abs(z)
+        # k = number of leading grid points at which the entry is kept: seeded
+        # from ceil(|z| N / u), then settled by one exact step each way
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            k = np.minimum(np.ceil(absz * ((n_grid - 1) // 5) / u), n_grid)
+        k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0)).astype(np.intp)
+        k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
+        k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
+        d = z - t
+        killed += weight * float(t @ t)
+        bins[0] += weight * np.bincount(k, d * d - t * t, minlength=n_grid + 1)
+        if not hard:
+            live = k > 0
+            last = k[live] - 1  # each kept entry's last kept grid point
+            z_live = z[live]
+            # shrink at the last kept point; (tau_g u / |z|) <= 1 there, so no overflow
+            s = z_live * (grid[last] * u[live] / np.abs(z_live)) ** e
+            bins[1] += weight * np.bincount(last, d[live] * s, minlength=n_grid + 1)
+            bins[2] += weight * np.bincount(last, s * s, minlength=n_grid + 1)
     # every entry killed, plus what keeping each one adds (a suffix sum, so an
-    # entry whose kept and killed terms are equal leaves exact ties in place)
-    gain = np.bincount(k, d * d - t * t, minlength=n_grid + 1)
-    loss = float(t @ t) + np.cumsum(gain[::-1])[::-1][1:]
-    if rule.kind == "hard":
+    # entry whose kept and killed terms are equal, or an empty bin, leaves
+    # exact ties in place)
+    loss = killed + np.cumsum(bins[0, ::-1])[::-1][1:]
+    if hard:
         return loss
-    e = 1.0 if rule.kind == "soft" else rule.eta
-    live = k > 0
-    last = k[live] - 1  # each kept entry's last kept grid point
-    z_live = z[live]
-    # shrink at the last kept point; (tau_g u / |z|) <= 1 there, so no overflow
-    s = z_live * (grid[last] * u[live] / np.abs(z_live)) ** e
     step = grid[:-1] / grid[1:]
-    cross = _fold_down(np.bincount(last, d[live] * s, minlength=n_grid), step**e)
-    square = _fold_down(np.bincount(last, s * s, minlength=n_grid), step ** (2 * e))
+    cross = _fold_down(bins[1, :-1], step**e)
+    square = _fold_down(bins[2, :-1], step ** (2 * e))
     return loss - 2.0 * cross + square
 
 
@@ -152,10 +159,13 @@ def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.ndarray]:
-    spec = KINDS[kind]
-    grid = cfg.grid()
-    loss_acc = np.zeros(grid.shape)
+def _cv_parts(spec, cfg, samples, split):
+    """The parts for _loss_curve of every split, by row blocks r0:r1 of the
+    upper triangle (of the [:split, split:] block for cross-corr, counted
+    once). The square r0:r1 x r0:r1 holds both triangles and counts once, the
+    rest r0:r1 x r1:p twice, as the symmetric full matrices hold it and its
+    mirror image. Each repetition redraws its folds while a part of a group
+    has a zero-variance column."""
     sizes = [_split_sizes(x.n, cfg.k_folds) for x in samples]
     for h in range(cfg.h_repeats):
         rng = np.random.default_rng([cfg.seed, h])
@@ -170,13 +180,29 @@ def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.
                 f"repetition {h}: every one of {_MAX_REDRAWS} candidate splits "
                 "produced a zero-variance column"
             )
-        trains = [f[0] for f in folds]
-        tests = [f[1] for f in folds]
-        unit = spec.block(unit_thresholds(spec.statistic, trains), split)
-        raw = spec.raw(trains, split)
-        target = spec.raw(tests, split)
-        loss_acc += _loss_curve(rule, raw, unit, target, grid)
-    return grid, loss_acc / cfg.h_repeats
+        n_rows = split if spec.cross_block else samples[0].p
+        # blocks of _CV_BLOCK_ROWS rows, the last one taking any shorter
+        # remainder: each block costs a fixed number of numpy calls
+        starts = range(0, max(n_rows - _CV_BLOCK_ROWS, 0) + 1, _CV_BLOCK_ROWS)
+        for r0, r1 in zip(starts, [*starts[1:], n_rows]):
+            train = [moment_rows(c, var, slice(r0, r1)) for (c, var), _ in folds]
+            raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
+            del train  # fewer arrays alive at once
+            target = spec.raw([moment_rows(c, var, slice(r0, r1)) for _, (c, var) in folds])
+            b = r1 - r0
+            cuts = [(1.0, split - r0, None)] if spec.cross_block else [(1.0, 0, b), (2.0, b, None)]
+            for weight, c0, c1 in cuts:
+                if c0 < raw.shape[1]:  # the last block has no columns right of r1
+                    yield (weight, *(m[:, c0:c1] for m in (raw, unit, target)))
+
+
+def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.ndarray]:
+    grid = cfg.grid()
+    # the curve is linear in its sums, so one pass over every split's parts gives
+    # the total of their curves, and the heap does not shrink and regrow
+    # (page-faulting) between splits
+    losses = _loss_curve(rule, grid, _cv_parts(KINDS[kind], cfg, samples, split))
+    return grid, losses / cfg.h_repeats
 
 
 def _finish(grid, losses, cfg) -> CvResult:

@@ -57,7 +57,3 @@ class DegenerateVarianceError(DataError):
 
 class DegenerateSplitError(DataError):
     """Cross-validation could not draw a non-degenerate split."""
-
-
-class NotPSDError(DataError):
-    """Matrix is not positive semidefinite within tolerance."""

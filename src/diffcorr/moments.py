@@ -1,7 +1,7 @@
 """Entrywise sample statistics for one group.
 
-A moment set holds one group's data, centered once, with its sample
-covariance and correlation. Every statistic divides by n (not n - 1);
+A moment set holds one group's centered data, column variances, covariance
+and correlation, in full or by row block. Every statistic divides by n (not n - 1);
 the threshold formulas downstream are calibrated to that convention.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
@@ -29,9 +29,12 @@ _BLOCK_ELEMENTS = 2**17
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The centered data of one sample with its covariance and correlation."""
+    """One sample's centered data, column variances, covariance and correlation:
+    all of them, or a row block r0:r1 with cov and corr of rows r0:r1 against
+    columns r0:p and centered and var of columns r0:p (row i is column i)."""
 
     centered: np.ndarray
+    var: np.ndarray
     cov: np.ndarray
     corr: np.ndarray
     n: int
@@ -45,57 +48,76 @@ def _covariance(c: np.ndarray) -> np.ndarray:
     return (cov + cov.T) * 0.5
 
 
-def _positive_variances(cov: np.ndarray, names=None) -> np.ndarray:
-    var = np.diag(cov)
+def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
     bad = np.flatnonzero(var <= 0.0)
     if bad.size:
         raise DegenerateVariableError(int(bad[0]), names[bad[0]] if names else None)
     return var
 
 
-def row_blocks(p: int) -> list[slice]:
-    """Consecutive row slices of a p-column array, each at most
-    _BLOCK_ELEMENTS entries (and at least one row)."""
+def row_blocks(p: int, n_rows: int | None = None) -> list[slice]:
+    """Consecutive slices of the first n_rows (default p) rows of a p-column
+    array, each at most _BLOCK_ELEMENTS entries (and at least one row)."""
     step = max(1, _BLOCK_ELEMENTS // max(p, 1))
-    return [slice(r0, min(r0 + step, p)) for r0 in range(0, p, step)]
+    n_rows = p if n_rows is None else n_rows
+    return [slice(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
 
 
-def _correlation(cov: np.ndarray, names=None) -> np.ndarray:
+def _correlation(cov: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Correlation rows from covariance rows and positive variances (see MomentSet)."""
     # var = r * 4^k with r in [0.5, 2): scaling cov by the powers of two is
     # exact, and sqrt(r_i r_j) rounds to r when r_i == r_j, so two identical
     # columns get exactly 1 and no product of variances leaves the float range
-    mantissa, exponent = np.frexp(_positive_variances(cov, names))
+    mantissa, exponent = np.frexp(var)
     half = exponent // 2
     r = np.ldexp(mantissa, exponent - 2 * half)
-    corr = np.ldexp(cov, -half[:, None])
+    b = cov.shape[0]
+    corr = np.ldexp(cov, -half[:b, None])
     np.ldexp(corr, -half, out=corr)
-    for rows in row_blocks(r.size):
+    for rows in row_blocks(r.size, b):
         denom = r[rows, None] * r
         corr[rows] /= np.sqrt(denom, out=denom)
     np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
+    np.fill_diagonal(corr, 1.0)  # the leading b x b square's diagonal
     return corr
 
 
 def sample_correlation(cov: np.ndarray) -> np.ndarray:
     """Correlation from a covariance matrix: unit diagonal, entries clamped
     to [-1, 1]; any non-positive variance is an error."""
-    return _correlation(np.asarray(cov, dtype=float))
+    cov = np.asarray(cov, dtype=float)
+    return _correlation(cov, _positive_variances(np.diag(cov)))
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
     """Center one sample and compute its covariance and correlation."""
     centered = x.data - x.data.mean(axis=0)
     cov = _covariance(centered)
-    corr = _correlation(cov, x.names)
-    return MomentSet(centered=centered, cov=cov, corr=corr, n=x.n, p=x.p)
+    var = _positive_variances(np.diag(cov).copy(), x.names)
+    return MomentSet(centered, var, cov, _correlation(cov, var), x.n, x.p)
+
+
+def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray]:
+    """A sample's centered data and column variances, which must be positive."""
+    centered = data - data.mean(axis=0)
+    var = np.einsum("kj,kj->j", centered, centered) / data.shape[0]
+    return centered, _positive_variances(var, names)
+
+
+def moment_rows(centered: np.ndarray, var: np.ndarray, rows: slice) -> MomentSet:
+    """Row block r0:r1 of the moment set of centered_columns' output."""
+    n, p = centered.shape
+    r0, r1, _ = rows.indices(p)
+    c, var = centered[:, r0:], var[r0:]
+    cov = c[:, :r1 - r0].T @ c / n
+    return MomentSet(centered=c, var=var, cov=cov, corr=_correlation(cov, var), n=n, p=p)
 
 
 def standardized(moments: MomentSet) -> MomentSet:
     """The moment set of a sample's standardized data, whose covariance is
     the sample's correlation: one p x p array where a moment set holds two."""
-    a = moments.centered / np.sqrt(_positive_variances(moments.cov))
-    return MomentSet(centered=a, cov=moments.corr, corr=moments.corr, n=moments.n, p=moments.p)
+    a = moments.centered / np.sqrt(_positive_variances(moments.var))
+    return MomentSet(a, np.ones(moments.p), moments.corr, moments.corr, moments.n, moments.p)
 
 
 def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.ndarray:
@@ -121,7 +143,7 @@ def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.nd
     r0, r1, _ = (rows or slice(0, p)).indices(p)
     b = r1 - r0
     # row i of the block is variable r0 + i, which is column i of a
-    a = moments.centered[:, r0:] / np.sqrt(_positive_variances(moments.cov)[r0:])
+    a = moments.centered[:, r0:] / np.sqrt(_positive_variances(moments.var)[r0:])
     sq = a * a
     cube = sq * a
     half_corr = 0.5 * moments.corr[r0:r1, r0:]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .crossval import CvConfig
 from .dataset import SampleMatrix, TwoGroupDataset, check_square_symmetric
-from .errors import NotPSDError, ValidationError
+from .errors import ValidationError
 from .estimators import (
     baseline_cov_then_normalize,
     baseline_separate_corr,
@@ -118,19 +118,13 @@ def scale_to_covariance(r: np.ndarray, seed: int) -> np.ndarray:
 
 
 def mvn_sample(sigma: np.ndarray, n: int, seed: int) -> SampleMatrix:
-    """Draw n rows from N(0, sigma). Uses the Cholesky factor; if sigma is
-    only semidefinite, falls back to an eigendecomposition with negative
-    eigenvalues clipped at zero."""
+    """Draw n rows from N(0, sigma) through the Cholesky factor of sigma,
+    which must be positive definite."""
     sigma = check_square_symmetric(sigma, "covariance matrix")
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        if float(eigvals[0]) < -1e-8:
-            raise NotPSDError(
-                f"covariance has eigenvalue {float(eigvals[0]):.3e} below -1e-8"
-            ) from None
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        raise ValidationError("covariance matrix is not positive definite") from None
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, sigma.shape[0]))
     return SampleMatrix(z @ factor.T)

@@ -88,21 +88,23 @@ def apply_threshold(m: np.ndarray, thresholds, rule: ThresholdRule) -> np.ndarra
 
 
 def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c, as
-    E[c_i^2 c_j^2] - cov_ij^2 from one Gram product of the squared data;
-    symmetrized, and clamped at 0 against rounding."""
+    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c and the
+    covariance cov of its first b = len(cov) columns with all, as E[c_i^2 c_j^2]
+    - cov_ij^2 from a Gram product of the squared data; the b x b square is
+    symmetrized, and all clamped at 0 against rounding."""
     sq = c * c
-    noise = sq.T @ sq / c.shape[0] - cov * cov
-    return np.maximum((noise + noise.T) * 0.5, 0.0)
+    b = cov.shape[0]
+    noise = sq[:, :b].T @ sq / c.shape[0] - cov * cov
+    noise[:, :b] = (noise[:, :b] + noise[:, :b].T) * 0.5
+    return np.maximum(noise, 0.0, out=noise)
 
 
 def _noise(m: MomentSet, statistic: str) -> np.ndarray:
-    """Per-entry noise level of one group's "cov" or "corr" statistic."""
+    """Per-entry noise level of one group's "cov" or "corr" statistic on m's rows."""
     noise = _product_variance(m.centered, m.cov)
     if statistic == "cov":
         return noise
-    var = np.diag(m.cov)
-    return noise / np.outer(var, var)
+    return noise / (m.var[:len(noise), None] * m.var)
 
 
 def unit_thresholds(statistic: str, moments) -> np.ndarray:
@@ -119,7 +121,8 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
     corr_noise_ij = cov_noise_ij / (cov_ii cov_jj)
 
     A single group's levels are exactly 0 on the diagonal, so every rule keeps
-    its unit correlations or raw variances; a difference's are not.
+    its unit correlations or raw variances; a difference's are not. Moment
+    sets of one row block (moments.moment_rows) give that block's levels.
     """
     dims = [m.p for m in moments]
     if len(set(dims)) != 1:
@@ -131,14 +134,15 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
         if statistic == "cov":
             term = np.sqrt(logp / m.n * noise)
         else:
-            root_diag = np.sqrt(np.diag(noise))
+            dev = m.centered * m.centered - m.var  # c_j c_j - cov_jj, for every column j
+            root_diag = np.sqrt(np.einsum("kj,kj->j", dev, dev) / len(dev)) / m.var
             term = np.sqrt(logp / m.n) * (
                 np.sqrt(noise)
-                + 0.5 * np.abs(m.corr) * (root_diag[:, None] + root_diag[None, :])
+                + 0.5 * np.abs(m.corr) * (root_diag[:len(noise), None] + root_diag)
             )
-        total = total + term
+        total += term
     if len(moments) == 1:
-        np.fill_diagonal(total, 0.0)
+        np.fill_diagonal(total, 0.0)  # the leading square's diagonal
     return total
 
 

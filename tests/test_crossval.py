@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from diffcorr import (
     CvConfig,
     DegenerateSplitError,
+    DegenerateVariableError,
     SampleMatrix,
     ThresholdRule,
     TwoGroupDataset,
@@ -18,9 +21,9 @@ from diffcorr import (
     scale_to_covariance,
 )
 from diffcorr import test_equality as run_equality_test
-from diffcorr import thresholding
+from diffcorr import crossval, thresholding
 from diffcorr.crossval import _draw_split, _loss_curve
-from diffcorr.thresholding import apply_rule
+from diffcorr.thresholding import KINDS, RULE_NAMES, apply_rule
 from oracles import naive_cv_diff_corr
 from properties import check_cv_determinism, gaussian_dataset
 
@@ -189,7 +192,7 @@ def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
     np.fill_diagonal(single, 0.0)  # a single group's levels keep the raw diagonal
     for levels in (unit, single):
         want = _curve_by_fitting(rule, raw, levels, target, grid)
-        got = _loss_curve(rule, raw, levels, target, grid)
+        got = _loss_curve(rule, grid, [(1.0, raw, levels, target)])
         tol = 1e-12 * np.max(want)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= tol
@@ -223,3 +226,148 @@ def test_only_training_parts_compute_noise(monkeypatch):
     shapes.clear()
     run_equality_test(ds)
     assert shapes == []
+
+
+def _blocked_dataset(p, seed=None):
+    rng = np.random.default_rng(p if seed is None else seed)
+    x1 = rng.standard_normal((30, p))
+    x2 = rng.standard_normal((25, p)) @ (np.eye(p) + 0.3 * rng.standard_normal((p, p)))
+    return TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
+
+
+def _cv(ds, kind, split, rule, cfg):
+    if KINDS[kind].two_group:
+        return cv_select_tau(ds, cfg, kind, split, rule)
+    return cv_select_tau_single(ds.group1, cfg, kind, rule)
+
+
+@pytest.mark.parametrize("p", range(7, 14))
+def test_cv_in_row_blocks_matches_one_block(p, monkeypatch):
+    ds = _blocked_dataset(p)
+    cfg = CvConfig(h_repeats=2, grid_n=10, seed=p)
+    cases = [
+        (kind, split)
+        for kind, spec in KINDS.items()
+        for split in ((1, p - 1) if spec.cross_block else (None,))
+    ]
+    for rule in map(ThresholdRule, RULE_NAMES):
+        tau_naive, _, losses_naive = naive_cv_diff_corr(
+            ds.group1.data, ds.group2.data, 5, 2, 10, p, rule.kind
+        )
+        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", p)  # one block: the full matrices
+        whole = {case: _cv(ds, *case, rule, cfg) for case in cases}
+        # the last block takes any shorter remainder: p // 2 rows make two
+        # blocks, the second one row longer for odd p; p - 1 rows make one
+        for rows in (1, 2, 3, p // 2, p - 1):
+            monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+            for case in cases:
+                got, want = _cv(ds, *case, rule, cfg), whole[case]
+                assert got.tau_hat == want.tau_hat, (rule.kind, case, rows)
+                assert np.max(np.abs(got.losses - want.losses)) <= 1e-12 * np.max(want.losses)
+                if case == ("diff-corr", None):
+                    assert got.tau_hat == tau_naive
+                    scale = max(1.0, float(np.max(np.abs(losses_naive))))
+                    assert np.max(np.abs(got.losses - losses_naive)) < 1e-9 * scale
+
+
+def test_hard_curve_keeps_its_plateaus_in_row_blocks(monkeypatch):
+    ds = _blocked_dataset(11)
+    cfg = CvConfig(h_repeats=2, grid_n=50, seed=3)
+    hard = ThresholdRule("hard")
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 11)
+    want = cv_select_tau(ds, cfg, rule=hard).losses
+    flat = np.diff(want) == 0.0
+    # runs of equal losses: the grid points between two changes of the support
+    plateaus = np.split(np.arange(want.size), np.flatnonzero(~flat) + 1)
+    assert sum(len(run) > 1 for run in plateaus) >= 3
+    for rows in (1, 2, 3, 5):
+        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+        got = cv_select_tau(ds, cfg, rule=hard).losses
+        for run in plateaus:
+            assert np.array_equal(got[run], np.full(len(run), got[run[0]]))
+        assert np.array_equal(np.diff(got) == 0.0, flat)
+        assert np.argmin(got) == np.argmin(want)
+
+
+def _replayed_draws(samples, cfg):
+    """(draws, failed draws) of the split protocol replayed with numpy: per
+    repetition and attempt one permutation per group, in group order, until a
+    group's training or held-out part has a constant column."""
+    draws = failed = 0
+    for h in range(cfg.h_repeats):
+        rng = np.random.default_rng([cfg.seed, h])
+        for _ in range(10):
+            for x in samples:
+                perm = rng.permutation(x.n)
+                draws += 1
+                parts = np.split(perm, [x.n // cfg.k_folds])
+                if any(np.any(np.ptp(x.data[part], axis=0) == 0.0) for part in parts):
+                    failed += 1
+                    break
+            else:
+                break
+    return draws, failed
+
+
+def _count_draws(monkeypatch):
+    calls = {"draws": 0, "failed": 0}
+    draw_folds = crossval._draw_folds
+
+    def counted(*args):
+        calls["draws"] += 1
+        try:
+            return draw_folds(*args)
+        except DegenerateVariableError:
+            calls["failed"] += 1
+            raise
+
+    monkeypatch.setattr(crossval, "_draw_folds", counted)
+    return calls
+
+
+def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
+    ds = _blocked_dataset(9, seed=21)
+    x2 = ds.group2.data.copy()
+    # column 3 varies only through rows 4 and 11: a part holding both or
+    # neither of them has a zero variance there
+    x2[:, 3] = 0.0
+    x2[[4, 11], 3] = (1.0, -1.0)
+    ds = TwoGroupDataset(ds.group1, SampleMatrix(x2))
+    cfg = CvConfig(h_repeats=3, grid_n=10, seed=5)
+    calls = _count_draws(monkeypatch)
+    for rows in (2, 9):
+        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+        calls.update(draws=0, failed=0)
+        result = cv_select_tau(ds, cfg, rule=ThresholdRule("soft"))
+        draws, failed = _replayed_draws([ds.group1, ds.group2], cfg)
+        assert failed > 0
+        assert (calls["draws"], calls["failed"]) == (draws, failed)
+        tau_naive, _, losses_naive = naive_cv_diff_corr(
+            ds.group1.data, x2, 5, 3, 10, 5, "soft"
+        )
+        assert result.tau_hat == tau_naive
+        assert np.max(np.abs(result.losses - losses_naive)) < 1e-9 * np.max(losses_naive)
+    # varying through one row only, every split leaves a part constant
+    x2[11, 3] = 0.0
+    ds = TwoGroupDataset(ds.group1, SampleMatrix(x2))
+    calls.update(draws=0, failed=0)
+    with pytest.raises(DegenerateSplitError, match="repetition 0: every one of 10"):
+        cv_select_tau(ds, cfg)
+    assert (calls["draws"], calls["failed"]) == (20, 10)
+
+
+def test_cv_working_set_stays_below_four_p_by_p_arrays():
+    p = 800
+    rng = np.random.default_rng(0)
+    ds = TwoGroupDataset(
+        SampleMatrix(rng.standard_normal((60, p))), SampleMatrix(rng.standard_normal((60, p)))
+    )
+    tracemalloc.start()
+    try:
+        cv_select_tau(ds, CvConfig(h_repeats=1, grid_n=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the folds' full covariance, correlation and noise matrices would be
+    # about 20 p x p arrays
+    assert peak < 4 * p * p * 8

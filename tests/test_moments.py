@@ -89,7 +89,8 @@ def test_covariance_noise_constant_data():
     x = np.zeros((4, 2)) + 3.0
     centered = x - x.mean(axis=0)
     # moment_set rejects constant data, so the moment set is built by hand
-    m = MomentSet(centered=centered, cov=_covariance(centered), corr=np.eye(2), n=4, p=2)
+    cov = _covariance(centered)
+    m = MomentSet(centered=centered, var=np.diag(cov), cov=cov, corr=np.eye(2), n=4, p=2)
     assert np.array_equal(_noise(m, "cov"), np.zeros((2, 2)))
 
 

@@ -6,7 +6,6 @@ import pytest
 from diffcorr import (
     CvConfig,
     DegenerateSplitError,
-    NotPSDError,
     ThresholdRule,
     ValidationError,
     generate_pair,
@@ -184,11 +183,11 @@ def test_mvn_sample_shapes_and_determinism():
 
 
 def test_mvn_sample_semidefinite_fallback_and_rejection():
-    ones = np.ones((2, 2))  # rank one, Cholesky fails
-    x = mvn_sample(ones, 50, 9)
-    assert np.max(np.abs(x.data[:, 0] - x.data[:, 1])) < 1e-12
-    with pytest.raises(NotPSDError):
-        mvn_sample(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, 0)
+    # no semidefinite fallback: a singular or indefinite covariance fails in
+    # Cholesky and is a user error
+    for sigma in (np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            mvn_sample(sigma, 10, 0)
 
 
 def test_benchmark_shape_contract():
