@@ -159,6 +159,13 @@ def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """Bounds (r0, r1) of blocks of _CV_BLOCK_ROWS rows covering rows 0:n_rows, the
+    last taking any shorter remainder: each costs a fixed number of numpy calls."""
+    starts = range(0, max(n_rows - _CV_BLOCK_ROWS, 0) + 1, _CV_BLOCK_ROWS)
+    return list(zip(starts, [*starts[1:], n_rows]))
+
+
 def _cv_parts(spec, cfg, samples, split):
     """The parts for _loss_curve of every split, by row blocks r0:r1 of the
     upper triangle (of the [:split, split:] block for cross-corr, counted
@@ -180,11 +187,7 @@ def _cv_parts(spec, cfg, samples, split):
                 f"repetition {h}: every one of {_MAX_REDRAWS} candidate splits "
                 "produced a zero-variance column"
             )
-        n_rows = split if spec.cross_block else samples[0].p
-        # blocks of _CV_BLOCK_ROWS rows, the last one taking any shorter
-        # remainder: each block costs a fixed number of numpy calls
-        starts = range(0, max(n_rows - _CV_BLOCK_ROWS, 0) + 1, _CV_BLOCK_ROWS)
-        for r0, r1 in zip(starts, [*starts[1:], n_rows]):
+        for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
             train = [moment_rows(c, var, slice(r0, r1)) for (c, var), _ in folds]
             raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
             del train  # fewer arrays alive at once

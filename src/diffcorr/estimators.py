@@ -11,6 +11,11 @@ by the threshold levels alone (a single group's are 0 on the diagonal):
 - the covariance-difference estimate thresholds its diagonal like any other
   entry; only the cov-then-normalize baseline keeps each group's raw
   variances before normalizing.
+
+The fit on the full data walks the upper triangle in cross-validation's row
+blocks (crossval.triangle_blocks) and mirrors each block below the diagonal,
+so beside its outputs it holds only each group's centered data, variances and
+covariance. cross-corr keeps the [:split, split:] part of diff-corr's blocks.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single
+from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single, triangle_blocks
 from .dataset import SampleMatrix, TwoGroupDataset
 from .errors import ValidationError
-from .moments import moment_set, sample_correlation
+from .moments import moment_rows, moment_set, sample_correlation
 from .thresholding import (
     DEFAULT_RULE,
     KINDS,
@@ -49,11 +54,12 @@ class DifferentialEstimate:
 
     def __post_init__(self):
         for field in ("estimate", "thresholds"):
-            values = np.array(getattr(self, field), dtype=float)
+            values = np.asarray(getattr(self, field), dtype=float)
             if values.shape != (len(self.row_labels), len(self.col_labels)):
                 raise ValidationError(
                     f"{field} shape {values.shape} does not match labels"
                 )
+            values = values.copy() if values.flags.writeable else values  # read-only: kept
             values.flags.writeable = False
             object.__setattr__(self, field, values)
 
@@ -95,12 +101,32 @@ def _fit(
             cv_result = cv_select_tau_single(data, cv, kind, rule)
         tau = cv_result.tau_hat
     groups = (data.group1, data.group2) if spec.two_group else (data,)
-    moments = [moment_set(x) for x in groups]
-    thresholds = spec.block(THRESHOLDS[spec.statistic, len(moments)](*moments, tau), split)
-    estimate = apply_threshold(spec.raw(moments, split), thresholds, rule)
+    full = [_moments_without_correlation(x) for x in groups]
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
-    return DifferentialEstimate(estimate, thresholds, tau, rule, rows, cols, cv_result)
+    estimate, levels = np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))
+    # cross-corr walks diff-corr's blocks, so it is diff-corr's [:split, split:]
+    for r0, r1 in triangle_blocks(data.p):
+        if spec.cross_block and r0 >= split:
+            break
+        block = [moment_rows(c, var, slice(r0, r1), cov) for c, var, cov in full]
+        lam = THRESHOLDS[spec.statistic, len(block)](*block, tau)
+        fitted = apply_threshold(spec.raw(block), lam, rule)
+        for out, values in ((estimate, fitted), (levels, lam)):
+            if spec.cross_block:  # out has split rows
+                out[r0:r1] = values[:split - r0, split - r0:]
+            else:  # the block's rows (its square is symmetric), and their mirror image
+                out[r0:r1, r0:] = values
+                out[r1:, r0:r1] = values[:, r1 - r0:].T
+    estimate.flags.writeable = levels.flags.writeable = False
+    return DifferentialEstimate(estimate, levels, tau, rule, rows, cols, cv_result)
+
+
+def _moments_without_correlation(x: SampleMatrix):
+    """A sample's centered data, variances and covariance: its moment set less
+    the p x p correlation, which _fit forms again one row block at a time."""
+    m = moment_set(x)
+    return m.centered, m.var, m.cov
 
 
 def estimate_diff_corr(

@@ -104,12 +104,13 @@ def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarr
     return centered, _positive_variances(var, names)
 
 
-def moment_rows(centered: np.ndarray, var: np.ndarray, rows: slice) -> MomentSet:
-    """Row block r0:r1 of the moment set of centered_columns' output."""
+def moment_rows(centered: np.ndarray, var: np.ndarray, rows: slice, cov=None) -> MomentSet:
+    """Row block r0:r1 of the moment set of centered_columns' output, or of
+    moment_set's centered, var and cov when the full covariance is given."""
     n, p = centered.shape
     r0, r1, _ = rows.indices(p)
     c, var = centered[:, r0:], var[r0:]
-    cov = c[:, :r1 - r0].T @ c / n
+    cov = c[:, :r1 - r0].T @ c / n if cov is None else cov[r0:r1, r0:]
     return MomentSet(centered=c, var=var, cov=cov, corr=_correlation(cov, var), n=n, p=p)
 
 

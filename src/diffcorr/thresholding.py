@@ -190,15 +190,12 @@ class EstimatorKind:
     two_group: bool  # group 1 minus group 2, or a single group
     cross_block: bool  # only the [:split, split:] block
 
-    def block(self, m: np.ndarray, split: int | None) -> np.ndarray:
-        return m[:split, split:] if self.cross_block else m
-
-    def raw(self, moments, split: int | None = None) -> np.ndarray:
+    def raw(self, moments) -> np.ndarray:
         """The statistic to threshold, from one moment set per group."""
         stat = getattr(moments[0], self.statistic)
         if self.two_group:
             stat = stat - getattr(moments[1], self.statistic)
-        return self.block(stat, split)
+        return stat
 
 
 KINDS = {

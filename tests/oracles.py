@@ -169,6 +169,49 @@ def naive_estimate_cross_corr(x1, x2, split, tau, kind, eta=4.0):
     return [row[split:] for row in full[:split]]
 
 
+def naive_statistics_and_unit_levels(x1, x2):
+    """{kind: (raw statistic, threshold levels at tau = 1)} for "diff-corr",
+    "diff-cov", and "single-corr" and "cov-threshold" of x1, with each group's
+    moments computed once: the naive_estimate_* formulas with tau factored out,
+    so naive_rule(rule, raw_ij, tau * unit_ij) is their estimate. A single
+    group's diagonal level is 0, which keeps its diagonal as those estimates do."""
+    groups = []
+    for x in (x1, x2):
+        s = naive_cov(x)
+        theta = naive_theta(x, s)
+        groups.append((s, naive_corr(s), theta, naive_xi(theta, s), len(_as_rows(x))))
+    (s1, r1, t1, xi1, n1), (s2, r2, t2, xi2, n2) = groups
+    p = len(s1)
+    logp = math.log(p)
+    cells = [(i, j) for i in range(p) for j in range(p)]
+
+    def table(f):
+        out = [[0.0] * p for _ in range(p)]
+        for i, j in cells:
+            out[i][j] = f(i, j)
+        return out
+
+    off = lambda i, j, v: 0.0 if i == j else v  # noqa: E731
+    return {
+        "diff-corr": (
+            table(lambda i, j: r1[i][j] - r2[i][j]),
+            table(lambda i, j: _corr_lambda_term(xi1, r1, n1, p, i, j)
+                  + _corr_lambda_term(xi2, r2, n2, p, i, j)),
+        ),
+        "diff-cov": (
+            table(lambda i, j: s1[i][j] - s2[i][j]),
+            table(lambda i, j: math.sqrt(logp / n1 * t1[i][j])
+                  + math.sqrt(logp / n2 * t2[i][j])),
+        ),
+        "single-corr": (
+            r1, table(lambda i, j: off(i, j, _corr_lambda_term(xi1, r1, n1, p, i, j)))
+        ),
+        "cov-threshold": (
+            s1, table(lambda i, j: off(i, j, math.sqrt(t1[i][j] * logp / n1)))
+        ),
+    }
+
+
 def naive_cov_then_normalize(x1, x2, tau, kind, eta=4.0):
     def one_group(x):
         s = naive_cov(x)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diffcorr import (
+    DifferentialEstimate,
     SampleMatrix,
     ThresholdRule,
     TwoGroupDataset,
@@ -16,14 +19,17 @@ from diffcorr import (
     moment_set,
     support_ranking,
 )
+from diffcorr.estimators import _fit
 from oracles import (
     naive_cov_then_normalize,
     naive_estimate_cross_corr,
     naive_estimate_diff_corr,
     naive_estimate_diff_cov,
     naive_estimate_single_corr,
+    naive_rule,
     naive_sample_difference,
     naive_separate_corr,
+    naive_statistics_and_unit_levels,
 )
 from properties import check_estimator_invariances, check_monotone_support, gaussian_dataset
 
@@ -293,3 +299,133 @@ def test_invariances():
 
 def test_monotone_support():
     check_monotone_support()
+
+
+# p = 300 walks four row blocks of 64, 64, 64 and 108 rows
+BLOCKED_P = 300
+SINGLE_KINDS = ("single-corr", "cov-threshold")
+
+
+@pytest.fixture(scope="module")
+def blocked_fits():
+    """Two groups at p = 300 with the oracle's statistics and unit levels.
+    Variables 140:170 share a factor, which group 2 flips on 155:170, so
+    correlation differences near 2 survive thresholding, across the cross-corr
+    split at 150 too."""
+    rng = np.random.default_rng(300)
+    x1 = rng.standard_normal((24, BLOCKED_P))
+    x1[:, 140:170] += 3.0 * rng.standard_normal((24, 1))
+    x2 = rng.standard_normal((26, BLOCKED_P))
+    factor = 3.0 * rng.standard_normal((26, 1))
+    x2[:, 140:155] += factor
+    x2[:, 155:170] -= factor
+    ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
+    return ds, naive_statistics_and_unit_levels(x1, x2)
+
+
+def test_oracle_levels_give_the_naive_estimates():
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.standard_normal((12, 5)), rng.standard_normal((14, 5))
+    table = naive_statistics_and_unit_levels(x1, x2)
+
+    def assembled(kind, tau):
+        raw, unit = table[kind]
+        return np.array([[naive_rule("soft", z, tau * u) for z, u in zip(*row)]
+                         for row in zip(raw, unit)])
+
+    for tau in (0.0, 0.4, 1.3):
+        pairs = [
+            ("diff-corr", naive_estimate_diff_corr(x1, x2, tau, "soft")),
+            ("diff-cov", naive_estimate_diff_cov(x1, x2, tau, "soft")),
+            ("single-corr", naive_estimate_single_corr(x1, tau, "soft")),
+        ]
+        for kind, want in pairs:
+            assert np.max(np.abs(assembled(kind, tau) - np.array(want))) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["diff-corr", "diff-cov", "cross-corr", *SINGLE_KINDS])
+def test_fit_in_row_blocks_against_naive_oracle(kind, blocked_fits):
+    ds, table = blocked_fits
+    data = ds.group1 if kind in SINGLE_KINDS else ds
+    split = BLOCKED_P // 2 if kind == "cross-corr" else None
+    raw, unit = (np.array(m) for m in table["diff-corr" if split else kind])
+    for rule in (HARD, SOFT, AL):
+        for tau in (0.0, 0.7, 2.0):
+            fit = _fit(kind, data, tau, rule, None, split)
+            want = np.array([[naive_rule(rule.kind, z, tau * u) for z, u in zip(*row)]
+                             for row in zip(raw.tolist(), unit.tolist())])
+            if split:
+                want = want[:split, split:]
+            else:
+                assert np.array_equal(fit.estimate, fit.estimate.T)
+                assert np.array_equal(fit.thresholds, fit.thresholds.T)
+            assert np.max(np.abs(fit.estimate - want)) < 1e-12
+            assert np.max(np.abs(fit.thresholds - (tau * unit)[:split, split:])) < 1e-12
+            if tau == 0.7:  # so the oracle checks kept entries, not only zeros
+                assert np.count_nonzero(fit.estimate) >= (80 if split else 200)
+
+
+def test_cross_corr_is_the_diff_corr_block_bit_for_bit(blocked_fits):
+    ds, _ = blocked_fits
+    split = BLOCKED_P // 2
+    for rule in (HARD, SOFT, AL):
+        full = estimate_diff_corr(ds, 0.7, rule)
+        block = estimate_cross_corr(ds, split, 0.7, rule)
+        assert np.array_equal(block.estimate, full.estimate[:split, split:])
+        assert np.array_equal(block.thresholds, full.thresholds[:split, split:])
+
+
+def test_single_corr_at_zero_tau_is_the_sample_correlation_bit_for_bit(blocked_fits):
+    ds, _ = blocked_fits
+    want = moment_set(ds.group1).corr
+    for rule in (HARD, SOFT, AL):
+        assert np.array_equal(estimate_single_corr(ds.group1, 0.0, rule).estimate, want)
+
+
+def test_fixed_tau_fit_peaks_below_seven_p_by_p_arrays():
+    p = 600
+    ds = gaussian_dataset(26, p=p, n1=60, n2=60)
+    tracemalloc.start()
+    try:
+        estimate_diff_corr(ds, 1.0, HARD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dense levels and statistics for the whole matrix peak at about 10 arrays
+    assert peak <= 7 * p * p * 8
+
+
+def test_estimate_copies_only_writeable_arrays():
+    names = ("a", "b")
+    shared = np.array([[1.0, 0.5], [0.5, 1.0]])
+    shared.flags.writeable = False
+    est = DifferentialEstimate(shared, shared, 1.0, SOFT, names, names)
+    assert est.estimate is shared and est.thresholds is shared
+
+    mine = np.array([[1.0, 0.5], [0.5, 1.0]])
+    est = DifferentialEstimate(mine, [[0, 1], [1, 0]], 1.0, SOFT, names, names)
+    assert not np.shares_memory(est.estimate, mine)
+    mine[0, 1] = 9.0
+    assert est.estimate[0, 1] == 0.5
+    assert est.thresholds.dtype == float
+    for values in (est.estimate, est.thresholds):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 2.0
+
+
+def test_fit_hands_its_read_only_arrays_to_the_estimate(monkeypatch):
+    from diffcorr import estimators
+
+    built = []
+
+    def spy(estimate, thresholds, *rest):
+        built.append((estimate, thresholds))
+        return DifferentialEstimate(estimate, thresholds, *rest)
+
+    monkeypatch.setattr(estimators, "DifferentialEstimate", spy)
+    ds = gaussian_dataset(27, p=5, n1=20, n2=20)
+    est = estimate_diff_corr(ds, 0.5, SOFT)
+    (estimate, thresholds), = built
+    assert not estimate.flags.writeable and not thresholds.flags.writeable
+    assert est.estimate is estimate and est.thresholds is thresholds
