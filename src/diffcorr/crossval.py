@@ -6,7 +6,9 @@ part of roughly 1/k. The estimator fit on the training parts is scored
 against the held-out raw statistic in squared Frobenius norm at every tau on
 the grid {0, 1/N, ..., 5}. Losses are averaged over repetitions and the
 smallest tau attaining the minimum is returned; the caller then refits on
-the full data with that tau.
+the full data with that tau. Given several rules, every rule is scored on the
+same splits in one pass and gets its own curve and tau: the protocol scores a
+rule on given splits, so this equals one call per rule, bit for bit.
 
 The loss curve is computed in closed form rather than by fitting at each
 tau: an entry survives thresholding on a leading run of the grid, is zero
@@ -34,7 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .moments import centered_columns, moment_rows
-from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, unit_thresholds
+from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
+from .thresholding import unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
@@ -70,9 +73,10 @@ class CvConfig:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Selected tau plus the averaged loss curve it minimizes."""
+    """Selected tau plus the averaged loss curve it minimizes; for a tuple of
+    rules, tau_hat and losses have a leading axis with one entry per rule."""
 
-    tau_hat: float
+    tau_hat: float | np.ndarray
     grid: np.ndarray
     losses: np.ndarray
     splits_used: int
@@ -94,16 +98,17 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw one split: (centered data, column variances) of the training and the
-    held-out part; raises DegenerateVariableError on a zero variance in either."""
+def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[tuple]:
+    """Draw one split: centered_columns of the training and the held-out part;
+    raises DegenerateVariableError on a zero variance in either."""
     return [centered_columns(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]
 
 
-def _loss_curve(rule, grid, parts) -> np.ndarray:
+def _loss_curve(rules, grid, parts) -> np.ndarray:
     """Squared Frobenius distance from target of the estimate thresholded at
-    tau * unit, for every tau on the increasing grid, without fitting at each,
-    over parts (weight, raw, unit, target) that count each entry weight times.
+    tau * unit, for every rule (a row each) and tau on the increasing grid,
+    without fitting at each, over parts (weight, raw, unit, target) that count
+    each entry weight times.
 
     With z the raw entry, u its unit threshold, t its target and d = z - t,
     an entry is kept at tau_g when |z| > fl(tau_g * u), the comparison
@@ -112,10 +117,13 @@ def _loss_curve(rule, grid, parts) -> np.ndarray:
     s_g = z * (tau_g * u / |z|)**e (e = 1 for soft, eta for adaptive-lasso,
     s_g = 0 for hard) and contributes d**2 - 2 d s_g + s_g**2. An entry with
     u = 0 (a single group's diagonal) is kept unshrunk at every tau unless z = 0.
+    Only the s_g bins depend on the rule, through e; rules of one e share them.
     """
     n_grid = len(grid)  # CvConfig.grid: the 5 N + 1 points g / N
-    hard, e = rule.kind == "hard", 1.0 if rule.kind == "soft" else rule.eta
-    killed, bins = 0.0, np.zeros((3, n_grid + 1))
+    exponents = [None if r.kind == "hard" else 1.0 if r.kind == "soft" else r.eta for r in rules]
+    # per exponent, the bins of the cross terms d s_g and the squares s_g**2
+    shrink = {e: np.zeros((2, n_grid + 1)) for e in exponents if e is not None}
+    killed, kept = 0.0, np.zeros(n_grid + 1)
     for weight, raw, unit, target in parts:
         z, u, t = raw.ravel(), unit.ravel(), target.ravel()
         absz = np.abs(z)
@@ -128,25 +136,26 @@ def _loss_curve(rule, grid, parts) -> np.ndarray:
         k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
         d = z - t
         killed += weight * float(t @ t)
-        bins[0] += weight * np.bincount(k, d * d - t * t, minlength=n_grid + 1)
-        if not hard:
+        kept += weight * np.bincount(k, d * d - t * t, minlength=n_grid + 1)
+        if shrink:
             live = k > 0
             last = k[live] - 1  # each kept entry's last kept grid point
-            z_live = z[live]
-            # shrink at the last kept point; (tau_g u / |z|) <= 1 there, so no overflow
-            s = z_live * (grid[last] * u[live] / np.abs(z_live)) ** e
-            bins[1] += weight * np.bincount(last, d[live] * s, minlength=n_grid + 1)
-            bins[2] += weight * np.bincount(last, s * s, minlength=n_grid + 1)
+            z_live, d_live = z[live], d[live]
+            # the shrink ratio at the last kept point is <= 1, so no power overflows
+            ratio = grid[last] * u[live] / np.abs(z_live)
+            for e, bins in shrink.items():
+                s = z_live * ratio**e
+                bins[0] += weight * np.bincount(last, d_live * s, minlength=n_grid + 1)
+                bins[1] += weight * np.bincount(last, s * s, minlength=n_grid + 1)
     # every entry killed, plus what keeping each one adds (a suffix sum, so an
     # entry whose kept and killed terms are equal, or an empty bin, leaves
     # exact ties in place)
-    loss = killed + np.cumsum(bins[0, ::-1])[::-1][1:]
-    if hard:
-        return loss
+    loss = killed + np.cumsum(kept[::-1])[::-1][1:]
     step = grid[:-1] / grid[1:]
-    cross = _fold_down(bins[1, :-1], step**e)
-    square = _fold_down(bins[2, :-1], step ** (2 * e))
-    return loss - 2.0 * cross + square
+    curves = {None: loss} | {
+        e: loss - 2.0 * _fold_down(cross[:-1], step**e) + _fold_down(square[:-1], step ** (2 * e))
+        for e, (cross, square) in shrink.items()}
+    return np.array([curves[e] for e in exponents])
 
 
 def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -188,10 +197,10 @@ def _cv_parts(spec, cfg, samples, split):
                 "produced a zero-variance column"
             )
         for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
-            train = [moment_rows(c, var, slice(r0, r1)) for (c, var), _ in folds]
+            train = [moment_rows(slice(r0, r1), *part) for part, _ in folds]
             raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
             del train  # fewer arrays alive at once
-            target = spec.raw([moment_rows(c, var, slice(r0, r1)) for _, (c, var) in folds])
+            target = spec.raw([moment_rows(slice(r0, r1), *part) for _, part in folds])
             b = r1 - r0
             cuts = [(1.0, split - r0, None)] if spec.cross_block else [(1.0, 0, b), (2.0, b, None)]
             for weight, c0, c1 in cuts:
@@ -199,22 +208,21 @@ def _cv_parts(spec, cfg, samples, split):
                     yield (weight, *(m[:, c0:c1] for m in (raw, unit, target)))
 
 
-def _accumulate_losses(kind, cfg, samples, split, rule) -> tuple[np.ndarray, np.ndarray]:
+def _select(kind, cfg, samples, split, rule) -> CvResult:
+    """Score every rule of rule on one set of splits; a single rule gives a float
+    tau_hat and one curve, a tuple of rules an array of each with a leading rule axis."""
     grid = cfg.grid()
     # the curve is linear in its sums, so one pass over every split's parts gives
     # the total of their curves, and the heap does not shrink and regrow
     # (page-faulting) between splits
-    losses = _loss_curve(rule, grid, _cv_parts(KINDS[kind], cfg, samples, split))
-    return grid, losses / cfg.h_repeats
-
-
-def _finish(grid, losses, cfg) -> CvResult:
-    best = int(np.argmin(losses))  # first minimum, i.e. the smallest tau
-    grid.flags.writeable = False
-    losses.flags.writeable = False
-    return CvResult(
-        tau_hat=float(grid[best]), grid=grid, losses=losses, splits_used=cfg.h_repeats
-    )
+    parts = _cv_parts(KINDS[kind], cfg, samples, split)
+    losses = _loss_curve(rule_tuple(rule), grid, parts) / cfg.h_repeats
+    tau_hat = grid[np.argmin(losses, axis=1)]  # first minimum, i.e. the smallest tau
+    for values in (grid, losses, tau_hat):
+        values.flags.writeable = False
+    if isinstance(rule, ThresholdRule):
+        tau_hat, losses = float(tau_hat[0]), losses[0]
+    return CvResult(tau_hat=tau_hat, grid=grid, losses=losses, splits_used=cfg.h_repeats)
 
 
 def cv_select_tau(
@@ -222,34 +230,34 @@ def cv_select_tau(
     cfg: CvConfig | None = None,
     estimator: str = "diff-corr",
     split: int | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
 ) -> CvResult:
     """Select tau for a two-group estimator kind ("diff-corr", "diff-cov" or
     "cross-corr"; only the latter takes, and needs, the block split index),
-    scoring the fits of the given thresholding rule."""
+    scoring the fits of the given thresholding rule, or of each of a tuple of
+    rules of distinct kinds on the same splits (see CvResult)."""
     cfg = cfg or CvConfig()
     if estimator not in TWO_GROUP_KINDS:
         raise ValidationError(
             f"unknown two-group estimator kind {estimator!r}; choose from {TWO_GROUP_KINDS}"
         )
     check_split(estimator, split, ds.p)
-    grid, losses = _accumulate_losses(estimator, cfg, [ds.group1, ds.group2], split, rule)
-    return _finish(grid, losses, cfg)
+    return _select(estimator, cfg, [ds.group1, ds.group2], split, rule)
 
 
 def cv_select_tau_single(
     x: SampleMatrix,
     cfg: CvConfig | None = None,
     estimator: str = "single-corr",
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
 ) -> CvResult:
     """Select tau for a one-sample estimator kind ("single-corr" or
-    "cov-threshold"), scoring the fits of the given thresholding rule."""
+    "cov-threshold"), scoring the fits of the given thresholding rule, or of
+    each of a tuple of rules of distinct kinds on the same splits."""
     cfg = cfg or CvConfig()
     if estimator not in SINGLE_GROUP_KINDS:
         raise ValidationError(
             f"unknown single-group estimator kind {estimator!r}; choose from "
             f"{SINGLE_GROUP_KINDS}"
         )
-    grid, losses = _accumulate_losses(estimator, cfg, [x], None, rule)
-    return _finish(grid, losses, cfg)
+    return _select(estimator, cfg, [x], None, rule)

@@ -2,9 +2,12 @@
 structure, the comparison baselines, and per-variable support ranking.
 
 Every estimator accepts a fixed thresholding constant tau; passing tau=None
-selects it by cross-validation (see crossval). All of them fit through one
-path driven by the kind table in thresholding. Diagonal conventions, set
-by the threshold levels alone (a single group's are 0 on the diagonal):
+selects it by cross-validation (see crossval). Given a tuple of rules of
+distinct kinds in place of one rule, it returns one result per rule, each
+equal to that rule's own fit, from one cross-validation pass and one moment
+set per group. All of them fit through one path driven by the kind table in
+thresholding. Diagonal conventions, set by the threshold levels alone (a
+single group's are 0 on the diagonal):
 
 - the correlation-difference estimate has an exactly zero diagonal,
 - a single thresholded correlation matrix keeps its unit diagonal,
@@ -20,7 +23,7 @@ covariance. cross-corr keeps the [:split, split:] part of diff-corr's blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .thresholding import (
     ThresholdRule,
     apply_threshold,
     check_split,
+    check_tau,
+    rule_tuple,
 )
 
 
@@ -85,56 +90,66 @@ def _fit(
     kind: str,
     data: TwoGroupDataset | SampleMatrix,
     tau: float | None,
-    rule: ThresholdRule,
+    rule: ThresholdRule | tuple[ThresholdRule, ...],
     cv: CvConfig | None,
     split: int | None = None,
-) -> DifferentialEstimate:
+):
     """The shared recipe: select tau by cross-validation when it is None,
-    then threshold the kind's statistic on the full data."""
+    then threshold the kind's statistic on the full data, for each rule."""
     spec = KINDS[kind]
     check_split(kind, split, data.p)
+    rules = rule_tuple(rule)
     cv_result = None
     if tau is None:
         if spec.two_group:
-            cv_result = cv_select_tau(data, cv, kind, split, rule)
+            cv_result = cv_select_tau(data, cv, kind, split, rules)
         else:
-            cv_result = cv_select_tau_single(data, cv, kind, rule)
-        tau = cv_result.tau_hat
+            cv_result = cv_select_tau_single(data, cv, kind, rules)
+        taus = cv_result.tau_hat.tolist()
+    else:
+        taus = [check_tau(tau)] * len(rules)
     groups = (data.group1, data.group2) if spec.two_group else (data,)
     full = [_moments_without_correlation(x) for x in groups]
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
-    estimate, levels = np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))
+    outputs = [(np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))) for _ in rules]
     # cross-corr walks diff-corr's blocks, so it is diff-corr's [:split, split:]
     for r0, r1 in triangle_blocks(data.p):
         if spec.cross_block and r0 >= split:
             break
-        block = [moment_rows(c, var, slice(r0, r1), cov) for c, var, cov in full]
-        lam = THRESHOLDS[spec.statistic, len(block)](*block, tau)
-        fitted = apply_threshold(spec.raw(block), lam, rule)
-        for out, values in ((estimate, fitted), (levels, lam)):
-            if spec.cross_block:  # out has split rows
-                out[r0:r1] = values[:split - r0, split - r0:]
-            else:  # the block's rows (its square is symmetric), and their mirror image
-                out[r0:r1, r0:] = values
-                out[r1:, r0:r1] = values[:, r1 - r0:].T
-    estimate.flags.writeable = levels.flags.writeable = False
-    return DifferentialEstimate(estimate, levels, tau, rule, rows, cols, cv_result)
+        block = [moment_rows(slice(r0, r1), *sample) for sample in full]
+        raw = spec.raw(block)
+        unit = THRESHOLDS[spec.statistic, len(block)](*block, 1.0)  # scaled by each rule's tau
+        for tau, r, (estimate, levels) in zip(taus, rules, outputs):
+            lam = tau * unit
+            fitted = apply_threshold(raw, lam, r)
+            for out, values in ((estimate, fitted), (levels, lam)):
+                if spec.cross_block:  # out has split rows
+                    out[r0:r1] = values[:split - r0, split - r0:]
+                else:  # the block's rows (its square is symmetric), and their mirror image
+                    out[r0:r1, r0:] = values
+                    out[r1:, r0:r1] = values[:, r1 - r0:].T
+    fits = []
+    for i, (tau, r, (estimate, levels)) in enumerate(zip(taus, rules, outputs)):
+        estimate.flags.writeable = levels.flags.writeable = False
+        own_cv = cv_result and replace(cv_result, tau_hat=tau, losses=cv_result.losses[i])
+        fits.append(DifferentialEstimate(estimate, levels, tau, r, rows, cols, own_cv))
+    return fits[0] if isinstance(rule, ThresholdRule) else tuple(fits)
 
 
 def _moments_without_correlation(x: SampleMatrix):
-    """A sample's centered data, variances and covariance: its moment set less
-    the p x p correlation, which _fit forms again one row block at a time."""
+    """A sample's centered data, variances, column terms and covariance: its
+    moment set less the p x p correlation, which _fit forms one block at a time."""
     m = moment_set(x)
-    return m.centered, m.var, m.cov
+    return m.centered, m.var, m._terms, m.cov
 
 
 def estimate_diff_corr(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
+) -> DifferentialEstimate | tuple[DifferentialEstimate, ...]:
     """Adaptive entrywise thresholding of the sample correlation difference.
 
     The per-entry threshold is the sum over groups of
@@ -146,9 +161,9 @@ def estimate_diff_corr(
 def estimate_single_corr(
     x: SampleMatrix,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
+) -> DifferentialEstimate | tuple[DifferentialEstimate, ...]:
     """Thresholding estimate of a single sparse correlation matrix; the unit
     diagonal is kept as is."""
     return _fit("single-corr", x, tau, rule, cv)
@@ -157,9 +172,9 @@ def estimate_single_corr(
 def estimate_diff_cov(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
+) -> DifferentialEstimate | tuple[DifferentialEstimate, ...]:
     """Adaptive entrywise thresholding of the sample covariance difference."""
     return _fit("diff-cov", ds, tau, rule, cv)
 
@@ -168,9 +183,9 @@ def estimate_cross_corr(
     ds: TwoGroupDataset,
     split: int,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> DifferentialEstimate:
+) -> DifferentialEstimate | tuple[DifferentialEstimate, ...]:
     """Thresholded cross block of the correlation difference: variables
     [0, split) against [split, p). Equals the corresponding block of
     estimate_diff_corr for the same tau."""
@@ -180,28 +195,29 @@ def estimate_cross_corr(
 def baseline_cov_then_normalize(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Baseline: threshold each group's covariance adaptively (raw variances
     kept), normalize each to a correlation matrix, and return the difference.
     With tau=None each group selects its own constant by cross-validation."""
-    fits = [_fit("cov-threshold", x, tau, rule, cv) for x in (ds.group1, ds.group2)]
-    r1, r2 = (sample_correlation(f.estimate) for f in fits)
-    return r1 - r2
+    f1, f2 = (_fit("cov-threshold", x, tau, rule_tuple(rule), cv) for x in (ds.group1, ds.group2))
+    diffs = [sample_correlation(a.estimate) - sample_correlation(b.estimate) for a, b in zip(f1, f2)]
+    return diffs[0] if isinstance(rule, ThresholdRule) else tuple(diffs)
 
 
 def baseline_separate_corr(
     ds: TwoGroupDataset,
     tau: float | None = None,
-    rule: ThresholdRule = DEFAULT_RULE,
+    rule: ThresholdRule | tuple[ThresholdRule, ...] = DEFAULT_RULE,
     cv: CvConfig | None = None,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Baseline: threshold each group's correlation matrix separately and
     return the difference. With tau=None each group selects its own constant
     by cross-validation."""
-    f1, f2 = (estimate_single_corr(x, tau, rule, cv) for x in (ds.group1, ds.group2))
-    return f1.estimate - f2.estimate
+    f1, f2 = (estimate_single_corr(x, tau, rule_tuple(rule), cv) for x in (ds.group1, ds.group2))
+    diffs = [a.estimate - b.estimate for a, b in zip(f1, f2)]
+    return diffs[0] if isinstance(rule, ThresholdRule) else tuple(diffs)
 
 
 def baseline_sample_difference(ds: TwoGroupDataset) -> np.ndarray:

@@ -13,7 +13,7 @@ formula the few pairs where that expansion cancels too much to trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,14 @@ class MomentSet:
     corr: np.ndarray
     n: int
     p: int
+    _given_terms: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def _terms(self) -> tuple:
+        """_column_terms of the columns of centered: for a row block, those
+        moment_rows sliced from its whole sample's; else computed here."""
+        given = self._given_terms
+        return given if given is not None else _column_terms(self.centered, self.var)
 
 
 def _covariance(c: np.ndarray) -> np.ndarray:
@@ -63,14 +71,27 @@ def row_blocks(p: int, n_rows: int | None = None) -> list[slice]:
     return [slice(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
 
 
-def _correlation(cov: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Correlation rows from covariance rows and positive variances (see MomentSet)."""
-    # var = r * 4^k with r in [0.5, 2): scaling cov by the powers of two is
-    # exact, and sqrt(r_i r_j) rounds to r when r_i == r_j, so two identical
-    # columns get exactly 1 and no product of variances leaves the float range
+def _powers_of_four(var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive variances split exactly as var = r * 4**half with r in [0.5, 2)."""
     mantissa, exponent = np.frexp(var)
     half = exponent // 2
-    r = np.ldexp(mantissa, exponent - 2 * half)
+    return np.ldexp(mantissa, exponent - 2 * half), half
+
+
+def _column_terms(centered: np.ndarray, var: np.ndarray) -> tuple:
+    """Per column j of centered data c with positive variances var: r_j and
+    half_j of _powers_of_four, and the mean over samples of (c_j c_j - var_j)**2
+    (the noise cov_noise_jj of thresholding.unit_thresholds)."""
+    dev = centered * centered - var
+    return (*_powers_of_four(var), np.einsum("kj,kj->j", dev, dev) / len(dev))
+
+
+def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Correlation rows from covariance rows and the positive variances of
+    their columns, given as var = r * 4**half (see MomentSet)."""
+    # scaling cov by the powers of two is exact, and sqrt(r_i r_j) rounds to r
+    # when r_i == r_j, so two identical columns get exactly 1 and no product of
+    # variances leaves the float range
     b = cov.shape[0]
     corr = np.ldexp(cov, -half[:b, None])
     np.ldexp(corr, -half, out=corr)
@@ -86,7 +107,7 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
     """Correlation from a covariance matrix: unit diagonal, entries clamped
     to [-1, 1]; any non-positive variance is an error."""
     cov = np.asarray(cov, dtype=float)
-    return _correlation(cov, _positive_variances(np.diag(cov)))
+    return _correlation(cov, *_powers_of_four(_positive_variances(np.diag(cov))))
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
@@ -94,24 +115,27 @@ def moment_set(x: SampleMatrix) -> MomentSet:
     centered = x.data - x.data.mean(axis=0)
     cov = _covariance(centered)
     var = _positive_variances(np.diag(cov).copy(), x.names)
-    return MomentSet(centered, var, cov, _correlation(cov, var), x.n, x.p)
+    return MomentSet(centered, var, cov, _correlation(cov, *_powers_of_four(var)), x.n, x.p)
 
 
-def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray]:
-    """A sample's centered data and column variances, which must be positive."""
+def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A sample's centered data, column variances, which must be positive, and
+    their _column_terms."""
     centered = data - data.mean(axis=0)
     var = np.einsum("kj,kj->j", centered, centered) / data.shape[0]
-    return centered, _positive_variances(var, names)
+    var = _positive_variances(var, names)
+    return centered, var, _column_terms(centered, var)
 
 
-def moment_rows(centered: np.ndarray, var: np.ndarray, rows: slice, cov=None) -> MomentSet:
-    """Row block r0:r1 of the moment set of centered_columns' output, or of
-    moment_set's centered, var and cov when the full covariance is given."""
+def moment_rows(rows: slice, centered: np.ndarray, var: np.ndarray, columns: tuple,
+                cov=None) -> MomentSet:
+    """Row block r0:r1 of the moment set of centered_columns' output, or of a
+    moment set's centered, var, _terms and cov when the full covariance is given."""
     n, p = centered.shape
     r0, r1, _ = rows.indices(p)
-    c, var = centered[:, r0:], var[r0:]
+    c, var, columns = centered[:, r0:], var[r0:], tuple(a[r0:] for a in columns)
     cov = c[:, :r1 - r0].T @ c / n if cov is None else cov[r0:r1, r0:]
-    return MomentSet(centered=c, var=var, cov=cov, corr=_correlation(cov, var), n=n, p=p)
+    return MomentSet(c, var, cov, _correlation(cov, *columns[:2]), n, p, columns)
 
 
 def standardized(moments: MomentSet) -> MomentSet:

@@ -43,12 +43,12 @@ MODEL_KINDS = ("model1", "model2")
 NORMS = ("spectral", "l1", "frobenius")
 _NORM_FNS = {"spectral": spectral_norm, "l1": matrix_l1_norm, "frobenius": frobenius_norm}
 
-# Wire name -> fit with cross-validated tau, returning the difference matrix.
+# Wire name -> fits with cross-validated tau under a tuple of rules: a difference matrix per rule.
 _FITS = {
-    "diff-corr": lambda ds, rule, cfg: estimate_diff_corr(ds, None, rule, cfg).estimate,
-    "cov-normalize": lambda ds, rule, cfg: baseline_cov_then_normalize(ds, None, rule, cfg),
-    "separate-corr": lambda ds, rule, cfg: baseline_separate_corr(ds, None, rule, cfg),
-    "sample-diff": lambda ds, rule, cfg: baseline_sample_difference(ds),
+    "diff-corr": lambda ds, rules, cfg: [f.estimate for f in estimate_diff_corr(ds, None, rules, cfg)],
+    "cov-normalize": lambda ds, rules, cfg: baseline_cov_then_normalize(ds, None, rules, cfg),
+    "separate-corr": lambda ds, rules, cfg: baseline_separate_corr(ds, None, rules, cfg),
+    "sample-diff": lambda ds, rules, cfg: [baseline_sample_difference(ds)],
 }
 ESTIMATOR_NAMES = tuple(_FITS)
 DEFAULT_RULES = ("hard", "adaptive-lasso")  # the rules `simulate` compares unless told otherwise
@@ -193,9 +193,10 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _one_replication(kind, p, n1, n2, entropy, combos, cv):
-    """One sample and one fit per (estimator, rule) combination: each fit's
-    losses in NORMS order. A fit's error propagates."""
+def _one_replication(kind, p, n1, n2, entropy, estimators, rules, cv):
+    """One sample and one fit per estimator, under all rules at once: the
+    losses in NORMS order of each (estimator, rule) combination, estimator by
+    estimator and rule by rule. A fit's error propagates."""
     seeds = np.random.SeedSequence(entropy).generate_state(6, np.uint64).tolist()
     model_seed, w1_seed, w2_seed, x1_seed, x2_seed, cv_seed = seeds
     r1, r2 = generate_pair(kind, p, model_seed)
@@ -205,9 +206,10 @@ def _one_replication(kind, p, n1, n2, entropy, combos, cv):
     ds = TwoGroupDataset(mvn_sample(sigma1, n1, x1_seed), mvn_sample(sigma2, n2, x2_seed))
     cfg = replace(cv, seed=cv_seed)
     losses = []
-    for estimator, rule in combos:
-        dev = _FITS[estimator](ds, rule, cfg) - truth
-        losses.append([_NORM_FNS[norm](dev) for norm in NORMS])
+    for estimator in estimators:
+        for fit in _FITS[estimator](ds, rules, cfg):
+            dev = fit - truth
+            losses.append([_NORM_FNS[norm](dev) for norm in NORMS])
     return losses
 
 
@@ -229,10 +231,12 @@ def run_benchmark(
     tau, and records the loss against the true difference in all three norms.
     Every replication's sample and cross-validation folds are drawn from
     seeds derived from cv.seed and the replication, so every replication
-    draws its own folds. Each combination is aggregated as mean and sample
-    standard deviation over all reps replications. The first error a fit
-    raises stops the run and propagates. rules and estimators each need at
-    least one entry and may not repeat one.
+    draws its own folds. Each estimator is fitted once per replication under
+    all the rules, on one set of folds, which gives each rule the numbers it
+    gets alone. Each combination is aggregated as mean and sample standard
+    deviation over all reps replications. The first error a fit raises stops
+    the run and propagates. rules and estimators each need at least one entry
+    and may not repeat one.
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
@@ -252,7 +256,8 @@ def run_benchmark(
     combos = [(est, rule) for est in estimators for rule in ([None] if est in RULE_FREE else rules)]
     # 0 was a cell index; keeping it reproduces every earlier number and perfbench's reference
     results = [
-        _one_replication(kind, p, n1, n2, [cv.seed, 0, rep], combos, cv) for rep in range(reps)
+        _one_replication(kind, p, n1, n2, [cv.seed, 0, rep], estimators, tuple(rules), cv)
+        for rep in range(reps)
     ]
     rows = []
     # results index (rep, combination, norm); each combination gets (norm, rep)

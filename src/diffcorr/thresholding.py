@@ -51,6 +51,16 @@ class ThresholdRule:
 DEFAULT_RULE = ThresholdRule("adaptive-lasso", 4.0)
 
 
+def rule_tuple(rule) -> tuple[ThresholdRule, ...]:
+    """A rule argument as a tuple of rules: one rule, or a non-empty sequence of
+    rules of distinct kinds, whose fits then share one pass over the data."""
+    rules = (rule,) if isinstance(rule, ThresholdRule) else tuple(rule)
+    kinds = [r.kind for r in rules]
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValidationError(f"need one rule, or rules of distinct kinds, got {kinds}")
+    return rules
+
+
 def apply_rule(rule: ThresholdRule, z, lam):
     """Apply a thresholding rule entrywise; z and lam may be scalars or
     broadcastable arrays. Zero input maps to zero for every rule."""
@@ -134,8 +144,7 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
         if statistic == "cov":
             term = np.sqrt(logp / m.n * noise)
         else:
-            dev = m.centered * m.centered - m.var  # c_j c_j - cov_jj, for every column j
-            root_diag = np.sqrt(np.einsum("kj,kj->j", dev, dev) / len(dev)) / m.var
+            root_diag = np.sqrt(m._terms[2]) / m.var  # sqrt(corr_noise_jj), every column j
             term = np.sqrt(logp / m.n) * (
                 np.sqrt(noise)
                 + 0.5 * np.abs(m.corr) * (root_diag[:len(noise), None] + root_diag)
@@ -147,8 +156,7 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
 
 
 def _thresholds(statistic: str, moments, tau: float) -> np.ndarray:
-    _check_tau(tau)
-    return tau * unit_thresholds(statistic, moments)
+    return check_tau(tau) * unit_thresholds(statistic, moments)
 
 
 def diff_corr_thresholds(m1: MomentSet, m2: MomentSet, tau: float) -> np.ndarray:
@@ -216,6 +224,7 @@ def check_split(kind: str, split: int | None, p: int) -> None:
         raise ValidationError(f"a split index applies only to cross-corr, not {kind!r}")
 
 
-def _check_tau(tau: float) -> None:
+def check_tau(tau: float) -> float:
     if not np.isfinite(tau) or tau < 0.0:
         raise ValidationError(f"tau must be finite and >= 0, got {tau}")
+    return tau

@@ -192,7 +192,7 @@ def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
     np.fill_diagonal(single, 0.0)  # a single group's levels keep the raw diagonal
     for levels in (unit, single):
         want = _curve_by_fitting(rule, raw, levels, target, grid)
-        got = _loss_curve(rule, grid, [(1.0, raw, levels, target)])
+        (got,) = _loss_curve((rule,), grid, [(1.0, raw, levels, target)])
         tol = 1e-12 * np.max(want)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want)) <= tol
@@ -371,3 +371,60 @@ def test_cv_working_set_stays_below_four_p_by_p_arrays():
     # the folds' full covariance, correlation and noise matrices would be
     # about 20 p x p arrays
     assert peak < 4 * p * p * 8
+
+
+@pytest.mark.parametrize("rules", [
+    ("hard",), ("soft",), (("adaptive-lasso", 4.0),), ("hard", "adaptive-lasso"),
+    ("soft", ("adaptive-lasso", 1.0)), ("hard", "soft", ("adaptive-lasso", 2.0)),
+], ids=str)
+def test_one_pass_gives_every_rule_its_own_curve_bit_for_bit(rules):
+    rules = tuple(ThresholdRule(*r) if isinstance(r, tuple) else ThresholdRule(r) for r in rules)
+    rng = np.random.default_rng(len(rules))
+    grid = CvConfig(grid_n=20).grid()
+    # three parts of different weights and shapes, as row blocks give them
+    parts = []
+    for weight, shape in ((1.0, (4, 9)), (2.0, (4, 5)), (2.0, (3, 1))):
+        raw = 0.5 * rng.standard_normal(shape)
+        unit = 0.3 * np.abs(rng.standard_normal(shape))
+        unit[0, 0] = 0.0  # kept at every tau
+        parts.append((weight, raw, unit, 0.5 * rng.standard_normal(shape)))
+    curves = _loss_curve(rules, grid, parts)
+    assert curves.shape == (len(rules), len(grid))
+    for rule, curve in zip(rules, curves):
+        (alone,) = _loss_curve((rule,), grid, parts)
+        assert np.array_equal(curve, alone), rule
+
+
+def test_cv_of_a_rule_tuple_equals_one_call_per_rule(monkeypatch):
+    p = 11
+    ds = _blocked_dataset(p)
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=4)
+    rules = (ThresholdRule("soft"), ThresholdRule("hard"), ThresholdRule("adaptive-lasso", 2.0))
+    cases = [
+        (kind, split)
+        for kind, spec in KINDS.items()
+        for split in ((1, p - 1) if spec.cross_block else (None,))
+    ]
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
+    for case in cases:
+        for chosen in (rules, rules[1:], rules[:1]):
+            together = _cv(ds, *case, chosen, cfg)
+            assert together.tau_hat.shape == (len(chosen),)
+            assert together.losses.shape == (len(chosen), len(together.grid))
+            assert together.splits_used == cfg.h_repeats
+            for i, rule in enumerate(chosen):
+                alone = _cv(ds, *case, rule, cfg)
+                assert isinstance(alone.tau_hat, float)
+                assert together.tau_hat[i] == alone.tau_hat, (case, rule)
+                assert np.array_equal(together.losses[i], alone.losses), (case, rule)
+                assert np.array_equal(together.grid, alone.grid)
+
+
+def test_rule_tuples_need_distinct_kinds():
+    ds = _blocked_dataset(5)
+    for bad in ((), (ThresholdRule("hard"), ThresholdRule("hard")),
+                (ThresholdRule("adaptive-lasso", 2.0), ThresholdRule("adaptive-lasso"))):
+        with pytest.raises(ValidationError, match="distinct kinds"):
+            cv_select_tau(ds, CvConfig(h_repeats=1), rule=bad)
+        with pytest.raises(ValidationError, match="distinct kinds"):
+            cv_select_tau_single(ds.group1, CvConfig(h_repeats=1), rule=bad)

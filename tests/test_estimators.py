@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffcorr import (
+    CvConfig,
     DifferentialEstimate,
     SampleMatrix,
     ThresholdRule,
@@ -20,6 +21,7 @@ from diffcorr import (
     support_ranking,
 )
 from diffcorr.estimators import _fit
+from diffcorr.thresholding import KINDS
 from oracles import (
     naive_cov_then_normalize,
     naive_estimate_cross_corr,
@@ -429,3 +431,43 @@ def test_fit_hands_its_read_only_arrays_to_the_estimate(monkeypatch):
     (estimate, thresholds), = built
     assert not estimate.flags.writeable and not thresholds.flags.writeable
     assert est.estimate is estimate and est.thresholds is thresholds
+
+
+def _same_fit(got, want):
+    assert np.array_equal(got.estimate, want.estimate)
+    assert np.array_equal(got.thresholds, want.thresholds)
+    assert (got.tau, got.rule, got.row_labels, got.col_labels) == (
+        want.tau, want.rule, want.row_labels, want.col_labels)
+    if want.cv is None:
+        assert got.cv is None
+    else:
+        assert got.cv.tau_hat == want.cv.tau_hat and got.cv.splits_used == want.cv.splits_used
+        assert np.array_equal(got.cv.losses, want.cv.losses)
+        assert np.array_equal(got.cv.grid, want.cv.grid)
+
+
+def test_a_rule_tuple_fits_as_one_fit_per_rule(monkeypatch):
+    from diffcorr import crossval
+
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
+    ds = gaussian_dataset(31, p=10, n1=30, n2=26)
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=8)
+    rules = (ThresholdRule("adaptive-lasso", 2.0), HARD, SOFT)
+    for kind, spec in KINDS.items():
+        data = ds if spec.two_group else ds.group2
+        for split in ((1, 4, 9) if spec.cross_block else (None,)):
+            for tau in (None, 0.6):
+                fits = _fit(kind, data, tau, rules, cfg, split)
+                assert isinstance(fits, tuple) and len(fits) == len(rules)
+                for fit, rule in zip(fits, rules):
+                    _same_fit(fit, _fit(kind, data, tau, rule, cfg, split))
+    fits = estimate_cross_corr(ds, 4, None, rules[:2], cfg)
+    for fit, rule in zip(fits, rules):
+        _same_fit(fit, estimate_cross_corr(ds, 4, None, rule, cfg))
+    for baseline in (baseline_cov_then_normalize, baseline_separate_corr):
+        together = baseline(ds, None, rules, cfg)
+        assert len(together) == len(rules)
+        for got, rule in zip(together, rules):
+            assert np.array_equal(got, baseline(ds, None, rule, cfg))
+    with pytest.raises(ValidationError, match="distinct kinds"):
+        estimate_diff_corr(ds, 1.0, (HARD, HARD))

@@ -222,11 +222,11 @@ def test_a_failed_fit_stops_the_benchmark(monkeypatch, tmp_path, capsys):
     real_fit = sim._FITS["diff-corr"]
     calls = {"n": 0}
 
-    def fit_failing_once(ds, rule, cfg):
+    def fit_failing_once(ds, rules, cfg):
         calls["n"] += 1
         if calls["n"] == 3:  # the third of five replications
             raise DegenerateSplitError("injected degenerate split")
-        return real_fit(ds, rule, cfg)
+        return real_fit(ds, rules, cfg)
 
     monkeypatch.setitem(sim._FITS, "diff-corr", fit_failing_once)
     with pytest.raises(DegenerateSplitError, match="injected degenerate split"):
@@ -291,3 +291,38 @@ def test_benchmark_rejects_empty_lists(empty):
     lists = {"rules": [HARD], "estimators": ["diff-corr"], empty: []}
     with pytest.raises(ValidationError):
         run_benchmark("model2", 8, 16, 16, 2, **lists)
+
+
+def test_two_rules_give_the_rows_of_two_single_rule_runs():
+    al = ThresholdRule("adaptive-lasso")
+    cfg = CvConfig(seed=11, grid_n=20)
+    both = run_benchmark("model1", 12, 20, 24, 2, [HARD, al], list(ESTIMATOR_NAMES), cfg)
+    alone = {rule.kind: run_benchmark("model1", 12, 20, 24, 2, [rule], list(ESTIMATOR_NAMES), cfg)
+             for rule in (HARD, al)}
+    want = []
+    for estimator in ESTIMATOR_NAMES:  # estimator by estimator, rule by rule, in order
+        for rule in ("none",) if estimator == "sample-diff" else ("hard", "adaptive-lasso"):
+            source = alone["hard" if rule == "none" else rule]
+            want += [row for row in source.rows if (row.estimator, row.rule) == (estimator, rule)]
+    assert both.rows == tuple(want)
+
+
+def test_a_replication_draws_its_folds_once_for_all_rules(monkeypatch):
+    from diffcorr import crossval
+
+    draws = {"n": 0}
+    draw_folds = crossval._draw_folds
+
+    def counted(*args):
+        draws["n"] += 1
+        return draw_folds(*args)
+
+    monkeypatch.setattr(crossval, "_draw_folds", counted)
+    counts = []
+    al = ThresholdRule("adaptive-lasso")
+    for rules in ([HARD], [HARD, al], [ThresholdRule(r) for r in RULE_NAMES]):
+        draws["n"] = 0
+        run_benchmark("model2", 8, 16, 16, 2, rules, list(ESTIMATOR_NAMES), CvConfig(h_repeats=3))
+        counts.append(draws["n"])
+    # per replication: diff-corr draws 2 groups x 3 repetitions, each baseline 2 x 3
+    assert counts == [2 * 18] * 3

@@ -21,9 +21,9 @@ differing line. It exits 1 when any difference is non-numeric or above R
 (default 1e-12), else 0.
 
 The commands cover `cv` for every estimator kind and rule, every estimate
-command under every rule, `support-rank`, `test-equality`, two `simulate`
-cells, user-side settings that must exit 2, and CSV inputs in unusual and
-malformed layouts. A full run takes about 1 s on 2 cores.
+command under every rule, `support-rank`, `test-equality`, three `simulate`
+cells (one under all three rules), user-side settings that must exit 2, and
+CSV inputs in unusual and malformed layouts. A full run takes about 1 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ def _commands() -> list[tuple[str, list[str]]]:
                              "--reps", "3", "--rules", "soft,hard",
                              "--estimators", "sample-diff,diff-corr", "--cv-grid", "10",
                              "--out-csv", "report.csv"]),
+        # soft and adaptive-lasso at eta 2 next to hard: three rules scored on one set of folds
+        ("simulate-three-rules", ["simulate", "--model", "1", "--p", "16", "--n", "30", "--reps",
+                                  "2", "--rules", "hard,soft,adaptive-lasso", "--eta", "2",
+                                  "--seed", "4", "--out-csv", "report.csv"]),
         # user-side settings: each must exit 2 and name its cause
         ("simulate-too-few-rows", ["simulate", "--model", "2", "--p", "10", "--n", "3", "--reps",
                                    "2", "--estimators", "diff-corr", "--out-csv", "report.csv"]),
