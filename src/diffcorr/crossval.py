@@ -209,8 +209,8 @@ def _cv_parts(spec, cfg, samples, split):
 
 
 def _select(kind, cfg, samples, split, rule) -> CvResult:
-    """Score every rule of rule on one set of splits; a single rule gives a float
-    tau_hat and one curve, a tuple of rules an array of each with a leading rule axis."""
+    """Score one rule, or each of a tuple of rules, on one set of splits: a single
+    rule gives a float tau_hat and one curve, a tuple an array of each with a rule axis."""
     grid = cfg.grid()
     # the curve is linear in its sums, so one pass over every split's parts gives
     # the total of their curves, and the heap does not shrink and regrow
