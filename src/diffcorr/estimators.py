@@ -16,9 +16,12 @@ single group's are 0 on the diagonal):
   variances before normalizing.
 
 The fit on the full data walks the upper triangle in cross-validation's row
-blocks (crossval.triangle_blocks) and mirrors each block below the diagonal,
-so beside its outputs it holds only each group's centered data, variances and
-covariance. cross-corr keeps the [:split, split:] part of diff-corr's blocks.
+blocks (crossval.triangle_blocks), forms each block's covariance rows from the
+centered data as cross-validation does (MomentSet.rows), and mirrors the
+block below the diagonal. So beside its outputs it holds only each group's
+centered data and variances, and no group covariance or correlation, whether
+tau is given or chosen by cross-validation. cross-corr keeps the
+[:split, split:] part of diff-corr's blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single, triangle_blocks
 from .dataset import SampleMatrix, TwoGroupDataset
 from .errors import ValidationError
-from .moments import moment_rows, moment_set, sample_correlation
+from .moments import moment_set, put_triangle_rows, sample_correlation
 from .thresholding import (
     DEFAULT_RULE,
     KINDS,
@@ -109,7 +112,7 @@ def _fit(
     else:
         taus = [check_tau(tau)] * len(rules)
     groups = (data.group1, data.group2) if spec.two_group else (data,)
-    full = [_moments_without_correlation(x) for x in groups]
+    full = [moment_set(x) for x in groups]  # centered data and variances; no p x p array
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
     outputs = [(np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))) for _ in rules]
@@ -117,7 +120,7 @@ def _fit(
     for r0, r1 in triangle_blocks(data.p):
         if spec.cross_block and r0 >= split:
             break
-        block = [moment_rows(slice(r0, r1), *sample) for sample in full]
+        block = [m.rows(r0, r1) for m in full]
         raw = spec.raw(block)
         unit = THRESHOLDS[spec.statistic, len(block)](*block, 1.0)  # scaled by each rule's tau
         for tau, r, (estimate, levels) in zip(taus, rules, outputs):
@@ -126,22 +129,14 @@ def _fit(
             for out, values in ((estimate, fitted), (levels, lam)):
                 if spec.cross_block:  # out has split rows
                     out[r0:r1] = values[:split - r0, split - r0:]
-                else:  # the block's rows (its square is symmetric), and their mirror image
-                    out[r0:r1, r0:] = values
-                    out[r1:, r0:r1] = values[:, r1 - r0:].T
+                else:
+                    put_triangle_rows(out, r0, r1, values)
     fits = []
     for i, (tau, r, (estimate, levels)) in enumerate(zip(taus, rules, outputs)):
         estimate.flags.writeable = levels.flags.writeable = False
         own_cv = cv_result and replace(cv_result, tau_hat=tau, losses=cv_result.losses[i])
         fits.append(DifferentialEstimate(estimate, levels, tau, r, rows, cols, own_cv))
     return fits[0] if isinstance(rule, ThresholdRule) else tuple(fits)
-
-
-def _moments_without_correlation(x: SampleMatrix):
-    """A sample's centered data, variances, column terms and covariance: its
-    moment set less the p x p correlation, which _fit forms one block at a time."""
-    m = moment_set(x)
-    return m.centered, m.var, m._terms, m.cov
 
 
 def estimate_diff_corr(

@@ -2,7 +2,12 @@
 
 A moment set holds one group's centered data, column variances, covariance
 and correlation, in full or by row block. Every statistic divides by n (not n - 1);
-the threshold formulas downstream are calibrated to that convention.
+the threshold formulas downstream are calibrated to that convention. The
+covariance and correlation are formed only when read, and a full set forms
+them one block of rows of the upper triangle at a time from the centered data
+(MomentSet.rows, on the blocks cross-validation and the fit walk), so
+reading the correlation forms no p x p covariance, and the fit, which reads
+only row blocks, forms neither.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
@@ -27,33 +32,109 @@ _CANCELLATION_GUARD = 100.0
 _BLOCK_ELEMENTS = 2**17
 
 
-@dataclass(frozen=True)
+class _FormedWhenRead:
+    """A MomentSet field that, given as None, is formed by the set's method
+    _form_<name> when first read, and then kept. As a data descriptor it takes
+    the frozen dataclass's __init__ assignment, and as it has no value on the
+    class the field keeps no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if value is None:
+            value = obj.__dict__[self.name] = getattr(obj, "_form_" + self.name)()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, repr=False)
 class MomentSet:
     """One sample's centered data, column variances, covariance and correlation:
     all of them, or a row block r0:r1 with cov and corr of rows r0:r1 against
-    columns r0:p and centered and var of columns r0:p (row i is column i)."""
+    columns r0:p and centered and var of columns r0:p (row i is column i).
+
+    A cov or corr given as None is formed when first read, and then kept: corr
+    from cov when that is at hand, and a full set's (moment_set gives neither)
+    from its row blocks, so reading corr forms no p x p covariance."""
 
     centered: np.ndarray
     var: np.ndarray
-    cov: np.ndarray
-    corr: np.ndarray
+    cov: np.ndarray | None = _FormedWhenRead()
+    corr: np.ndarray | None = _FormedWhenRead()
     n: int
     p: int
-    _given_terms: tuple | None = field(default=None, repr=False, compare=False)
+    _given_terms: tuple | None = field(default=None, compare=False)
+
+    def _form_cov(self) -> np.ndarray:  # only a full set is built without a cov
+        return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).cov)
+
+    def _form_corr(self) -> np.ndarray:
+        if self.__dict__["cov"] is None:
+            return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).corr)
+        return _correlation(self.cov, *self._terms[:2])
 
     @property
     def _terms(self) -> tuple:
-        """_column_terms of the columns of centered: for a row block, those
-        moment_rows sliced from its whole sample's; else computed here."""
+        """_column_terms of the columns of centered: those moment_set or
+        moment_rows gave the set, else computed here."""
         given = self._given_terms
         return given if given is not None else _column_terms(self.centered, self.var)
 
+    def rows(self, r0: int, r1: int) -> MomentSet:
+        """Row block r0:r1 of a full set: moment_rows of its centered data, with
+        the variances on the diagonal of its covariance rows, exactly."""
+        block = moment_rows(slice(r0, r1), self.centered, self.var, self._terms)
+        np.fill_diagonal(block.cov, block.var[:r1 - r0])
+        return block
+
+
+def _triangle_blocks(p: int) -> list[tuple[int, int]]:
+    """The row blocks of the upper triangle that cross-validation and the fit walk."""
+    from .crossval import triangle_blocks  # crossval imports this module
+
+    return triangle_blocks(p)
+
+
+def _symmetric(p: int, rows_of) -> np.ndarray:
+    """The symmetric p x p matrix whose rows r0:r1 from column r0 on are
+    rows_of(r0, r1), over _triangle_blocks (see put_triangle_rows)."""
+    out = np.empty((p, p))
+    for r0, r1 in _triangle_blocks(p):
+        put_triangle_rows(out, r0, r1, rows_of(r0, r1))
+    return out
+
+
+def put_triangle_rows(out: np.ndarray, r0: int, r1: int, values: np.ndarray) -> None:
+    """Write the rows r0:r1 of a symmetric matrix, given from column r0 on, into
+    out: the upper triangle as given, and its mirror image below the diagonal
+    (a Gram product's r0:r1 square need not be bitwise symmetric)."""
+    b = r1 - r0
+    out[r0:r1, r0:] = values
+    out[r1:, r0:r1] = values[:, b:].T
+    square = out[r0:r1, r0:r1]
+    np.copyto(square, square.T, where=np.tri(b, k=-1, dtype=bool))
+
+
+def _gram_variances(c: np.ndarray) -> np.ndarray:
+    """Column variances of the centered data c: the diagonal of the Gram
+    product of each row block's own columns, which the block's covariance rows
+    share. The einsum of centered_columns differs from it in the last bit in
+    about a third of the columns, and with it a column and its copy could
+    correlate just below 1, so the equality test would miss their zero variance."""
+    squares = [np.diag(c[:, r0:r1].T @ c[:, r0:r1]) for r0, r1 in _triangle_blocks(c.shape[1])]
+    return np.concatenate(squares) / c.shape[0]
+
 
 def _covariance(c: np.ndarray) -> np.ndarray:
-    """Covariance of the centered data c."""
-    cov = c.T @ c / c.shape[0]
-    # matmul does not guarantee bitwise symmetry
-    return (cov + cov.T) * 0.5
+    """Covariance of the centered data c, as a full moment set forms it."""
+    var = _gram_variances(c)
+    return MomentSet(c, var, None, None, *c.shape, _column_terms(c, var)).cov
 
 
 def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
@@ -111,11 +192,11 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
-    """Center one sample and compute its covariance and correlation."""
+    """Center one sample and compute its column variances and their terms; its
+    covariance and correlation are formed when read."""
     centered = x.data - x.data.mean(axis=0)
-    cov = _covariance(centered)
-    var = _positive_variances(np.diag(cov).copy(), x.names)
-    return MomentSet(centered, var, cov, _correlation(cov, *_powers_of_four(var)), x.n, x.p)
+    var = _positive_variances(_gram_variances(centered), x.names)
+    return MomentSet(centered, var, None, None, x.n, x.p, _column_terms(centered, var))
 
 
 def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -127,20 +208,20 @@ def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarr
     return centered, var, _column_terms(centered, var)
 
 
-def moment_rows(rows: slice, centered: np.ndarray, var: np.ndarray, columns: tuple,
-                cov=None) -> MomentSet:
-    """Row block r0:r1 of the moment set of centered_columns' output, or of a
-    moment set's centered, var, _terms and cov when the full covariance is given."""
+def moment_rows(rows: slice, centered: np.ndarray, var: np.ndarray, columns: tuple) -> MomentSet:
+    """Row block r0:r1 of the moment set of centered_columns' output (or of a
+    full moment set's centered, var and _terms): its covariance rows from one
+    Gram product, its correlation rows formed when read."""
     n, p = centered.shape
     r0, r1, _ = rows.indices(p)
-    c, var, columns = centered[:, r0:], var[r0:], tuple(a[r0:] for a in columns)
-    cov = c[:, :r1 - r0].T @ c / n if cov is None else cov[r0:r1, r0:]
-    return MomentSet(c, var, cov, _correlation(cov, *columns[:2]), n, p, columns)
+    columns = tuple(a[r0:] for a in columns)
+    cov = centered[:, r0:r1].T @ centered[:, r0:] / n
+    return MomentSet(centered[:, r0:], var[r0:], cov, None, n, p, columns)
 
 
 def standardized(moments: MomentSet) -> MomentSet:
     """The moment set of a sample's standardized data, whose covariance is
-    the sample's correlation: one p x p array where a moment set holds two."""
+    the sample's correlation: one p x p array, read once from moments."""
     a = moments.centered / np.sqrt(_positive_variances(moments.var))
     return MomentSet(a, np.ones(moments.p), moments.corr, moments.corr, moments.n, moments.p)
 

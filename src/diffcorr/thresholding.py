@@ -63,7 +63,8 @@ def rule_tuple(rule) -> tuple[ThresholdRule, ...]:
 
 def apply_rule(rule: ThresholdRule, z, lam):
     """Apply a thresholding rule entrywise; z and lam may be scalars or
-    broadcastable arrays. Zero input maps to zero for every rule."""
+    broadcastable arrays. Zero input maps to zero for every rule, and every
+    zero output is +0.0."""
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0.0):
@@ -78,6 +79,7 @@ def apply_rule(rule: ThresholdRule, z, lam):
             ratio = np.where(absz > 0.0, lam / np.where(absz > 0.0, absz, 1.0), np.inf)
             shrink = np.maximum(1.0 - ratio**rule.eta, 0.0)
         out = z * shrink
+    out += 0.0  # a killed negative entry, z * 0 or -0 * 0, is -0.0; make it +0.0
     if out.ndim == 0:
         return float(out)
     return out

@@ -23,6 +23,7 @@ from diffcorr import (
 from diffcorr import test_equality as run_equality_test
 from diffcorr import crossval, thresholding
 from diffcorr.crossval import _draw_split, _loss_curve
+from diffcorr.estimators import _fit
 from diffcorr.thresholding import KINDS, RULE_NAMES, apply_rule
 from oracles import naive_cv_diff_corr
 from properties import check_cv_determinism, gaussian_dataset
@@ -354,6 +355,26 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     with pytest.raises(DegenerateSplitError, match="repetition 0: every one of 10"):
         cv_select_tau(ds, cfg)
     assert (calls["draws"], calls["failed"]) == (20, 10)
+
+
+def test_cov_kinds_form_no_correlation(monkeypatch):
+    from diffcorr import moments
+
+    def refuse(*args):
+        raise AssertionError("a cov kind formed correlation rows")
+
+    monkeypatch.setattr(moments, "_correlation", refuse)
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # several blocks at p = 10
+    ds = gaussian_dataset(33, p=10, n1=30, n2=26)
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=4)
+    rules = (ThresholdRule("hard"), ThresholdRule("adaptive-lasso"))
+    cv_select_tau(ds, cfg, "diff-cov", None, rules)
+    cv_select_tau_single(ds.group1, cfg, "cov-threshold", rules)
+    for tau in (None, 0.5):
+        _fit("diff-cov", ds, tau, rules, cfg)
+        _fit("cov-threshold", ds.group2, tau, rules, cfg)
+    with pytest.raises(AssertionError, match="correlation rows"):
+        cv_select_tau(ds, cfg, "diff-corr")
 
 
 def test_cv_working_set_stays_below_four_p_by_p_arrays():

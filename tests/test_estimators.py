@@ -384,17 +384,45 @@ def test_single_corr_at_zero_tau_is_the_sample_correlation_bit_for_bit(blocked_f
         assert np.array_equal(estimate_single_corr(ds.group1, 0.0, rule).estimate, want)
 
 
-def test_fixed_tau_fit_peaks_below_seven_p_by_p_arrays():
-    p = 600
+def _fit_peak(p, tau, cv=None):
+    """Peak traced bytes of estimate_diff_corr on a p-variable dataset."""
     ds = gaussian_dataset(26, p=p, n1=60, n2=60)
     tracemalloc.start()
     try:
-        estimate_diff_corr(ds, 1.0, HARD)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_diff_corr(ds, tau, HARD, cv)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # dense levels and statistics for the whole matrix peak at about 10 arrays
-    assert peak <= 7 * p * p * 8
+
+
+def test_fixed_tau_fit_peaks_below_four_p_by_p_arrays():
+    p = 600
+    # the estimate and its levels, plus row blocks: a group covariance or
+    # correlation held beside them would pass the bound
+    assert _fit_peak(p, 1.0) <= 4 * p * p * 8
+
+
+def test_cv_fit_peaks_below_four_p_by_p_arrays():
+    p = 600
+    assert _fit_peak(p, None, CvConfig(h_repeats=1, grid_n=10)) <= 4 * p * p * 8
+
+
+@pytest.mark.parametrize("tau", [None, 0.0, 0.8])
+def test_no_fit_forms_a_full_covariance_or_correlation(tau, monkeypatch):
+    from diffcorr import crossval, moments
+
+    def refuse(*args):
+        raise AssertionError("a fit formed a p x p moment matrix")
+
+    monkeypatch.setattr(moments, "_symmetric", refuse)
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # several blocks at p = 10
+    ds = gaussian_dataset(32, p=10, n1=30, n2=26)
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=2)
+    for kind, spec in KINDS.items():
+        data = ds if spec.two_group else ds.group1
+        _fit(kind, data, tau, (HARD, AL), cfg, 4 if spec.cross_block else None)
+    with pytest.raises(AssertionError, match="p x p"):
+        moment_set(ds.group1).corr
 
 
 def test_estimate_copies_only_writeable_arrays():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from diffcorr import (
     moment_set,
     sample_correlation,
 )
-from diffcorr import moments
+from diffcorr import crossval, moments
 from diffcorr import test_statistic as compute_statistic
 from diffcorr.moments import _covariance
 from diffcorr.thresholding import _noise, _product_variance
@@ -325,3 +327,37 @@ def test_correlation_in_row_blocks_is_the_outer_product_form(monkeypatch):
     for budget in (moments._BLOCK_ELEMENTS, 11, 2 * 11, 5 * 11):
         monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", budget)
         assert np.array_equal(sample_correlation(cov), want)
+
+
+def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
+    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((14, 10)) @ (rng.standard_normal((10, 10)) + np.eye(10))
+    first = moment_set(SampleMatrix(x))
+    corr = first.corr  # formed before any covariance
+    m = moment_set(SampleMatrix(x))
+    cov = m.cov
+    assert np.array_equal(cov, cov.T) and np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(cov), m.var)
+    assert np.max(np.abs(cov - np.array(naive_cov(x)))) < 1e-12
+    assert np.array_equal(corr, sample_correlation(cov))
+    assert np.array_equal(corr, m.corr)  # here from the covariance at hand
+    assert np.max(np.abs(corr - np.array(naive_corr(naive_cov(x))))) < 1e-14
+    for r0, r1 in crossval.triangle_blocks(10):
+        block = m.rows(r0, r1)
+        upper = np.triu(np.ones((r1 - r0, 10 - r0), dtype=bool))
+        assert np.array_equal(block.cov[upper], cov[r0:r1, r0:][upper])
+        assert np.array_equal(block.corr[upper], corr[r0:r1, r0:][upper])
+
+
+def test_reading_the_correlation_forms_no_covariance():
+    p = 600
+    m = moment_set(SampleMatrix(np.random.default_rng(6).standard_normal((60, p))))
+    tracemalloc.start()
+    try:
+        m.corr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the correlation and its row blocks; a covariance beside it would pass the bound
+    assert peak <= 2 * p * p * 8

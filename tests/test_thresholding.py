@@ -39,6 +39,20 @@ def test_all_rules_kill_small_arguments():
             assert apply_rule(rule, z, 1.0) == 0.0
 
 
+def test_every_zero_output_is_positive_zero():
+    # soft and adaptive-lasso kill a negative entry as z * 0, which is -0.0
+    z = np.array([-2.0, -0.7, -0.5, -1e-300, -0.0, 0.0, 0.5, 0.7, 2.0])
+    for kind in ("hard", "soft", "adaptive-lasso"):
+        rule = ThresholdRule(kind)
+        for lam in (0.0, 0.7, np.full(z.shape, 3.0)):
+            out = apply_rule(rule, z, lam)
+            assert not np.any(np.signbit(out[out == 0.0])), (kind, lam)
+        for value in (-0.3, -0.0):
+            assert math.copysign(1.0, apply_rule(rule, value, 1.0)) == 1.0
+        est = apply_threshold(-np.ones((3, 3)), np.full((3, 3), 2.0), rule)
+        assert not np.any(np.signbit(est))
+
+
 def test_adaptive_lasso_example():
     # 2 * (1 - (1/2)^4) = 1.875
     assert apply_rule(ThresholdRule("adaptive-lasso", 4.0), 2.0, 1.0) == pytest.approx(
