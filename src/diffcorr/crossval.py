@@ -16,8 +16,9 @@ above it, and while kept moves with tau by a fixed power law (constant for
 hard, linear for soft, tau**eta for adaptive-lasso). Binning the entries by
 the length of that run gives every grid point's loss from a few cumulative
 sums, equal to fitting at every tau up to rounding, in O(p^2 + G) time for G
-grid points. The bins add up over row blocks of the upper triangle and over
-splits, so no p x p array is formed: the working set is O(rows x p + G).
+grid points. The bins add up over row blocks of the upper triangle
+(moments.triangle_blocks) and over splits, so no p x p array is formed: the
+working set is O(rows x p + G).
 
 Per-repetition RNG streams are derived from (seed, repetition), so results do
 not depend on evaluation order.
@@ -35,7 +36,7 @@ from .errors import (
     DegenerateVariableError,
     ValidationError,
 )
-from .moments import centered_columns, moment_rows
+from .moments import centered_columns, moment_rows, triangle_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
@@ -43,7 +44,6 @@ TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
 
 _MAX_REDRAWS = 10
-_CV_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,6 @@ def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
     for g in range(len(out) - 2, -1, -1):
         out[g] += step[g] * out[g + 1]
     return np.array(out)
-
-
-def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """Bounds (r0, r1) of blocks of _CV_BLOCK_ROWS rows covering rows 0:n_rows, the
-    last taking any shorter remainder: each costs a fixed number of numpy calls."""
-    starts = range(0, max(n_rows - _CV_BLOCK_ROWS, 0) + 1, _CV_BLOCK_ROWS)
-    return list(zip(starts, [*starts[1:], n_rows]))
 
 
 def _cv_parts(spec, cfg, samples, split):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import TwoGroupDataset
 from .errors import DegenerateVarianceError, UnsupportedDimensionError, ValidationError
-from .moments import correlation_variance, moment_set, row_blocks, standardized
+from .moments import correlation_variance, moment_set, standardized, triangle_blocks
 
 _LOG_8PI = math.log(8.0 * math.pi)
 
@@ -76,14 +76,14 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     excluded because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    # one group at a time, so only one group's covariance is alive at once
+    # each group's correlation, formed from row blocks of its centered data
     groups = [standardized(moment_set(group)) for group in (ds.group1, ds.group2)]
     t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
     t_n, filled = 0.0, 0
-    for rows in row_blocks(ds.p):
-        r0 = rows.start
+    for r0, r1 in triangle_blocks(ds.p):
+        rows = slice(r0, r1)
         denom = sum(correlation_variance(g, rows) / g.n for g in groups)
-        upper = ~np.tri(rows.stop - r0, ds.p - r0, dtype=bool)  # pairs i < j
+        upper = ~np.tri(r1 - r0, ds.p - r0, dtype=bool)  # pairs i < j
         zero = np.argwhere(upper & (denom == 0.0))
         if zero.size:
             i, j = zero[0] + r0

@@ -15,13 +15,13 @@ single group's are 0 on the diagonal):
   entry; only the cov-then-normalize baseline keeps each group's raw
   variances before normalizing.
 
-The fit on the full data walks the upper triangle in cross-validation's row
-blocks (crossval.triangle_blocks), forms each block's covariance rows from the
-centered data as cross-validation does (MomentSet.rows), and mirrors the
-block below the diagonal. So beside its outputs it holds only each group's
-centered data and variances, and no group covariance or correlation, whether
-tau is given or chosen by cross-validation. cross-corr keeps the
-[:split, split:] part of diff-corr's blocks.
+The fit on the full data walks the upper triangle in the row blocks
+cross-validation walks (moments.triangle_blocks), forms each block's
+covariance rows from the centered data as cross-validation does
+(MomentSet.rows), and mirrors the block below the diagonal. So beside its
+outputs it holds only each group's centered data and variances, and no group
+covariance or correlation, whether tau is given or chosen by cross-validation.
+cross-corr keeps the [:split, split:] part of diff-corr's blocks.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single, triangle_blocks
+from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single
 from .dataset import SampleMatrix, TwoGroupDataset
 from .errors import ValidationError
-from .moments import moment_set, put_triangle_rows, sample_correlation
+from .moments import moment_set, put_triangle_rows, sample_correlation, triangle_blocks
 from .thresholding import (
     DEFAULT_RULE,
     KINDS,

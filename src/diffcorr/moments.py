@@ -1,13 +1,17 @@
-"""Entrywise sample statistics for one group.
+"""Entrywise sample statistics for one group, and the row blocks every p x p
+statistic is formed on.
 
 A moment set holds one group's centered data, column variances, covariance
 and correlation, in full or by row block. Every statistic divides by n (not n - 1);
 the threshold formulas downstream are calibrated to that convention. The
 covariance and correlation are formed only when read, and a full set forms
 them one block of rows of the upper triangle at a time from the centered data
-(MomentSet.rows, on the blocks cross-validation and the fit walk), so
-reading the correlation forms no p x p covariance, and the fit, which reads
-only row blocks, forms neither.
+(MomentSet.rows), so reading the correlation forms no p x p covariance, and
+the fit, which reads only row blocks, forms neither.
+
+triangle_blocks is the one walker over those row blocks: the equality test,
+cross-validation, the fit and a full set's moments all cut their p x p
+statistics with it, _BLOCK_ROWS rows at a time.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
@@ -28,8 +32,8 @@ from .errors import DegenerateVariableError
 # a pair whose expansion terms sum in magnitude to more than this multiple of
 # its theta is recomputed from the per-sample formula
 _CANCELLATION_GUARD = 100.0
-# p x p results are formed this many entries (1 MiB of floats) at a time
-_BLOCK_ELEMENTS = 2**17
+# rows per block of the upper triangle (see triangle_blocks)
+_BLOCK_ROWS = 64
 
 
 class _FormedWhenRead:
@@ -94,18 +98,18 @@ class MomentSet:
         return block
 
 
-def _triangle_blocks(p: int) -> list[tuple[int, int]]:
-    """The row blocks of the upper triangle that cross-validation and the fit walk."""
-    from .crossval import triangle_blocks  # crossval imports this module
-
-    return triangle_blocks(p)
+def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """Bounds (r0, r1) of blocks of _BLOCK_ROWS rows covering rows 0:n_rows, the
+    last taking any shorter remainder: each costs a fixed number of numpy calls."""
+    starts = range(0, max(n_rows - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    return list(zip(starts, [*starts[1:], n_rows]))
 
 
 def _symmetric(p: int, rows_of) -> np.ndarray:
     """The symmetric p x p matrix whose rows r0:r1 from column r0 on are
-    rows_of(r0, r1), over _triangle_blocks (see put_triangle_rows)."""
+    rows_of(r0, r1), over triangle_blocks (see put_triangle_rows)."""
     out = np.empty((p, p))
-    for r0, r1 in _triangle_blocks(p):
+    for r0, r1 in triangle_blocks(p):
         put_triangle_rows(out, r0, r1, rows_of(r0, r1))
     return out
 
@@ -127,7 +131,7 @@ def _gram_variances(c: np.ndarray) -> np.ndarray:
     share. The einsum of centered_columns differs from it in the last bit in
     about a third of the columns, and with it a column and its copy could
     correlate just below 1, so the equality test would miss their zero variance."""
-    squares = [np.diag(c[:, r0:r1].T @ c[:, r0:r1]) for r0, r1 in _triangle_blocks(c.shape[1])]
+    squares = [np.diag(c[:, r0:r1].T @ c[:, r0:r1]) for r0, r1 in triangle_blocks(c.shape[1])]
     return np.concatenate(squares) / c.shape[0]
 
 
@@ -142,14 +146,6 @@ def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
     if bad.size:
         raise DegenerateVariableError(int(bad[0]), names[bad[0]] if names else None)
     return var
-
-
-def row_blocks(p: int, n_rows: int | None = None) -> list[slice]:
-    """Consecutive slices of the first n_rows (default p) rows of a p-column
-    array, each at most _BLOCK_ELEMENTS entries (and at least one row)."""
-    step = max(1, _BLOCK_ELEMENTS // max(p, 1))
-    n_rows = p if n_rows is None else n_rows
-    return [slice(r0, min(r0 + step, n_rows)) for r0 in range(0, n_rows, step)]
 
 
 def _powers_of_four(var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,9 +172,9 @@ def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray) -> np.ndarray
     b = cov.shape[0]
     corr = np.ldexp(cov, -half[:b, None])
     np.ldexp(corr, -half, out=corr)
-    for rows in row_blocks(r.size, b):
-        denom = r[rows, None] * r
-        corr[rows] /= np.sqrt(denom, out=denom)
+    for r0, r1 in triangle_blocks(b):
+        denom = r[r0:r1, None] * r
+        corr[r0:r1] /= np.sqrt(denom, out=denom)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)  # the leading b x b square's diagonal
     return corr

@@ -21,7 +21,7 @@ from diffcorr import (
     scale_to_covariance,
 )
 from diffcorr import test_equality as run_equality_test
-from diffcorr import crossval, thresholding
+from diffcorr import crossval, moments, thresholding
 from diffcorr.crossval import _draw_split, _loss_curve
 from diffcorr.estimators import _fit
 from diffcorr.thresholding import KINDS, RULE_NAMES, apply_rule
@@ -255,12 +255,12 @@ def test_cv_in_row_blocks_matches_one_block(p, monkeypatch):
         tau_naive, _, losses_naive = naive_cv_diff_corr(
             ds.group1.data, ds.group2.data, 5, 2, 10, p, rule.kind
         )
-        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", p)  # one block: the full matrices
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", p)  # one block: the full matrices
         whole = {case: _cv(ds, *case, rule, cfg) for case in cases}
         # the last block takes any shorter remainder: p // 2 rows make two
         # blocks, the second one row longer for odd p; p - 1 rows make one
         for rows in (1, 2, 3, p // 2, p - 1):
-            monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+            monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
             for case in cases:
                 got, want = _cv(ds, *case, rule, cfg), whole[case]
                 assert got.tau_hat == want.tau_hat, (rule.kind, case, rows)
@@ -275,14 +275,14 @@ def test_hard_curve_keeps_its_plateaus_in_row_blocks(monkeypatch):
     ds = _blocked_dataset(11)
     cfg = CvConfig(h_repeats=2, grid_n=50, seed=3)
     hard = ThresholdRule("hard")
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 11)
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 11)
     want = cv_select_tau(ds, cfg, rule=hard).losses
     flat = np.diff(want) == 0.0
     # runs of equal losses: the grid points between two changes of the support
     plateaus = np.split(np.arange(want.size), np.flatnonzero(~flat) + 1)
     assert sum(len(run) > 1 for run in plateaus) >= 3
     for rows in (1, 2, 3, 5):
-        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
         got = cv_select_tau(ds, cfg, rule=hard).losses
         for run in plateaus:
             assert np.array_equal(got[run], np.full(len(run), got[run[0]]))
@@ -337,7 +337,7 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     cfg = CvConfig(h_repeats=3, grid_n=10, seed=5)
     calls = _count_draws(monkeypatch)
     for rows in (2, 9):
-        monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", rows)
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
         calls.update(draws=0, failed=0)
         result = cv_select_tau(ds, cfg, rule=ThresholdRule("soft"))
         draws, failed = _replayed_draws([ds.group1, ds.group2], cfg)
@@ -358,13 +358,11 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
 
 
 def test_cov_kinds_form_no_correlation(monkeypatch):
-    from diffcorr import moments
-
     def refuse(*args):
         raise AssertionError("a cov kind formed correlation rows")
 
     monkeypatch.setattr(moments, "_correlation", refuse)
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # several blocks at p = 10
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
     ds = gaussian_dataset(33, p=10, n1=30, n2=26)
     cfg = CvConfig(h_repeats=2, grid_n=20, seed=4)
     rules = (ThresholdRule("hard"), ThresholdRule("adaptive-lasso"))
@@ -426,7 +424,7 @@ def test_cv_of_a_rule_tuple_equals_one_call_per_rule(monkeypatch):
         for kind, spec in KINDS.items()
         for split in ((1, p - 1) if spec.cross_block else (None,))
     ]
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
     for case in cases:
         for chosen in (rules, rules[1:], rules[:1]):
             together = _cv(ds, *case, chosen, cfg)

@@ -190,9 +190,9 @@ def test_invariances():
 
 
 def _steps(p):
-    """Rows per block that split p variables into several blocks; p - 1
-    leaves a last block of one row."""
-    return (1, 2, 3, p - 1)
+    """Rows per block that split p variables into several blocks; p // 2
+    leaves two, the last one row longer for odd p."""
+    return (1, 2, 3, p // 2)
 
 
 @pytest.mark.parametrize("p", range(7, 14))
@@ -203,8 +203,8 @@ def test_statistic_in_row_blocks_against_naive_oracle(p, monkeypatch):
     ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
     t_n_naive, t_ij_naive = naive_test_statistic(x1, x2)
     for step in _steps(p):
-        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", step * p)
-        assert len(moments.row_blocks(p)) > 1
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", step)
+        assert len(moments.triangle_blocks(p)) > 1
         t_n, t_pairs = compute_statistic(ds)
         assert t_n == pytest.approx(t_n_naive, abs=1e-10)
         assert t_n == t_pairs.max()
@@ -226,7 +226,7 @@ def test_zero_variance_pair_in_a_later_block(monkeypatch):
         compute_statistic(ds)
     assert "(v6, v9)" in str(whole.value)
     for step in _steps(10):
-        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", step * 10)
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", step)
         with pytest.raises(DegenerateVarianceError) as blocked:
             compute_statistic(ds)
         assert str(blocked.value) == str(whole.value)

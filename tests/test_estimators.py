@@ -409,13 +409,13 @@ def test_cv_fit_peaks_below_four_p_by_p_arrays():
 
 @pytest.mark.parametrize("tau", [None, 0.0, 0.8])
 def test_no_fit_forms_a_full_covariance_or_correlation(tau, monkeypatch):
-    from diffcorr import crossval, moments
+    from diffcorr import moments
 
     def refuse(*args):
         raise AssertionError("a fit formed a p x p moment matrix")
 
     monkeypatch.setattr(moments, "_symmetric", refuse)
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # several blocks at p = 10
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
     ds = gaussian_dataset(32, p=10, n1=30, n2=26)
     cfg = CvConfig(h_repeats=2, grid_n=20, seed=2)
     for kind, spec in KINDS.items():
@@ -475,9 +475,9 @@ def _same_fit(got, want):
 
 
 def test_a_rule_tuple_fits_as_one_fit_per_rule(monkeypatch):
-    from diffcorr import crossval
+    from diffcorr import moments
 
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
     ds = gaussian_dataset(31, p=10, n1=30, n2=26)
     cfg = CvConfig(h_repeats=2, grid_n=20, seed=8)
     rules = (ThresholdRule("adaptive-lasso", 2.0), HARD, SOFT)

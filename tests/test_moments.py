@@ -14,7 +14,7 @@ from diffcorr import (
     moment_set,
     sample_correlation,
 )
-from diffcorr import crossval, moments
+from diffcorr import moments
 from diffcorr import test_statistic as compute_statistic
 from diffcorr.moments import _covariance
 from diffcorr.thresholding import _noise, _product_variance
@@ -308,7 +308,7 @@ def test_correlation_variance_recomputes_cancelling_pairs_in_a_later_block(monke
     assert 0.0 < want < 1e-20
     block = correlation_variance(m, slice(3, 6))
     assert abs(block[2, 4] - want) <= 1e-12 * want
-    monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", 3 * 9)
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)
     _, t_pairs = compute_statistic(TwoGroupDataset(sm, sm))
     assert np.array_equal(t_pairs, np.zeros(36))
 
@@ -324,13 +324,27 @@ def test_correlation_in_row_blocks_is_the_outer_product_form(monkeypatch):
     want = np.ldexp(np.ldexp(cov, -half[:, None]), -half) / np.sqrt(np.outer(r, r))
     np.clip(want, -1.0, 1.0, out=want)
     np.fill_diagonal(want, 1.0)
-    for budget in (moments._BLOCK_ELEMENTS, 11, 2 * 11, 5 * 11):
-        monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", budget)
+    for rows in (moments._BLOCK_ROWS, 1, 2, 5):
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
         assert np.array_equal(sample_correlation(cov), want)
 
 
+def test_triangle_blocks_cover_the_rows_once_in_blocks_of_at_least_the_block_rows(monkeypatch):
+    for rows in range(1, 131):
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
+        for n_rows in range(1, 301):
+            blocks = moments.triangle_blocks(n_rows)
+            starts, stops = zip(*blocks)
+            assert starts[0] == 0 and stops[-1] == n_rows
+            assert list(starts[1:]) == list(stops[:-1])  # contiguous, so each row once
+            sizes = [r1 - r0 for r0, r1 in blocks]
+            assert max(sizes) < 2 * rows
+            # a short remainder joins the last block
+            assert len(blocks) == 1 or min(sizes) >= rows, (rows, n_rows)
+
+
 def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
-    monkeypatch.setattr(crossval, "_CV_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # blocks of 3, 3 and 4 rows
     rng = np.random.default_rng(10)
     x = rng.standard_normal((14, 10)) @ (rng.standard_normal((10, 10)) + np.eye(10))
     first = moment_set(SampleMatrix(x))
@@ -343,7 +357,7 @@ def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
     assert np.array_equal(corr, sample_correlation(cov))
     assert np.array_equal(corr, m.corr)  # here from the covariance at hand
     assert np.max(np.abs(corr - np.array(naive_corr(naive_cov(x))))) < 1e-14
-    for r0, r1 in crossval.triangle_blocks(10):
+    for r0, r1 in moments.triangle_blocks(10):
         block = m.rows(r0, r1)
         upper = np.triu(np.ones((r1 - r0, 10 - r0), dtype=bool))
         assert np.array_equal(block.cov[upper], cov[r0:r1, r0:][upper])
