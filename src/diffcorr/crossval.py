@@ -36,7 +36,7 @@ from .errors import (
     DegenerateVariableError,
     ValidationError,
 )
-from .moments import centered_columns, moment_rows, triangle_blocks
+from .moments import sample_moments, triangle_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
@@ -99,9 +99,9 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[tuple]:
-    """Draw one split: centered_columns of the training and the held-out part;
+    """Draw one split: the moment sets of the training and the held-out part;
     raises DegenerateVariableError on a zero variance in either."""
-    return [centered_columns(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]
+    return [sample_moments(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]
 
 
 def _loss_curve(rules, grid, parts) -> np.ndarray:
@@ -190,10 +190,10 @@ def _cv_parts(spec, cfg, samples, split):
                 "produced a zero-variance column"
             )
         for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
-            train = [moment_rows(slice(r0, r1), *part) for part, _ in folds]
+            train = [part.rows(r0, r1) for part, _ in folds]
             raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
             del train  # fewer arrays alive at once
-            target = spec.raw([moment_rows(slice(r0, r1), *part) for _, part in folds])
+            target = spec.raw([part.rows(r0, r1) for _, part in folds])
             b = r1 - r0
             cuts = [(1.0, split - r0, None)] if spec.cross_block else [(1.0, 0, b), (2.0, b, None)]
             for weight, c0, c1 in cuts:

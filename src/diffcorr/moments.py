@@ -64,7 +64,7 @@ class MomentSet:
     columns r0:p and centered and var of columns r0:p (row i is column i).
 
     A cov or corr given as None is formed when first read, and then kept: corr
-    from cov when that is at hand, and a full set's (moment_set gives neither)
+    from cov when that is at hand, and a full set's (sample_moments gives neither)
     from its row blocks, so reading corr forms no p x p covariance."""
 
     centered: np.ndarray
@@ -85,17 +85,20 @@ class MomentSet:
 
     @property
     def _terms(self) -> tuple:
-        """_column_terms of the columns of centered: those moment_set or
-        moment_rows gave the set, else computed here."""
+        """_column_terms of the columns of centered: those the set was built
+        with, else computed here."""
         given = self._given_terms
         return given if given is not None else _column_terms(self.centered, self.var)
 
     def rows(self, r0: int, r1: int) -> MomentSet:
-        """Row block r0:r1 of a full set: moment_rows of its centered data, with
-        the variances on the diagonal of its covariance rows, exactly."""
-        block = moment_rows(slice(r0, r1), self.centered, self.var, self._terms)
-        np.fill_diagonal(block.cov, block.var[:r1 - r0])
-        return block
+        """Row block r0:r1 of a full set: its covariance rows from one Gram
+        product of the centered data, with the variances on their diagonal
+        exactly, and its correlation rows formed when read."""
+        c = self.centered[:, r0:]
+        cov = c[:, :r1 - r0].T @ c / self.n
+        np.fill_diagonal(cov, self.var[r0:r1])
+        terms = tuple(a[r0:] for a in self._terms)
+        return MomentSet(c, self.var[r0:], cov, None, self.n, self.p, terms)
 
 
 def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -128,8 +131,8 @@ def put_triangle_rows(out: np.ndarray, r0: int, r1: int, values: np.ndarray) -> 
 def _gram_variances(c: np.ndarray) -> np.ndarray:
     """Column variances of the centered data c: the diagonal of the Gram
     product of each row block's own columns, which the block's covariance rows
-    share. The einsum of centered_columns differs from it in the last bit in
-    about a third of the columns, and with it a column and its copy could
+    share. A sum of squares per column (an einsum) differs from it in the last
+    bit in about a third of the columns, and with it a column and its copy could
     correlate just below 1, so the equality test would miss their zero variance."""
     squares = [np.diag(c[:, r0:r1].T @ c[:, r0:r1]) for r0, r1 in triangle_blocks(c.shape[1])]
     return np.concatenate(squares) / c.shape[0]
@@ -190,29 +193,15 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
 def moment_set(x: SampleMatrix) -> MomentSet:
     """Center one sample and compute its column variances and their terms; its
     covariance and correlation are formed when read."""
-    centered = x.data - x.data.mean(axis=0)
-    var = _positive_variances(_gram_variances(centered), x.names)
-    return MomentSet(centered, var, None, None, x.n, x.p, _column_terms(centered, var))
+    return sample_moments(x.data, x.names)
 
 
-def centered_columns(data: np.ndarray, names=None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A sample's centered data, column variances, which must be positive, and
-    their _column_terms."""
+def sample_moments(data: np.ndarray, names=None) -> MomentSet:
+    """The full moment set of the n x p array data (a sample, or a part of one
+    in cross-validation), whose column variances must be positive."""
     centered = data - data.mean(axis=0)
-    var = np.einsum("kj,kj->j", centered, centered) / data.shape[0]
-    var = _positive_variances(var, names)
-    return centered, var, _column_terms(centered, var)
-
-
-def moment_rows(rows: slice, centered: np.ndarray, var: np.ndarray, columns: tuple) -> MomentSet:
-    """Row block r0:r1 of the moment set of centered_columns' output (or of a
-    full moment set's centered, var and _terms): its covariance rows from one
-    Gram product, its correlation rows formed when read."""
-    n, p = centered.shape
-    r0, r1, _ = rows.indices(p)
-    columns = tuple(a[r0:] for a in columns)
-    cov = centered[:, r0:r1].T @ centered[:, r0:] / n
-    return MomentSet(centered[:, r0:], var[r0:], cov, None, n, p, columns)
+    var = _positive_variances(_gram_variances(centered), names)
+    return MomentSet(centered, var, None, None, *data.shape, _column_terms(centered, var))
 
 
 def standardized(moments: MomentSet) -> MomentSet:

@@ -134,7 +134,7 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
 
     A single group's levels are exactly 0 on the diagonal, so every rule keeps
     its unit correlations or raw variances; a difference's are not. Moment
-    sets of one row block (moments.moment_rows) give that block's levels.
+    sets of one row block (MomentSet.rows) give that block's levels.
     """
     dims = [m.p for m in moments]
     if len(set(dims)) != 1:

@@ -357,6 +357,26 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     assert (calls["draws"], calls["failed"]) == (20, 10)
 
 
+def test_fold_parts_keep_their_variances_on_every_block_diagonal(monkeypatch):
+    # every block moment set CV reads, of a training or a held-out part,
+    # carries its columns' variances on its covariance diagonal, as a full set does
+    seen = []
+    raw = thresholding.EstimatorKind.raw
+
+    def spy(spec, sets):
+        seen.extend(sets)
+        return raw(spec, sets)
+
+    monkeypatch.setattr(thresholding.EstimatorKind, "raw", spy)
+    ds = _blocked_dataset(150, seed=22)  # blocks of 64 and 86 rows
+    cfg = CvConfig(h_repeats=2, grid_n=10, seed=6)
+    for kind, spec in KINDS.items():
+        _cv(ds, kind, 70 if spec.cross_block else None, ThresholdRule("hard"), cfg)
+    assert {m.cov.shape[0] for m in seen} >= {64, 86}
+    for m in seen:
+        assert np.array_equal(np.diag(m.cov), m.var[:m.cov.shape[0]])
+
+
 def test_cov_kinds_form_no_correlation(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cov kind formed correlation rows")
