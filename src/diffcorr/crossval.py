@@ -36,7 +36,7 @@ from .errors import (
     DegenerateVariableError,
     ValidationError,
 )
-from .moments import sample_moments, triangle_blocks
+from .moments import MomentSet, sample_moments, triangle_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
@@ -98,7 +98,7 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[tuple]:
+def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[MomentSet]:
     """Draw one split: the moment sets of the training and the held-out part;
     raises DegenerateVariableError on a zero variance in either."""
     return [sample_moments(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]

@@ -76,7 +76,7 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     excluded because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    # each group's correlation, formed from row blocks of its centered data
+    # each group's correlation is formed from row blocks, with no covariance beside it
     groups = [standardized(moment_set(group)) for group in (ds.group1, ds.group2)]
     t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
     t_n, filled = 0.0, 0

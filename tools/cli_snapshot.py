@@ -23,7 +23,10 @@ differing line. It exits 1 when any difference is non-numeric or above R
 The commands cover `cv` for every estimator kind and rule, every estimate
 command under every rule, `support-rank`, `test-equality`, three `simulate`
 cells (one under all three rules), user-side settings that must exit 2, and
-CSV inputs in unusual and malformed layouts. A full run takes about 1 s on 2 cores.
+CSV inputs in unusual and malformed layouts. The inputs have 12 variables,
+except for one `test-equality` and one cross-validated `estimate-diff-corr`
+on WIDE_P variables, whose statistics span more than one row block
+(`diffcorr.moments.triangle_blocks`). A full run takes about 1 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ KINDS = ("diff-corr", "diff-cov", "cross-corr", "single-corr", "cov-threshold")
 ESTIMATES = ("estimate-diff-corr", "estimate-diff-cov", "estimate-corr", "estimate-cross")
 
 TWO_FILES = ["--input1", "../inputs/x1.csv", "--input2", "../inputs/x2.csv"]
+WIDE_FILES = ["--input1", "../inputs/wide1.csv", "--input2", "../inputs/wide2.csv"]
+WIDE_P = 150  # rows 0:64 and 64:150 of the upper triangle
 LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
 ONE_FILE = ["--input", "../inputs/x1.csv"]
 # inputs/NAME.csv is x1.csv with its fifth line, file row 5, changed by the function
@@ -77,6 +82,11 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("support-rank", ["support-rank", *LABELED, "--top-k", "5", "--out-json", "summary.json",
                           "--out-csv", "ranking.csv", "--out-matrix", "estimate.csv"]),
         ("test-equality", ["test-equality", *TWO_FILES, "--top-k", "5", "--out-json", "test.json"]),
+        ("test-equality-wide", ["test-equality", *WIDE_FILES, "--top-k", "5",
+                                "--out-json", "test.json"]),
+        ("estimate-diff-corr-wide-hard", ["estimate-diff-corr", *WIDE_FILES, "--rule", "hard",
+                                          "--seed", "3", "--out-json", "summary.json",
+                                          "--out-matrix", "estimate.csv"]),
         ("simulate-model1", ["simulate", "--model", "1", "--p", "100", "--n", "50", "--reps", "2",
                              "--seed", "1", "--out-csv", "report.csv"]),
         ("simulate-model2", ["simulate", "--model", "2", "--p", "20", "--n1", "30", "--n2", "40",
@@ -126,18 +136,28 @@ def _commands() -> list[tuple[str, list[str]]]:
 COMMANDS = _commands()
 
 
-def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> None:
-    """Two correlated Gaussian samples with a shared header, and the same rows
-    as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
-    then group 1 quoted throughout, and group 1 with each fault of MALFORMED."""
-    directory.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(20141)
-    header = [f"v{i}" for i in range(p)]
+def _correlated_pair(seed: int, p: int, n1: int, n2: int) -> list[np.ndarray]:
+    """Two correlated Gaussian samples whose first two variables' correlation differs."""
+    rng = np.random.default_rng(seed)
     mix = np.eye(p) + 0.4 * (rng.random((p, p)) < 0.2)
     samples = [rng.standard_normal((n, p)) @ mix for n in (n1, n2)]
     samples[1][:, 1] += 0.8 * samples[1][:, 0]
+    return samples
+
+
+def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> None:
+    """Two correlated Gaussian samples with a shared header, and the same rows
+    as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
+    then group 1 quoted throughout, group 1 with each fault of MALFORMED, and
+    a pair of samples on WIDE_P variables."""
+    directory.mkdir(parents=True, exist_ok=True)
+    header = [f"v{i}" for i in range(p)]
+    samples = _correlated_pair(20141, p, n1, n2)
     for name, x in zip(("x1.csv", "x2.csv"), samples):
         _write_csv(directory / name, header, x.tolist())
+    wide = _correlated_pair(20142, WIDE_P, n1, n2)
+    for name, x in zip(("wide1.csv", "wide2.csv"), wide):
+        _write_csv(directory / name, [f"v{i}" for i in range(WIDE_P)], x.tolist())
     labels = ["A" if i % 2 else "B" for i in range(n1)] + ["C"] * n2
     rows = [[label, *row] for label, row in zip(labels, np.vstack(samples).tolist())]
     _write_csv(directory / "labeled.csv", ["grp", *header], rows)
