@@ -36,7 +36,7 @@ from .errors import (
     DegenerateVariableError,
     ValidationError,
 )
-from .moments import MomentSet, sample_moments, triangle_blocks
+from .moments import MomentSet, _part_moments, triangle_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
@@ -99,9 +99,9 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[MomentSet]:
-    """Draw one split: the moment sets of the training and the held-out part;
-    raises DegenerateVariableError on a zero variance in either."""
-    return [sample_moments(x.data[idx], x.names) for idx in _draw_split(rng, x.n, n_test)]
+    """Draw one split: the moment sets (_part_moments) of the training and the
+    held-out part; raises DegenerateVariableError on a zero variance in either."""
+    return [_part_moments(x, idx) for idx in _draw_split(rng, x.n, n_test)]
 
 
 def _loss_curve(rules, grid, parts) -> np.ndarray:
@@ -130,23 +130,28 @@ def _loss_curve(rules, grid, parts) -> np.ndarray:
         # k = number of leading grid points at which the entry is kept: seeded
         # from ceil(|z| N / u), then settled by one exact step each way
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k = np.minimum(np.ceil(absz * ((n_grid - 1) // 5) / u), n_grid)
-        k = np.where(u > 0.0, k, np.where(absz > 0.0, n_grid, 0)).astype(np.intp)
+            k = absz * ((n_grid - 1) // 5)
+            k = np.minimum(np.ceil(np.divide(k, u, out=k), out=k), n_grid, out=k)
+        if not (positive := u > 0.0).all():  # a single group's diagonal
+            k[~positive] = np.where(absz[~positive] > 0.0, n_grid, 0)
+        k = k.astype(np.intp)
         k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
         k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
         d = z - t
         killed += weight * float(t @ t)
         kept += weight * np.bincount(k, d * d - t * t, minlength=n_grid + 1)
         if shrink:
-            live = k > 0
-            last = k[live] - 1  # each kept entry's last kept grid point
-            z_live, d_live = z[live], d[live]
+            last = k - 1  # each kept entry's last kept grid point
+            if last.min() < 0:  # some entries are killed at every tau
+                live = last >= 0
+                last, z, d, u, absz = last[live], z[live], d[live], u[live], absz[live]
             # the shrink ratio at the last kept point is <= 1, so no power overflows
-            ratio = grid[last] * u[live] / np.abs(z_live)
+            ratio = grid[last] * u
+            ratio /= absz
             for e, bins in shrink.items():
-                s = z_live * ratio**e
-                bins[0] += weight * np.bincount(last, d_live * s, minlength=n_grid + 1)
-                bins[1] += weight * np.bincount(last, s * s, minlength=n_grid + 1)
+                s = z * ratio**e
+                bins[0] += weight * np.bincount(last, d * s, minlength=n_grid + 1)
+                bins[1] += weight * np.bincount(last, np.square(s, out=s), minlength=n_grid + 1)
     # every entry killed, plus what keeping each one adds (a suffix sum, so an
     # entry whose kept and killed terms are equal, or an empty bin, leaves
     # exact ties in place)

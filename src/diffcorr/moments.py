@@ -7,7 +7,8 @@ the threshold formulas downstream are calibrated to that convention. The
 covariance and correlation are formed only when read, and a full set forms
 them one block of rows of the upper triangle at a time from the centered data
 (MomentSet.rows), so reading the correlation forms no p x p covariance, and
-the fit, which reads only row blocks, forms neither.
+the fit, which reads only row blocks, forms neither. Within _shared_moments (a
+simulate replication) each sample's and each fold part's set is formed once.
 
 triangle_blocks is the one walker over those row blocks: the equality test,
 cross-validation, the fit and a full set's moments all cut their p x p
@@ -22,6 +23,8 @@ formula the few pairs where that expansion cancels too much to trust.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,7 @@ from .errors import DegenerateVariableError
 _CANCELLATION_GUARD = 100.0
 # rows per block of the upper triangle (see triangle_blocks)
 _BLOCK_ROWS = 64
+_SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sample, set)
 
 
 class _FormedWhenRead:
@@ -74,6 +78,7 @@ class MomentSet:
     n: int
     p: int
     _given_terms: tuple | None = field(default=None, compare=False)
+    _gram: np.ndarray | None = field(default=None, compare=False)  # until read (see rows)
 
     def _form_cov(self) -> np.ndarray:  # only a full set is built without a cov
         return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).cov)
@@ -81,23 +86,22 @@ class MomentSet:
     def _form_corr(self) -> np.ndarray:
         if self.__dict__["cov"] is None:
             return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).corr)
-        return _correlation(self.cov, *self._terms[:2])
+        return _correlation(self.cov, *self._terms[:4])
 
     @property
-    def _terms(self) -> tuple:
-        """_column_terms of the columns of centered: those the set was built
-        with, else computed here."""
-        given = self._given_terms
-        return given if given is not None else _column_terms(self.centered, self.var)
+    def _terms(self) -> tuple:  # _column_terms of centered's columns, given or computed here
+        return self._given_terms or _column_terms(self.centered, self.var)
 
     def rows(self, r0: int, r1: int) -> MomentSet:
         """Row block r0:r1 of a full set: its covariance rows from one Gram
         product of the centered data, with the variances on their diagonal
-        exactly, and its correlation rows formed when read."""
+        exactly (rows 0:p of a one-block set first reuse _gram_variances' product),
+        and its correlation rows formed when read."""
         c = self.centered[:, r0:]
-        cov = c[:, :r1 - r0].T @ c / self.n
+        gram = self.__dict__.pop("_gram", None) if r1 - r0 == self.p else None
+        cov = (c[:, :r1 - r0].T @ c if gram is None else gram) / self.n
         np.fill_diagonal(cov, self.var[r0:r1])
-        terms = tuple(a[r0:] for a in self._terms)
+        terms = tuple(a if a is None else a[r0:] for a in self._terms)
         return MomentSet(c, self.var[r0:], cov, None, self.n, self.p, terms)
 
 
@@ -128,20 +132,25 @@ def put_triangle_rows(out: np.ndarray, r0: int, r1: int, values: np.ndarray) -> 
     np.copyto(square, square.T, where=np.tri(b, k=-1, dtype=bool))
 
 
-def _gram_variances(c: np.ndarray) -> np.ndarray:
-    """Column variances of the centered data c: the diagonal of the Gram
-    product of each row block's own columns, which the block's covariance rows
-    share. A sum of squares per column (an einsum) differs from it in the last
-    bit in about a third of the columns, and with it a column and its copy could
-    correlate just below 1, so the equality test would miss their zero variance."""
-    squares = [np.diag(c[:, r0:r1].T @ c[:, r0:r1]) for r0, r1 in triangle_blocks(c.shape[1])]
-    return np.concatenate(squares) / c.shape[0]
+def _gram_variances(c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Column variances of the centered data c, the diagonal of the Gram product
+    of each row block's own columns, and with one block that product (all of the
+    set's covariance rows; see MomentSet.rows), else None. With several blocks each
+    product serves its diagonal alone: an einsum would change a third of the bits."""
+    grams = [c[:, r0:r1].T @ c[:, r0:r1] for r0, r1 in triangle_blocks(c.shape[1])]
+    var = np.concatenate([np.diag(gram) for gram in grams]) / c.shape[0]
+    return var, grams[0] if len(grams) == 1 else None
 
 
-def _covariance(c: np.ndarray) -> np.ndarray:
-    """Covariance of the centered data c, as a full moment set forms it."""
-    var = _gram_variances(c)
-    return MomentSet(c, var, None, None, *c.shape, _column_terms(c, var)).cov
+def _copies(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """Per column of the centered data c, the first column equal to it or to its
+    negation (twin) and the sign of its first nonzero value; (None, None) when the
+    first row's |values| differ. Gram products can round a copy's correlation off 1."""
+    if np.diff(np.sort(np.abs(c[0]))).all():
+        return None, None
+    sign = np.sign(c[(c != 0.0).argmax(axis=0), np.arange(c.shape[1])])
+    _, first, twin = np.unique(c * sign + 0.0, axis=1, return_index=True, return_inverse=True)
+    return first[twin.ravel()], sign
 
 
 def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
@@ -158,20 +167,20 @@ def _powers_of_four(var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(mantissa, exponent - 2 * half), half
 
 
-def _column_terms(centered: np.ndarray, var: np.ndarray) -> tuple:
+def _column_terms(centered: np.ndarray, var: np.ndarray, twin=None, sign=None) -> tuple:
     """Per column j of centered data c with positive variances var: r_j and
-    half_j of _powers_of_four, and the mean over samples of (c_j c_j - var_j)**2
-    (the noise cov_noise_jj of thresholding.unit_thresholds)."""
+    half_j of _powers_of_four, twin and sign (see _copies), and the mean over
+    samples of (c_j c_j - var_j)**2 (cov_noise_jj of thresholding.unit_thresholds)."""
     dev = centered * centered - var
-    return (*_powers_of_four(var), np.einsum("kj,kj->j", dev, dev) / len(dev))
+    return (*_powers_of_four(var), twin, sign, np.einsum("kj,kj->j", dev, dev) / len(dev))
 
 
-def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Correlation rows from covariance rows and the positive variances of
-    their columns, given as var = r * 4**half (see MomentSet)."""
+def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray, twin=None, sign=None):
+    """Correlation rows from covariance rows and the positive variances of their
+    columns, given as var = r * 4**half (see MomentSet); copies at +-1 (_copies)."""
     # scaling cov by the powers of two is exact, and sqrt(r_i r_j) rounds to r
-    # when r_i == r_j, so two identical columns get exactly 1 and no product of
-    # variances leaves the float range
+    # when r_i == r_j, so a copy whose covariance equals its variance gets exactly
+    # 1 (twin sets the others) and no product of variances leaves the float range
     b = cov.shape[0]
     corr = np.ldexp(cov, -half[:b, None])
     np.ldexp(corr, -half, out=corr)
@@ -179,6 +188,9 @@ def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray) -> np.ndarray
         denom = r[r0:r1, None] * r
         corr[r0:r1] /= np.sqrt(denom, out=denom)
     np.clip(corr, -1.0, 1.0, out=corr)
+    if twin is not None:
+        same = twin[:b, None] == twin
+        corr[same] = np.multiply.outer(sign[:b], sign)[same]
     np.fill_diagonal(corr, 1.0)  # the leading b x b square's diagonal
     return corr
 
@@ -193,15 +205,35 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
 def moment_set(x: SampleMatrix) -> MomentSet:
     """Center one sample and compute its column variances and their terms; its
     covariance and correlation are formed when read."""
-    return sample_moments(x.data, x.names)
+    return _part_moments(x)
+
+
+@contextlib.contextmanager
+def _shared_moments():
+    """In this scope _part_moments computes each set once, and holds its sample."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _part_moments(x: SampleMatrix, rows: np.ndarray | None = None) -> MomentSet:
+    """The moment set of sample x, or of its rows given by index array."""
+    memo, key = _SHARED.get({}), (id(x), None if rows is None else rows.tobytes())
+    if key not in memo:
+        memo[key] = x, sample_moments(x.data if rows is None else x.data[rows], x.names)
+    return memo[key][1]
 
 
 def sample_moments(data: np.ndarray, names=None) -> MomentSet:
-    """The full moment set of the n x p array data (a sample, or a part of one
-    in cross-validation), whose column variances must be positive."""
+    """The full moment set of the n x p array data (a sample, or a part of one in
+    cross-validation), whose variances must be positive; copies share one (_copies)."""
     centered = data - data.mean(axis=0)
-    var = _positive_variances(_gram_variances(centered), names)
-    return MomentSet(centered, var, None, None, *data.shape, _column_terms(centered, var))
+    (var, gram), (twin, sign) = _gram_variances(centered), _copies(centered)
+    var = _positive_variances(var if twin is None else var[twin], names)
+    terms = _column_terms(centered, var, twin, sign)
+    return MomentSet(centered, var, None, None, *data.shape, terms, gram)
 
 
 def standardized(moments: MomentSet) -> MomentSet:

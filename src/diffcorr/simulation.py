@@ -36,6 +36,7 @@ from .estimators import (
     baseline_sample_difference,
     estimate_diff_corr,
 )
+from .moments import _shared_moments
 from .norms import frobenius_norm, matrix_l1_norm, spectral_norm
 from .thresholding import ThresholdRule
 
@@ -206,10 +207,11 @@ def _one_replication(kind, p, n1, n2, entropy, estimators, rules, cv):
     ds = TwoGroupDataset(mvn_sample(sigma1, n1, x1_seed), mvn_sample(sigma2, n2, x2_seed))
     cfg = replace(cv, seed=cv_seed)
     losses = []
-    for estimator in estimators:
-        for fit in _FITS[estimator](ds, rules, cfg):
-            dev = fit - truth
-            losses.append([_NORM_FNS[norm](dev) for norm in NORMS])
+    with _shared_moments():  # each group's and each fold part's moments, once
+        for estimator in estimators:
+            for fit in _FITS[estimator](ds, rules, cfg):
+                dev = fit - truth
+                losses.append([_NORM_FNS[norm](dev) for norm in NORMS])
     return losses
 
 
@@ -233,10 +235,11 @@ def run_benchmark(
     seeds derived from cv.seed and the replication, so every replication
     draws its own folds. Each estimator is fitted once per replication under
     all the rules, on one set of folds, which gives each rule the numbers it
-    gets alone. Each combination is aggregated as mean and sample standard
-    deviation over all reps replications. The first error a fit raises stops
-    the run and propagates. rules and estimators each need at least one entry
-    and may not repeat one.
+    gets alone. The fits of a replication compute each group's and each fold
+    part's moments once (moments._shared_moments), with the same numbers. Each
+    combination is aggregated as mean and sample standard deviation over all
+    reps replications. The first error a fit raises stops the run and propagates.
+    rules and estimators each need at least one entry and may not repeat one.
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")

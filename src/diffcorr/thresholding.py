@@ -146,7 +146,7 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
         if statistic == "cov":
             term = np.sqrt(logp / m.n * noise)
         else:
-            root_diag = np.sqrt(m._terms[2]) / m.var  # sqrt(corr_noise_jj), every column j
+            root_diag = np.sqrt(m._terms[4]) / m.var  # sqrt(corr_noise_jj), every column j
             term = np.sqrt(logp / m.n) * (
                 np.sqrt(noise)
                 + 0.5 * np.abs(m.corr) * (root_diag[:len(noise), None] + root_diag)

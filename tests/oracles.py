@@ -352,11 +352,19 @@ def naive_cv_diff_corr(x1, x2, k_folds, h_repeats, grid_n, seed, kind, eta=4.0):
 def bisection_model1_scale(block, d0):
     """Reference for model 1's closed-form scale: the largest lam in (0, 0.2]
     with min eigenvalue of block + lam * d0 at least 1e-3, by bisection to
-    within 0.2 / 2**50; None when even lam = 1e-4 fails. It shares no algebra
-    with the closed form, only numpy's eigvalsh."""
+    within 0.2 / 2**50; None when even lam = 1e-4 fails. A scale is feasible
+    when numpy's Cholesky factorisation of block + lam * d0 - 1e-3 I succeeds.
+    The closed form calls Cholesky too, on block - 1e-3 I alone, then eigvalsh
+    of the whitened d0: the two share numpy's Cholesky, not the reduction of
+    the condition to one eigenvalue."""
+    shifted = block - 1e-3 * np.eye(len(block))
 
     def feasible(lam):
-        return float(np.linalg.eigvalsh(block + lam * d0)[0]) >= 1e-3
+        try:
+            np.linalg.cholesky(shifted + lam * d0)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     if feasible(0.2):
         return 0.2

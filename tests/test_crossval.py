@@ -357,6 +357,36 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     assert (calls["draws"], calls["failed"]) == (20, 10)
 
 
+def test_shared_fold_parts_give_the_same_results_under_redraws(monkeypatch):
+    # column 3 of group 2 varies only through rows 4 and 11, so folds are
+    # redrawn; within a shared scope the CVs of both kinds reuse each part
+    ds = _blocked_dataset(9, seed=21)
+    x2 = ds.group2.data.copy()
+    x2[:, 3] = 0.0
+    x2[[4, 11], 3] = (1.0, -1.0)
+    ds = TwoGroupDataset(ds.group1, SampleMatrix(x2))
+    cfg = CvConfig(h_repeats=3, grid_n=10, seed=5)
+    rules = (ThresholdRule("hard"), ThresholdRule("soft"))
+    calls = _count_draws(monkeypatch)
+    computed = []
+    sample_moments = moments.sample_moments
+    monkeypatch.setattr(moments, "sample_moments", lambda *a: computed.append(a) or sample_moments(*a))
+
+    def results():
+        computed.clear()
+        return [cv_select_tau(ds, cfg, rule=rules), cv_select_tau_single(ds.group2, cfg, rule=rules),
+                cv_select_tau_single(ds.group1, cfg, rule=rules)]
+
+    alone, unshared = results(), len(computed)
+    assert calls["failed"] > 0
+    with moments._shared_moments():
+        shared = results()
+    assert len(computed) < unshared  # group 1's parts are diff-corr's
+    for a, b in zip(alone, shared):
+        assert np.array_equal(a.tau_hat, b.tau_hat)
+        assert a.losses.tobytes() == b.losses.tobytes()
+
+
 def test_fold_parts_keep_their_variances_on_every_block_diagonal(monkeypatch):
     # every block moment set CV reads, of a training or a held-out part,
     # carries its columns' variances on its covariance diagonal, as a full set does

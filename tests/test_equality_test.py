@@ -75,6 +75,46 @@ def test_duplicated_column_gives_degenerate_variance():
             compute_statistic(ds)
 
 
+def _seed_29_copy():
+    """n = 188, p = 12 and the pair (6, 11): a copy block Gram products once
+    rounded to a correlation just below 1, for a finite t_ij of 28.8."""
+    rng = np.random.default_rng(29)
+    n, p = rng.integers(20, 200), rng.integers(3, 200)
+    i, j = sorted(rng.choice(p, 2, replace=False))
+    x1, x2 = rng.standard_normal((n, p)), rng.standard_normal((n, p))
+    return x1, x2, i, j, 1.0
+
+
+def _planted_copy(n, p, i, j, sign):
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((n, p)), rng.standard_normal((n, p)), i, j, sign
+
+
+# each pair once correlated just off +-1 in at least one group
+COPIES = {
+    "seed-29": _seed_29_copy,
+    "same-block": lambda: _planted_copy(63, 132, 75, 131, 1.0),  # rows 64:132
+    "across-blocks": lambda: _planted_copy(109, 158, 20, 152, 1.0),  # rows 0:64 and 64:158
+    "negated": lambda: _planted_copy(88, 38, 15, 37, -1.0),
+}
+
+
+@pytest.mark.parametrize("case", COPIES)
+def test_a_column_and_its_copy_correlate_at_one_and_have_zero_variance(case):
+    x1, x2, i, j, sign = COPIES[case]()
+    for x in (x1, x2):
+        x[:, j] = sign * x[:, i]
+        m = moments.moment_set(SampleMatrix(x))
+        assert m.var[i] == m.var[j]
+        assert m.corr[i, j] == m.corr[j, i] == sign
+        for r0, r1 in moments.triangle_blocks(m.p):  # every block holding the pair
+            if r0 <= i < r1:
+                assert m.rows(r0, r1).corr[i - r0, j - r0] == sign
+    ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
+    with pytest.raises(DegenerateVarianceError, match=rf"\(v{i + 1}, v{j + 1}\)"):
+        run_equality_test(ds)
+
+
 def test_statistic_needs_two_variables():
     rng = np.random.default_rng(2)
     sm = SampleMatrix(rng.standard_normal((10, 1)))

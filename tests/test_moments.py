@@ -16,10 +16,16 @@ from diffcorr import (
 )
 from diffcorr import moments
 from diffcorr import test_statistic as compute_statistic
-from diffcorr.moments import _covariance
 from diffcorr.thresholding import _noise, _product_variance
 from oracles import naive_corr, naive_cov, naive_eta, naive_theta, naive_xi
 from properties import check_moment_invariances
+
+
+def _covariance(c):
+    """Covariance of the centered data c, as a full moment set forms it; a zero
+    variance is allowed."""
+    var = moments._gram_variances(c)[0]
+    return moments.MomentSet(c, var, None, None, *c.shape).cov
 
 
 def test_covariance_single_column():

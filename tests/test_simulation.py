@@ -1,3 +1,4 @@
+import contextlib
 import io
 
 import numpy as np
@@ -7,7 +8,9 @@ from diffcorr import (
     CvConfig,
     DegenerateSplitError,
     ThresholdRule,
+    TwoGroupDataset,
     ValidationError,
+    cv_select_tau,
     generate_pair,
     moment_set,
     mvn_sample,
@@ -15,6 +18,7 @@ from diffcorr import (
     sample_correlation,
     scale_to_covariance,
 )
+from diffcorr import moments, simulation
 from diffcorr.cli import main
 from diffcorr.simulation import ESTIMATOR_NAMES, MODEL_KINDS, NORMS
 from diffcorr.thresholding import RULE_NAMES
@@ -326,3 +330,68 @@ def test_a_replication_draws_its_folds_once_for_all_rules(monkeypatch):
         counts.append(draws["n"])
     # per replication: diff-corr draws 2 groups x 3 repetitions, each baseline 2 x 3
     assert counts == [2 * 18] * 3
+
+
+def _count_moment_sets(monkeypatch):
+    calls = {"n": 0}
+    sample_moments = moments.sample_moments
+
+    def counted(*args):
+        calls["n"] += 1
+        return sample_moments(*args)
+
+    monkeypatch.setattr(moments, "sample_moments", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, n", [(100, 50), (130, 40)])  # one and two row blocks
+def test_shared_moments_give_each_estimator_its_own_numbers(p, n, monkeypatch):
+    rules = [HARD, ThresholdRule("adaptive-lasso")]
+    shared = run_benchmark("model1", p, n, n, 2, rules, list(ESTIMATOR_NAMES), CvConfig(seed=3))
+    # each estimator fitted alone and outside the scope, which then shares nothing
+    monkeypatch.setattr(simulation, "_shared_moments", contextlib.nullcontext)
+    alone = []
+    for estimator in ESTIMATOR_NAMES:
+        alone += run_benchmark("model1", p, n, n, 2, rules, [estimator], CvConfig(seed=3)).rows
+    assert shared.rows == tuple(alone)
+
+
+def test_a_simulate_operation_computes_each_moment_set_once(monkeypatch, tmp_path):
+    calls = _count_moment_sets(monkeypatch)
+    argv = ["simulate", "--model", "1", "--p", "100", "--n", "50", "--reps", "2", "--seed", "3",
+            "--out-csv", str(tmp_path / "report.csv")]
+    main(argv)
+    # per replication, 15 distinct splits of 2 parts each (diff-corr's 10, and
+    # the 5 on group 2 that both single-group baselines draw), and the 2 groups
+    assert calls["n"] == 2 * (15 * 2 + 2)
+    monkeypatch.setattr(simulation, "_shared_moments", contextlib.nullcontext)
+    calls["n"] = 0
+    main(argv)
+    # unshared: 30 splits and 4 full sets per group (diff-corr, both
+    # baselines and sample-diff) per replication
+    assert calls["n"] == 2 * (30 * 2 + 8)
+
+
+def test_the_shared_scope_leaves_nothing_behind(monkeypatch):
+    x = mvn_sample(np.eye(4), 20, 1)
+    with pytest.raises(RuntimeError):
+        with moments._shared_moments():
+            assert moment_set(x) is moment_set(x)
+            raise RuntimeError
+    assert moments._SHARED.get(None) is None
+    assert moment_set(x) is not moment_set(x)
+
+    def failing(ds, rules, cfg):
+        moment_set(ds.group1)
+        raise RuntimeError("fit failed")
+
+    monkeypatch.setitem(simulation._FITS, "sample-diff", failing)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        run_benchmark("model2", 8, 16, 16, 2, [HARD], ["diff-corr", "sample-diff"])
+    assert moments._SHARED.get(None) is None
+    # cross-validation outside simulate computes its own parts every time
+    calls = _count_moment_sets(monkeypatch)
+    ds = TwoGroupDataset(x, mvn_sample(np.eye(4), 20, 2))
+    for _ in range(2):
+        cv_select_tau(ds, CvConfig(h_repeats=3))
+    assert calls["n"] == 2 * (3 * 2 * 2)

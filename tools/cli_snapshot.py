@@ -21,12 +21,16 @@ differing line. It exits 1 when any difference is non-numeric or above R
 (default 1e-12), else 0.
 
 The commands cover `cv` for every estimator kind and rule, every estimate
-command under every rule, `support-rank`, `test-equality`, three `simulate`
-cells (one under all three rules), user-side settings that must exit 2, and
-CSV inputs in unusual and malformed layouts. The inputs have 12 variables,
-except for one `test-equality` and one cross-validated `estimate-diff-corr`
-on WIDE_P variables, whose statistics span more than one row block
-(`diffcorr.moments.triangle_blocks`). A full run takes about 1 s on 2 cores.
+command under every rule, `support-rank`, `test-equality`, five `simulate`
+cells, user-side settings that must exit 2, and CSV inputs in unusual and
+malformed layouts. The inputs have 12 variables, except for one
+`test-equality` and one cross-validated `estimate-diff-corr` on WIDE_P
+variables, whose statistics span more than one row block
+(`diffcorr.moments.triangle_blocks`). The `simulate` cells share each group's
+and each fold part's moments within a replication: one cell scores all three
+rules, `simulate-wide` has p = 130 (two row blocks), and `simulate-baselines`
+runs only the single-group baselines, whose cross-validations share fold
+parts without diff-corr's. A full run takes about 1 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -97,6 +101,11 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("simulate-three-rules", ["simulate", "--model", "1", "--p", "16", "--n", "30", "--reps",
                                   "2", "--rules", "hard,soft,adaptive-lasso", "--eta", "2",
                                   "--seed", "4", "--out-csv", "report.csv"]),
+        ("simulate-wide", ["simulate", "--model", "1", "--p", "130", "--n", "40", "--reps", "2",
+                           "--seed", "2", "--out-csv", "report.csv"]),
+        ("simulate-baselines", ["simulate", "--model", "1", "--p", "24", "--n", "30", "--reps",
+                                "2", "--estimators", "separate-corr,cov-normalize",
+                                "--seed", "5", "--out-csv", "report.csv"]),
         # user-side settings: each must exit 2 and name its cause
         ("simulate-too-few-rows", ["simulate", "--model", "2", "--p", "10", "--n", "3", "--reps",
                                    "2", "--estimators", "diff-corr", "--out-csv", "report.csv"]),
