@@ -120,6 +120,7 @@ def _loss_curve(rules, grid, parts) -> np.ndarray:
     Only the s_g bins depend on the rule, through e; rules of one e share them.
     """
     n_grid = len(grid)  # CvConfig.grid: the 5 N + 1 points g / N
+    above, below = np.append(grid, np.inf), np.insert(grid, 0, -np.inf)  # tau_k, tau_(k-1)
     exponents = [None if r.kind == "hard" else 1.0 if r.kind == "soft" else r.eta for r in rules]
     # per exponent, the bins of the cross terms d s_g and the squares s_g**2
     shrink = {e: np.zeros((2, n_grid + 1)) for e in exponents if e is not None}
@@ -132,11 +133,11 @@ def _loss_curve(rules, grid, parts) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             k = absz * ((n_grid - 1) // 5)
             k = np.minimum(np.ceil(np.divide(k, u, out=k), out=k), n_grid, out=k)
-        if not (positive := u > 0.0).all():  # a single group's diagonal
-            k[~positive] = np.where(absz[~positive] > 0.0, n_grid, 0)
-        k = k.astype(np.intp)
-        k += (k < n_grid) & (absz > grid[np.minimum(k, n_grid - 1)] * u)
-        k -= (k > 0) & (absz <= grid[np.maximum(k - 1, 0)] * u)
+            if not (positive := u > 0.0).all():  # a single group's diagonal
+                k[~positive] = np.where(absz[~positive] > 0.0, n_grid, 0)
+            k = k.astype(np.intp)
+            k += absz > above[k] * u  # never past either end of the grid
+            k -= absz <= below[k] * u
         d = z - t
         killed += weight * float(t @ t)
         kept += weight * np.bincount(k, d * d - t * t, minlength=n_grid + 1)
@@ -146,8 +147,7 @@ def _loss_curve(rules, grid, parts) -> np.ndarray:
                 live = last >= 0
                 last, z, d, u, absz = last[live], z[live], d[live], u[live], absz[live]
             # the shrink ratio at the last kept point is <= 1, so no power overflows
-            ratio = grid[last] * u
-            ratio /= absz
+            ratio = grid[last] * u / absz
             for e, bins in shrink.items():
                 s = z * ratio**e
                 bins[0] += weight * np.bincount(last, d * s, minlength=n_grid + 1)
