@@ -26,6 +26,7 @@ not depend on evaluation order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,16 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise ValidationError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.h_repeats < 1:
-            raise ValidationError(f"h_repeats must be >= 1, got {self.h_repeats}")
-        if self.grid_n < 1:
-            raise ValidationError(f"grid_n must be >= 1, got {self.grid_n}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError("seed must be a non-negative 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, least in (("k_folds", 2), ("h_repeats", 1), ("grid_n", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+        if self.seed >= 2**64:
+            raise ValidationError(f"seed must be < 2**64, got {self.seed}")
 
     def grid(self) -> np.ndarray:
         """Equi-spaced tau grid {0, 1/N, 2/N, ..., 5} with N = grid_n."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import TwoGroupDataset
 from .errors import DegenerateVarianceError, UnsupportedDimensionError, ValidationError
-from .moments import correlation_variance, moment_set, standardized, triangle_blocks
+from .moments import correlation_variance, moment_set, triangle_blocks
 
 _LOG_8PI = math.log(8.0 * math.pi)
 
@@ -76,8 +76,9 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     excluded because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    # each group's correlation is formed from row blocks, with no covariance beside it
-    groups = [standardized(moment_set(group)) for group in (ds.group1, ds.group2)]
+    # correlation_variance standardizes each group's data itself, and a group's
+    # correlation is formed from row blocks when first read, with no covariance
+    groups = [moment_set(group) for group in (ds.group1, ds.group2)]
     t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
     t_n, filled = 0.0, 0
     for r0, r1 in triangle_blocks(ds.p):

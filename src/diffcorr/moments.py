@@ -78,7 +78,6 @@ class MomentSet:
     n: int
     p: int
     _given_terms: tuple | None = field(default=None, compare=False)
-    _gram: np.ndarray | None = field(default=None, compare=False)  # until read (see rows)
 
     def _form_cov(self) -> np.ndarray:  # only a full set is built without a cov
         return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).cov)
@@ -95,11 +94,9 @@ class MomentSet:
     def rows(self, r0: int, r1: int) -> MomentSet:
         """Row block r0:r1 of a full set: its covariance rows from one Gram
         product of the centered data, with the variances on their diagonal
-        exactly (rows 0:p of a one-block set first reuse _gram_variances' product),
-        and its correlation rows formed when read."""
+        exactly, and its correlation rows formed when read."""
         c = self.centered[:, r0:]
-        gram = self.__dict__.pop("_gram", None) if r1 - r0 == self.p else None
-        cov = (c[:, :r1 - r0].T @ c if gram is None else gram) / self.n
+        cov = c[:, :r1 - r0].T @ c / self.n
         np.fill_diagonal(cov, self.var[r0:r1])
         terms = tuple(a if a is None else a[r0:] for a in self._terms)
         return MomentSet(c, self.var[r0:], cov, None, self.n, self.p, terms)
@@ -130,16 +127,6 @@ def put_triangle_rows(out: np.ndarray, r0: int, r1: int, values: np.ndarray) -> 
     out[r1:, r0:r1] = values[:, b:].T
     square = out[r0:r1, r0:r1]
     np.copyto(square, square.T, where=np.tri(b, k=-1, dtype=bool))
-
-
-def _gram_variances(c: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Column variances of the centered data c, the diagonal of the Gram product
-    of each row block's own columns, and with one block that product (all of the
-    set's covariance rows; see MomentSet.rows), else None. With several blocks each
-    product serves its diagonal alone: an einsum would change a third of the bits."""
-    grams = [c[:, r0:r1].T @ c[:, r0:r1] for r0, r1 in triangle_blocks(c.shape[1])]
-    var = np.concatenate([np.diag(gram) for gram in grams]) / c.shape[0]
-    return var, grams[0] if len(grams) == 1 else None
 
 
 def _copies(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
@@ -230,17 +217,11 @@ def sample_moments(data: np.ndarray, names=None) -> MomentSet:
     """The full moment set of the n x p array data (a sample, or a part of one in
     cross-validation), whose variances must be positive; copies share one (_copies)."""
     centered = data - data.mean(axis=0)
-    (var, gram), (twin, sign) = _gram_variances(centered), _copies(centered)
+    var = np.einsum("kj,kj->j", centered, centered) / len(data)
+    twin, sign = _copies(centered)
     var = _positive_variances(var if twin is None else var[twin], names)
     terms = _column_terms(centered, var, twin, sign)
-    return MomentSet(centered, var, None, None, *data.shape, terms, gram)
-
-
-def standardized(moments: MomentSet) -> MomentSet:
-    """The moment set of a sample's standardized data, whose covariance is
-    the sample's correlation: one p x p array, read once from moments."""
-    a = moments.centered / np.sqrt(_positive_variances(moments.var))
-    return MomentSet(a, np.ones(moments.p), moments.corr, moments.corr, moments.n, moments.p)
+    return MomentSet(centered, var, None, None, *data.shape, terms)
 
 
 def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.ndarray:

@@ -67,7 +67,7 @@ def apply_rule(rule: ThresholdRule, z, lam):
     zero output is +0.0."""
     z = np.asarray(z, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0.0):
+    if not np.all(lam >= 0.0):  # a NaN level fails this too
         raise ValidationError("threshold level must be >= 0")
     if rule.kind == "hard":
         out = np.where(np.abs(z) > lam, z, 0.0)

@@ -740,7 +740,8 @@ def test_cli_snapshot_compares_numbers(tmp_path, capsys):
     snapshot = _cli_snapshot()
     trees = {}
     for name, report in (("base", "a,1.0,2\n"), ("close", "a,1.0000000000001,2\n"),
-                         ("far", "a,1.001,2\n"), ("text", "b,1.0,2\n")):
+                         ("far", "a,1.001,2\n"), ("text", "b,1.0,2\n"),
+                         ("zero", "a,0,2\n"), ("negzero", "a,-0,2\n")):
         (tmp_path / name / "00-cell").mkdir(parents=True)
         (tmp_path / name / "00-cell" / "report.csv").write_text(report)
         trees[name] = tmp_path / name
@@ -755,6 +756,8 @@ def test_cli_snapshot_compares_numbers(tmp_path, capsys):
     assert "(above 1e-12)" in capsys.readouterr().out
     assert compare(trees["base"], trees["far"], 1e-2) == 0
     capsys.readouterr()
+    assert compare(trees["zero"], trees["negzero"], 1.0) == 1  # a sign of zero changed
+    assert "largest relative difference inf (above 1)" in capsys.readouterr().out
     assert compare(trees["base"], trees["text"], 1.0) == 1
     assert capsys.readouterr().out == (
         "00-cell/report.csv: non-numeric difference\n  < a,1.0,2\n  > b,1.0,2\n"

@@ -47,6 +47,10 @@ def test_config_validation():
         CvConfig(grid_n=0)
     with pytest.raises(ValidationError):
         CvConfig(seed=-1)
+    for field in ("k_folds", "h_repeats", "grid_n", "seed"):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            CvConfig(**{field: 2.5})
+    assert CvConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_grid_shape():

@@ -24,7 +24,7 @@ from properties import check_moment_invariances
 def _covariance(c):
     """Covariance of the centered data c, as a full moment set forms it; a zero
     variance is allowed."""
-    var = moments._gram_variances(c)[0]
+    var = np.einsum("kj,kj->j", c, c) / len(c)
     return moments.MomentSet(c, var, None, None, *c.shape).cov
 
 

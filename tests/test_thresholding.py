@@ -80,6 +80,11 @@ def test_rule_validation():
     assert ThresholdRule("adaptive-lasso", eta=float("inf")).eta == float("inf")
     with pytest.raises(ValidationError):
         apply_rule(ThresholdRule("soft"), 1.0, -0.1)
+    for kind in ("hard", "soft", "adaptive-lasso"):
+        with pytest.raises(ValidationError):
+            apply_rule(ThresholdRule(kind), 1.0, float("nan"))
+        with pytest.raises(ValidationError):
+            apply_rule(ThresholdRule(kind), np.ones(3), np.array([0.1, float("nan"), 0.2]))
 
 
 def test_rule_name_normalization():

@@ -211,7 +211,8 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def numeric_difference(a: str, b: str) -> float | None:
     """Largest relative difference between the numeric tokens of two texts,
-    or None when they differ anywhere else."""
+    or None when they differ anywhere else. A zero against a zero of the other
+    sign is infinitely far: the CSV writer writes -0 only for a negative zero."""
     if _NUMBER.split(a) != _NUMBER.split(b):
         return None
     worst = 0.0
@@ -219,7 +220,10 @@ def numeric_difference(a: str, b: str) -> float | None:
         if x != y:
             fx, fy = float(x), float(y)
             scale = max(abs(fx), abs(fy))
-            worst = max(worst, abs(fx - fy) / scale if scale else 0.0)
+            if scale:
+                worst = max(worst, abs(fx - fy) / scale)
+            elif np.signbit(fx) != np.signbit(fy):
+                worst = np.inf
     return worst
 
 
