@@ -102,7 +102,8 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[MomentSet]:
     """Draw one split: the moment sets (_part_moments) of the training and the
-    held-out part; raises DegenerateVariableError on a zero variance in either."""
+    held-out part; raises DegenerateVariableError on a zero or non-finite
+    variance in either."""
     return [_part_moments(x, idx) for idx in _draw_split(rng, x.n, n_test)]
 
 
@@ -181,7 +182,7 @@ def _cv_parts(spec, cfg, samples, split):
     once). The square r0:r1 x r0:r1 holds both triangles and counts once, the
     rest r0:r1 x r1:p twice, as the symmetric full matrices hold it and its
     mirror image. Each repetition redraws its folds while a part of a group
-    has a zero-variance column."""
+    has a column of zero or non-finite variance."""
     sizes = [_split_sizes(x.n, cfg.k_folds) for x in samples]
     for h in range(cfg.h_repeats):
         rng = np.random.default_rng([cfg.seed, h])
@@ -194,7 +195,7 @@ def _cv_parts(spec, cfg, samples, split):
         else:
             raise DegenerateSplitError(
                 f"repetition {h}: every one of {_MAX_REDRAWS} candidate splits "
-                "produced a zero-variance column"
+                "produced a column of zero or non-finite variance"
             )
         for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
             train = [part.rows(r0, r1) for part, _ in folds]

@@ -7,8 +7,9 @@ Each off-diagonal pair (i, j) gets the standardized statistic
 with per-entry variances from moments.correlation_variance. The maximum t_n
 over i < j is calibrated against the type I extreme value limit of
 t_n - 4 log p + log log p, whose CDF is exp(-(8 pi)^(-1/2) exp(-t / 2)).
-The statistic is formed one block of rows of the upper triangle at a time,
-so beside each group's correlation only the p(p-1)/2 values t_ij are held.
+The statistic is formed one block of rows of the upper triangle at a time
+(moments.MomentSet.rows), so beside each group's standardized data only the
+p(p-1)/2 values t_ij are held, and no p x p moment matrix is formed.
 
 The calibration is asymptotic and its regularity conditions (sub-Gaussian
 tails, variances bounded away from zero, log p small relative to n^(1/3))
@@ -76,14 +77,12 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     excluded because its variance is identically zero)."""
     if ds.p < 2:
         raise ValidationError(f"the test needs p >= 2 variables, got {ds.p}")
-    # correlation_variance standardizes each group's data itself, and a group's
-    # correlation is formed from row blocks when first read, with no covariance
     groups = [moment_set(group) for group in (ds.group1, ds.group2)]
     t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
     t_n, filled = 0.0, 0
     for r0, r1 in triangle_blocks(ds.p):
-        rows = slice(r0, r1)
-        denom = sum(correlation_variance(g, rows) / g.n for g in groups)
+        blocks = [g.rows(r0, r1) for g in groups]
+        denom = sum(correlation_variance(m) / m.n for m in blocks)
         upper = ~np.tri(r1 - r0, ds.p - r0, dtype=bool)  # pairs i < j
         zero = np.argwhere(upper & (denom == 0.0))
         if zero.size:
@@ -91,7 +90,7 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
             raise DegenerateVarianceError(
                 f"pair ({ds.names[i]}, {ds.names[j]}) has zero variance estimate"
             )
-        t = groups[0].corr[rows, r0:][upper] - groups[1].corr[rows, r0:][upper]
+        t = blocks[0].corr[upper] - blocks[1].corr[upper]
         t *= t
         t /= denom[upper]
         t_pairs[filled:filled + t.size] = t

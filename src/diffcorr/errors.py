@@ -42,11 +42,11 @@ class CsvFormatError(ValidationError):
 
 
 class DegenerateVariableError(DataError):
-    """A variable has zero or negative sample variance."""
+    """A variable's sample variance is not positive and finite."""
 
     def __init__(self, index, label=None):
         name = label if label is not None else f"index {index}"
-        super().__init__(f"variable {name} has non-positive sample variance")
+        super().__init__(f"variable {name} has a sample variance that is not positive and finite")
         self.index = index
         self.label = label
 

@@ -16,11 +16,11 @@ single group's are 0 on the diagonal):
   variances before normalizing.
 
 The fit on the full data walks the upper triangle in the row blocks
-cross-validation walks (moments.triangle_blocks), forms each block's
-covariance rows from the centered data as cross-validation does
-(MomentSet.rows), and mirrors the block below the diagonal. So beside its
-outputs it holds only each group's centered data and variances, and no group
-covariance or correlation, whether tau is given or chosen by cross-validation.
+cross-validation walks (moments.triangle_blocks), forms each block's moments
+from the standardized data as cross-validation does (MomentSet.rows), and
+mirrors the block below the diagonal. So beside its outputs it holds only each
+group's standardized data and column statistics, and no group covariance or
+correlation, whether tau is given or chosen by cross-validation.
 cross-corr keeps the [:split, split:] part of diff-corr's blocks.
 """
 
@@ -112,7 +112,7 @@ def _fit(
     else:
         taus = [check_tau(tau)] * len(rules)
     groups = (data.group1, data.group2) if spec.two_group else (data,)
-    full = [moment_set(x) for x in groups]  # centered data and variances; no p x p array
+    full = [moment_set(x) for x in groups]  # standardized data; no p x p array
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
     outputs = [(np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))) for _ in rules]

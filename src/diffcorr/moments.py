@@ -1,36 +1,36 @@
 """Entrywise sample statistics for one group, and the row blocks every p x p
 statistic is formed on.
 
-A moment set holds one group's centered data, column variances, covariance
-and correlation, in full or by row block. Every statistic divides by n (not n - 1);
-the threshold formulas downstream are calibrated to that convention. The
-covariance and correlation are formed only when read, and a full set forms
-them one block of rows of the upper triangle at a time from the centered data
-(MomentSet.rows), so reading the correlation forms no p x p covariance, and
-the fit, which reads only row blocks, forms neither. Within _shared_moments (a
-simulate replication) each sample's and each fold part's set is formed once.
+A moment set standardizes one group's data once, a = centered / sqrt(var),
+dividing by n (not n - 1; the threshold formulas downstream are calibrated to
+that convention). A block of rows r0:r1 of the upper triangle (MomentSet.rows)
+forms one Gram product g = a[:, r0:r1]^T a[:, r0:] / n and reads from it its
+correlation rows (g clamped to [-1, 1]), covariance rows (g_ij sd_i sd_j) and
+correlation noise levels ((a^2)^T a^2 / n - g^2), so the correlation
+statistics do not depend on the data's scale. A full set forms its p x p
+matrices from its row blocks when they are read; the fit, cross-validation and
+the equality test read only row blocks. Within _shared_moments (a simulate
+replication) each sample's and each fold part's set is formed once.
 
-triangle_blocks is the one walker over those row blocks: the equality test,
-cross-validation, the fit and a full set's moments all cut their p x p
-statistics with it, _BLOCK_ROWS rows at a time.
+triangle_blocks is the one walker over those row blocks, _BLOCK_ROWS at a time.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
-test's statistic, in full or one row block at a time. It expands theta into
-Gram products of the standardized data and recomputes from the per-sample
-formula the few pairs where that expansion cancels too much to trust.
+test's statistic. It expands theta into Gram products of the standardized
+data and recomputes from the per-sample formula the few pairs where that
+expansion cancels too much to trust.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SampleMatrix
-from .errors import DegenerateVariableError
+from .errors import DegenerateVariableError, ValidationError
 
 # a pair whose expansion terms sum in magnitude to more than this multiple of
 # its theta is recomputed from the per-sample formula
@@ -41,20 +41,24 @@ _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sam
 
 
 class _FormedWhenRead:
-    """A MomentSet field that, given as None, is formed by the set's method
-    _form_<name> when first read, and then kept. As a data descriptor it takes
-    the frozen dataclass's __init__ assignment, and as it has no value on the
-    class the field keeps no default."""
+    """A MomentSet field that, given as None (its default), is formed when first
+    read, and then kept: a row block's by the set's method _form_<name>, a full
+    set's from its row blocks. As a data descriptor it takes the frozen
+    dataclass's __init__ assignment."""
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)
+            return None
         value = obj.__dict__[self.name]
         if value is None:
-            value = obj.__dict__[self.name] = getattr(obj, "_form_" + self.name)()
+            if obj.gram is None:
+                value = _symmetric(obj.p, lambda r0, r1: getattr(obj.rows(r0, r1), self.name))
+            else:
+                value = getattr(obj, "_form_" + self.name)()
+            obj.__dict__[self.name] = value
         return value
 
     def __set__(self, obj, value):
@@ -63,43 +67,53 @@ class _FormedWhenRead:
 
 @dataclass(frozen=True, repr=False)
 class MomentSet:
-    """One sample's centered data, column variances, covariance and correlation:
-    all of them, or a row block r0:r1 with cov and corr of rows r0:r1 against
-    columns r0:p and centered and var of columns r0:p (row i is column i).
+    """One sample's standardized data a, its squares sq, column variances var
+    and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of columns
+    r0:p for a row block r0:r1 (row i is column i), which also holds its Gram
+    rows with a unit diagonal. twin and sign mark copies (_copies). cov, corr
+    and corr_noise are formed when first read (see _FormedWhenRead)."""
 
-    A cov or corr given as None is formed when first read, and then kept: corr
-    from cov when that is at hand, and a full set's (sample_moments gives neither)
-    from its row blocks, so reading corr forms no p x p covariance."""
-
-    centered: np.ndarray
+    a: np.ndarray
+    sq: np.ndarray
     var: np.ndarray
-    cov: np.ndarray | None = _FormedWhenRead()
-    corr: np.ndarray | None = _FormedWhenRead()
+    corr_noise_jj: np.ndarray
     n: int
     p: int
-    _given_terms: tuple | None = field(default=None, compare=False)
+    cov: np.ndarray | None = _FormedWhenRead()
+    corr: np.ndarray | None = _FormedWhenRead()
+    corr_noise: np.ndarray | None = _FormedWhenRead()
+    gram: np.ndarray | None = None
+    twin: np.ndarray | None = None
+    sign: np.ndarray | None = None
 
-    def _form_cov(self) -> np.ndarray:  # only a full set is built without a cov
-        return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).cov)
+    def _form_cov(self) -> np.ndarray:  # with the variances on the diagonal
+        sd = np.sqrt(self.var)
+        cov = self.gram * sd[:len(self.gram), None]
+        cov *= sd
+        np.fill_diagonal(cov, self.var)
+        return cov
 
     def _form_corr(self) -> np.ndarray:
-        if self.__dict__["cov"] is None:
-            return _symmetric(self.p, lambda r0, r1: self.rows(r0, r1).corr)
-        return _correlation(self.cov, *self._terms[:4])
+        return _unit_correlation(self.gram, self.twin, self.sign)
 
-    @property
-    def _terms(self) -> tuple:  # _column_terms of centered's columns, given or computed here
-        return self._given_terms or _column_terms(self.centered, self.var)
+    def _form_corr_noise(self) -> np.ndarray:
+        """E[(a_i a_j - g_ij)^2] = E[a_i^2 a_j^2] - g_ij^2, its leading square
+        symmetrized, clamped at 0 against rounding."""
+        b, sq = len(self.gram), self.sq
+        noise = sq[:, :b].T @ sq / self.n
+        noise -= np.square(self.gram)
+        noise[:, :b] = (noise[:, :b] + noise[:, :b].T) * 0.5
+        return np.maximum(noise, 0.0, out=noise)
 
     def rows(self, r0: int, r1: int) -> MomentSet:
-        """Row block r0:r1 of a full set: its covariance rows from one Gram
-        product of the centered data, with the variances on their diagonal
-        exactly, and its correlation rows formed when read."""
-        c = self.centered[:, r0:]
-        cov = c[:, :r1 - r0].T @ c / self.n
-        np.fill_diagonal(cov, self.var[r0:r1])
-        terms = tuple(a if a is None else a[r0:] for a in self._terms)
-        return MomentSet(c, self.var[r0:], cov, None, self.n, self.p, terms)
+        """Row block r0:r1 of a full set, with its Gram rows from one product
+        of the standardized data."""
+        a = self.a[:, r0:]
+        gram = a[:, :r1 - r0].T @ a / self.n
+        np.fill_diagonal(gram, 1.0)
+        twin, sign = (None, None) if self.twin is None else (self.twin[r0:], self.sign[r0:])
+        return MomentSet(a, self.sq[:, r0:], self.var[r0:], self.corr_noise_jj[r0:],
+                         self.n, self.p, gram=gram, twin=twin, sign=sign)
 
 
 def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -141,52 +155,34 @@ def _copies(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
 
 
 def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
-    bad = np.flatnonzero(var <= 0.0)
+    """var, whose entries must be positive and finite (not overflowed or NaN)."""
+    bad = np.flatnonzero(~(var > 0.0) | ~np.isfinite(var))
     if bad.size:
         raise DegenerateVariableError(int(bad[0]), names[bad[0]] if names else None)
     return var
 
 
-def _powers_of_four(var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive variances split exactly as var = r * 4**half with r in [0.5, 2)."""
-    mantissa, exponent = np.frexp(var)
-    half = exponent // 2
-    return np.ldexp(mantissa, exponent - 2 * half), half
-
-
-def _column_terms(centered: np.ndarray, var: np.ndarray, twin=None, sign=None) -> tuple:
-    """Per column j of centered data c with positive variances var: r_j and
-    half_j of _powers_of_four, twin and sign (see _copies), and the mean over
-    samples of (c_j c_j - var_j)**2 (cov_noise_jj of thresholding.unit_thresholds)."""
-    dev = centered * centered - var
-    return (*_powers_of_four(var), twin, sign, np.einsum("kj,kj->j", dev, dev) / len(dev))
-
-
-def _correlation(cov: np.ndarray, r: np.ndarray, half: np.ndarray, twin=None, sign=None):
-    """Correlation rows from covariance rows and the positive variances of their
-    columns, given as var = r * 4**half (see MomentSet); copies at +-1 (_copies)."""
-    # scaling cov by the powers of two is exact, and sqrt(r_i r_j) rounds to r
-    # when r_i == r_j, so a copy whose covariance equals its variance gets exactly
-    # 1 (twin sets the others) and no product of variances leaves the float range
-    b = cov.shape[0]
-    corr = np.ldexp(cov, -half[:b, None])
-    np.ldexp(corr, -half, out=corr)
-    for r0, r1 in triangle_blocks(b):
-        denom = r[r0:r1, None] * r
-        corr[r0:r1] /= np.sqrt(denom, out=denom)
-    np.clip(corr, -1.0, 1.0, out=corr)
+def _unit_correlation(g: np.ndarray, twin=None, sign=None) -> np.ndarray:
+    """Correlation rows from Gram rows g of standardized columns, the leading
+    square first: clamped to [-1, 1], with a unit diagonal, and copies at +-1
+    (Gram products can round a copy's correlation off 1; see _copies)."""
+    corr = np.clip(g, -1.0, 1.0)
     if twin is not None:
+        b = len(g)
         same = twin[:b, None] == twin
         corr[same] = np.multiply.outer(sign[:b], sign)[same]
-    np.fill_diagonal(corr, 1.0)  # the leading b x b square's diagonal
+    np.fill_diagonal(corr, 1.0)
     return corr
 
 
 def sample_correlation(cov: np.ndarray) -> np.ndarray:
-    """Correlation from a covariance matrix: unit diagonal, entries clamped
-    to [-1, 1]; any non-positive variance is an error."""
+    """Correlation from a square covariance matrix: unit diagonal, entries
+    clamped to [-1, 1]; a variance that is not positive and finite is an error."""
     cov = np.asarray(cov, dtype=float)
-    return _correlation(cov, *_powers_of_four(_positive_variances(np.diag(cov))))
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValidationError(f"a covariance matrix must be square, got shape {cov.shape}")
+    sd = np.sqrt(_positive_variances(np.diag(cov)))
+    return _unit_correlation(cov / sd[:, None] / sd)
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
@@ -215,24 +211,29 @@ def _part_moments(x: SampleMatrix, rows: np.ndarray | None = None) -> MomentSet:
 
 def sample_moments(data: np.ndarray, names=None) -> MomentSet:
     """The full moment set of the n x p array data (a sample, or a part of one in
-    cross-validation), whose variances must be positive; copies share one (_copies)."""
-    centered = data - data.mean(axis=0)
-    var = np.einsum("kj,kj->j", centered, centered) / len(data)
-    twin, sign = _copies(centered)
+    cross-validation), whose variances must be positive and finite; copies share
+    one (_copies)."""
+    n = len(data)
+    a = data - data.mean(axis=0)
+    var = np.einsum("kj,kj->j", a, a) / n
+    twin, sign = _copies(a)
     var = _positive_variances(var if twin is None else var[twin], names)
-    terms = _column_terms(centered, var, twin, sign)
-    return MomentSet(centered, var, None, None, *data.shape, terms)
+    a /= np.sqrt(var)
+    sq = a * a
+    dev = sq - 1.0
+    corr_noise_jj = np.einsum("kj,kj->j", dev, dev) / n
+    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, twin=twin, sign=sign)
 
 
-def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.ndarray:
+def correlation_variance(moments: MomentSet) -> np.ndarray:
     """Per-entry variance theta of a sample correlation entry including the
-    first-order correction terms: the p x p matrix, or with rows=slice(r0, r1)
-    its block theta[r0:r1, r0:].
+    first-order correction terms: of a row block r0:r1 (MomentSet.rows) its
+    rows theta[r0:r1, r0:], of a full set the p x p matrix from its blocks.
 
     theta_ij is the mean over samples of
         (a_i a_j - h_ij (a_i^2 + a_j^2))^2,  h = corr / 2,
-    where a is the standardized centered data. Expanded, with the Gram
-    products M22 = (a^2)^T a^2 / n, M31 = (a^3)^T a / n and M4 = diag(M22),
+    where a is the standardized data. Expanded, with the Gram products
+    M22 = (a^2)^T a^2 / n, M31 = (a^3)^T a / n and M4 = diag(M22),
         theta_ij = M22_ij - 2 h_ij (M31_ij + M31_ji)
                    + h_ij^2 (M4_i + 2 M22_ij + M4_j).
     The terms nearly cancel where a pair is close to collinear, and the sum
@@ -243,14 +244,12 @@ def correlation_variance(moments: MomentSet, rows: slice | None = None) -> np.nd
     working set is a few arrays of the result's size. Entries below the
     diagonal mirror those above it; the diagonal is 0 and all are >= 0.
     """
-    p, n = moments.p, moments.n
-    r0, r1, _ = (rows or slice(0, p)).indices(p)
-    b = r1 - r0
-    # row i of the block is variable r0 + i, which is column i of a
-    a = moments.centered[:, r0:] / np.sqrt(_positive_variances(moments.var)[r0:])
-    sq = a * a
+    if moments.gram is None:
+        return _symmetric(moments.p, lambda r0, r1: correlation_variance(moments.rows(r0, r1)))
+    p, n, a, sq, b = moments.p, moments.n, moments.a, moments.sq, len(moments.gram)
+    # row i of the block is column i of a
     cube = sq * a
-    half_corr = 0.5 * moments.corr[r0:r1, r0:]
+    half_corr = 0.5 * moments.corr
     m22 = sq[:, :b].T @ sq / n
     m4 = np.einsum("kj,kj->j", sq, sq) / n
     # the terms that are never negative: M22_ij + h_ij^2 (M4_i + 2 M22_ij + M4_j)

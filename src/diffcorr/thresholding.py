@@ -99,24 +99,11 @@ def apply_threshold(m: np.ndarray, thresholds, rule: ThresholdRule) -> np.ndarra
     return apply_rule(rule, m, levels)
 
 
-def _product_variance(c: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Mean over samples of (c_i c_j - cov_ij)^2 for centered data c and the
-    covariance cov of its first b = len(cov) columns with all, as E[c_i^2 c_j^2]
-    - cov_ij^2 from a Gram product of the squared data; the b x b square is
-    symmetrized, and all clamped at 0 against rounding."""
-    sq = c * c
-    b = cov.shape[0]
-    noise = sq[:, :b].T @ sq / c.shape[0] - cov * cov
-    noise[:, :b] = (noise[:, :b] + noise[:, :b].T) * 0.5
-    return np.maximum(noise, 0.0, out=noise)
-
-
 def _noise(m: MomentSet, statistic: str) -> np.ndarray:
     """Per-entry noise level of one group's "cov" or "corr" statistic on m's rows."""
-    noise = _product_variance(m.centered, m.cov)
-    if statistic == "cov":
-        return noise
-    return noise / (m.var[:len(noise), None] * m.var)
+    if statistic == "corr":
+        return m.corr_noise
+    return m.var[:len(m.corr_noise), None] * m.var * m.corr_noise
 
 
 def unit_thresholds(statistic: str, moments) -> np.ndarray:
@@ -127,10 +114,11 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
                              + |corr_ij| / 2 * (sqrt(corr_noise_ii) + sqrt(corr_noise_jj)))
     cov:  sqrt(log p / n * cov_noise_ij)
 
-    with each group's noise levels computed from its centered data c:
+    with each group's noise levels computed from its standardized data a
+    (see moments.MomentSet):
 
-    cov_noise_ij  = mean over the n rows of (c_i c_j - cov_ij)^2
-    corr_noise_ij = cov_noise_ij / (cov_ii cov_jj)
+    corr_noise_ij = mean over the n rows of (a_i a_j - corr_ij)^2
+    cov_noise_ij  = corr_noise_ij * cov_ii * cov_jj
 
     A single group's levels are exactly 0 on the diagonal, so every rule keeps
     its unit correlations or raw variances; a difference's are not. Moment
@@ -146,7 +134,7 @@ def unit_thresholds(statistic: str, moments) -> np.ndarray:
         if statistic == "cov":
             term = np.sqrt(logp / m.n * noise)
         else:
-            root_diag = np.sqrt(m._terms[4]) / m.var  # sqrt(corr_noise_jj), every column j
+            root_diag = np.sqrt(m.corr_noise_jj)  # every column j
             term = np.sqrt(logp / m.n) * (
                 np.sqrt(noise)
                 + 0.5 * np.abs(m.corr) * (root_diag[:len(noise), None] + root_diag)

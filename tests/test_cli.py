@@ -270,6 +270,23 @@ def test_degenerate_data_exit_code(tmp_path, capsys):
     assert "DATA" in err and "variable b " in err
 
 
+@pytest.mark.parametrize("case", ["scaled-by-1e155", "one-cell-of-1e200"])
+def test_overflowing_variance_exits_3_naming_the_variable(tmp_path, capsys, case):
+    rng = np.random.default_rng(9)
+    x1, x2 = rng.standard_normal((20, 4)), rng.standard_normal((20, 4))
+    if case == "scaled-by-1e155":  # every variance overflows
+        x1, x2, want = x1 * 1e155, x2 * 1e155, "variable a "
+    else:  # only that column's
+        x2[3, 2], want = 1e200, "variable c "
+    paths = [_write_csv(tmp_path / f"x{k}.csv", ["a", "b", "c", "d"], x.tolist())
+             for k, x in ((1, x1), (2, x2))]
+    code = main(["test-equality", "--input1", paths[0], "--input2", paths[1]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "DATA" in captured.err and want in captured.err
+    assert "equality" not in captured.out
+
+
 def test_estimate_corr_and_cross(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = _write_csv(

@@ -213,13 +213,13 @@ def test_loss_curve_matches_fitting_at_every_tau(rule, grid_n, seed):
 
 def test_only_training_parts_compute_noise(monkeypatch):
     shapes = []
-    product_variance = thresholding._product_variance
+    form_noise = moments.MomentSet._form_corr_noise
 
-    def counted(c, cov):
-        shapes.append(c.shape)
-        return product_variance(c, cov)
+    def counted(m):
+        shapes.append(m.a.shape)
+        return form_noise(m)
 
-    monkeypatch.setattr(thresholding, "_product_variance", counted)
+    monkeypatch.setattr(moments.MomentSet, "_form_corr_noise", counted)
     ds = gaussian_dataset(0, p=4, n1=20, n2=20)
     cfg = CvConfig(h_repeats=3)
     # a training part keeps 16 of the 20 rows, a held-out part 4
@@ -415,7 +415,7 @@ def test_cov_kinds_form_no_correlation(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cov kind formed correlation rows")
 
-    monkeypatch.setattr(moments, "_correlation", refuse)
+    monkeypatch.setattr(moments, "_unit_correlation", refuse)
     monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
     ds = gaussian_dataset(33, p=10, n1=30, n2=26)
     cfg = CvConfig(h_repeats=2, grid_n=20, seed=4)

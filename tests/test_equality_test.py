@@ -270,3 +270,20 @@ def test_zero_variance_pair_in_a_later_block(monkeypatch):
         with pytest.raises(DegenerateVarianceError) as blocked:
             compute_statistic(ds)
         assert str(blocked.value) == str(whole.value)
+
+
+def test_the_test_forms_no_full_moment_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the test formed a p x p moment matrix")
+
+    monkeypatch.setattr(moments, "_symmetric", refuse)
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
+    ds = gaussian_dataset(34, p=10, n1=30, n2=26)
+    result = run_equality_test(ds)
+    assert result.t_pairs.size == 45 and np.isfinite(result.t_n)
+    group = moments.moment_set(ds.group1)
+    for statistic in ("corr", "cov"):
+        with pytest.raises(AssertionError, match="p x p"):
+            getattr(group, statistic)
+    with pytest.raises(AssertionError, match="p x p"):
+        moments.correlation_variance(group)

@@ -63,16 +63,33 @@ def test_diff_corr_large_tau_kills_everything():
 
 
 def test_overflowing_noise_levels_are_rejected():
-    # at 1e150 the fourth moments overflow, so the noise levels are inf or NaN
+    # at 1e150 the covariance noise levels, corr_noise_ij var_i var_j, overflow
     rng = np.random.default_rng(16)
     ds = TwoGroupDataset(
         SampleMatrix(rng.standard_normal((20, 4)) * 1e150),
         SampleMatrix(rng.standard_normal((20, 4)) * 1e150),
     )
-    for fit in (estimate_diff_corr, estimate_diff_cov):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match=r"threshold matrix entries must be finite and >= 0"):
-                fit(ds, 1.0, SOFT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match=r"threshold matrix entries must be finite and >= 0"):
+            estimate_diff_cov(ds, 1.0, SOFT)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("kind", ["diff-corr", "cross-corr", "single-corr"])
+def test_corr_kinds_do_not_depend_on_the_scale(kind, scale):
+    # the correlation statistics are formed from the standardized data alone
+    spec = KINDS[kind]
+    ds = gaussian_dataset(35, p=6, n1=30, n2=26)
+    scaled = TwoGroupDataset(*(SampleMatrix(x.data * scale) for x in (ds.group1, ds.group2)))
+    split = 2 if spec.cross_block else None
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=5)
+    for tau in (0.6, None):
+        want, got = (
+            _fit(kind, d if spec.two_group else d.group1, tau, AL, cfg, split)
+            for d in (ds, scaled)
+        )
+        assert want.tau == got.tau
+        assert np.max(np.abs(got.estimate - want.estimate)) <= 1e-12 * np.max(np.abs(want.estimate))
 
 
 def test_diff_corr_zero_diagonal_and_symmetry():
@@ -120,18 +137,19 @@ def test_single_corr_keeps_unit_diagonal():
 
 
 def test_diagonal_only_overflow_is_never_applied():
-    # at 1e80 only column 0's fourth moment with itself overflows, so its
-    # diagonal noise level is NaN and every other one is finite
+    # at 1e80 only column 0's covariance noise with itself, corr_noise_00 var_0^2,
+    # overflows, so its diagonal noise level is inf and every other one is finite
     rng = np.random.default_rng(16)
     x1, x2 = rng.standard_normal((20, 4)), rng.standard_normal((20, 4))
     big1, big2 = (x * np.array([1e80, 1.0, 1.0, 1.0]) for x in (x1, x2))
     ds = TwoGroupDataset(SampleMatrix(big1), SampleMatrix(big2))
     with np.errstate(over="ignore", invalid="ignore"):
-        # a single covariance's diagonal level is 0, so the NaN is never applied
+        # a single covariance's diagonal level is 0, so the inf is never applied
         got = baseline_cov_then_normalize(ds, 1.0)
-        # the correlation levels carry the diagonal noise terms off the diagonal
-        with pytest.raises(ValidationError, match=r"threshold matrix entries must be finite and >= 0"):
-            estimate_single_corr(SampleMatrix(big1), 1.0)
+    # the correlation levels are formed from the standardized data, so they fit
+    single = estimate_single_corr(SampleMatrix(big1), 1.0).estimate
+    want_single = estimate_single_corr(SampleMatrix(x1), 1.0).estimate
+    assert np.max(np.abs(single - want_single)) < 1e-12
     # covariance thresholding is scale-equivariant, so the scaling changes nothing
     want = baseline_cov_then_normalize(TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2)), 1.0)
     assert np.max(np.abs(got - want)) < 1e-12

@@ -10,22 +10,53 @@ from diffcorr import (
     MomentSet,
     SampleMatrix,
     TwoGroupDataset,
+    ValidationError,
     correlation_variance,
     moment_set,
     sample_correlation,
 )
 from diffcorr import moments
 from diffcorr import test_statistic as compute_statistic
-from diffcorr.thresholding import _noise, _product_variance
+from diffcorr.thresholding import _noise
 from oracles import naive_corr, naive_cov, naive_eta, naive_theta, naive_xi
 from properties import check_moment_invariances
 
 
-def _covariance(c):
-    """Covariance of the centered data c, as a full moment set forms it; a zero
-    variance is allowed."""
-    var = np.einsum("kj,kj->j", c, c) / len(c)
-    return moments.MomentSet(c, var, None, None, *c.shape).cov
+def _by_hand(c):
+    """The full moment set of the centered data c, built as sample_moments builds
+    one but with a zero variance allowed: it standardizes its column to 0."""
+    n = len(c)
+    var = np.einsum("kj,kj->j", c, c) / n
+    a = np.divide(c, np.sqrt(var), out=np.zeros_like(c), where=var > 0.0)
+    dev = a * a - 1.0
+    return MomentSet(a, a * a, var, np.einsum("kj,kj->j", dev, dev) / n, *c.shape)
+
+
+def _block_at_once(x, r0, r1):
+    """Rows r0:r1 against columns r0:p of the covariance, correlation and
+    correlation noise of the data x, formed at once by the recipe of a row
+    block: the Gram rows g of the standardized data with a unit diagonal,
+    g sd_i sd_j with the variances on the diagonal, clip(g), and
+    (a^2)^T a^2 / n - g^2 with its leading square symmetrized, clamped at 0."""
+    n, b = len(x), r1 - r0
+    c = x - x.mean(axis=0)
+    var = np.einsum("kj,kj->j", c, c) / n
+    a = (c / np.sqrt(var))[:, r0:]
+    g = a[:, :b].T @ a / n
+    np.fill_diagonal(g, 1.0)
+    sd = np.sqrt(var[r0:])
+    cov = g * sd[:b, None] * sd
+    np.fill_diagonal(cov, var[r0:])
+    sq = a * a
+    noise = sq[:, :b].T @ sq / n - g * g
+    noise[:, :b] = (noise[:, :b] + noise[:, :b].T) * 0.5
+    return cov, np.clip(g, -1.0, 1.0), np.maximum(noise, 0.0)
+
+
+def _upper(rows):
+    """The entries of rows r0:r1, given from column r0 on, that lie on or above
+    the diagonal."""
+    return rows[np.triu(np.ones(rows.shape, dtype=bool))]
 
 
 def test_covariance_single_column():
@@ -41,7 +72,7 @@ def test_covariance_divides_by_n():
 
 def test_covariance_constant_column_is_zero():
     x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    cov = _covariance(x - x.mean(axis=0))
+    cov = _by_hand(x - x.mean(axis=0)).cov
     assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
 
 
@@ -83,6 +114,21 @@ def test_correlation_rejects_zero_variance():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("variance", [np.nan, np.inf])
+def test_correlation_rejects_a_variance_that_is_not_finite(variance):
+    with pytest.raises(DegenerateVariableError, match="not positive and finite") as err:
+        sample_correlation(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, variance]]))
+    assert err.value.index == 2
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (3,), (2, 3), (3, 2), (0, 2), (2, 2, 2)], ids=lambda shape: str(shape)
+)
+def test_correlation_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValidationError, match="square"):
+        sample_correlation(np.ones(shape))
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
 def test_correlation_at_extreme_scales(scale):
     # variance products at these scales leave the float range
@@ -97,8 +143,7 @@ def test_covariance_noise_constant_data():
     x = np.zeros((4, 2)) + 3.0
     centered = x - x.mean(axis=0)
     # moment_set rejects constant data, so the moment set is built by hand
-    cov = _covariance(centered)
-    m = MomentSet(centered=centered, var=np.diag(cov), cov=cov, corr=np.eye(2), n=4, p=2)
+    m = _by_hand(centered)
     assert np.array_equal(_noise(m, "cov"), np.zeros((2, 2)))
 
 
@@ -246,13 +291,19 @@ def test_moment_set_consistent_with_pieces():
     rng = np.random.default_rng(21)
     x = SampleMatrix(rng.standard_normal((10, 3)))
     m = moment_set(x)
-    assert np.array_equal(m.centered, x.data - x.data.mean(axis=0))
-    assert np.array_equal(m.cov, _covariance(m.centered))
-    assert np.array_equal(m.corr, sample_correlation(m.cov))
+    centered = x.data - x.data.mean(axis=0)
+    assert np.array_equal(m.var, np.einsum("kj,kj->j", centered, centered) / 10)
+    assert np.array_equal(m.a, centered / np.sqrt(m.var))
+    assert np.array_equal(m.sq, m.a * m.a)
+    assert np.array_equal(m.corr_noise_jj, np.mean((m.a * m.a - 1.0) ** 2, axis=0))
+    cov, corr, corr_noise = _block_at_once(x.data, 0, 3)  # one block holds every row
+    assert np.array_equal(_upper(m.cov), _upper(cov))
+    assert np.array_equal(_upper(m.corr), _upper(corr))
+    assert np.array_equal(_upper(_noise(m, "corr")), _upper(corr_noise))
     cov_noise = _noise(m, "cov")
-    assert np.array_equal(cov_noise, _product_variance(m.centered, m.cov))
-    var = np.diag(m.cov)
-    assert np.array_equal(_noise(m, "corr"), cov_noise / np.outer(var, var))
+    assert np.array_equal(cov_noise, np.outer(m.var, m.var) * _noise(m, "corr"))
+    for values in (m.cov, m.corr, cov_noise):
+        assert np.array_equal(values, values.T)
     assert (m.n, m.p) == (10, 3)
 
 
@@ -296,7 +347,7 @@ def test_correlation_variance_blocks_match_the_full_form():
         for step in (1, 2, 3, p - 1):
             for r0 in range(0, p, step):
                 rows = slice(r0, min(r0 + step, p))
-                block = correlation_variance(m, rows)
+                block = correlation_variance(m.rows(r0, rows.stop))
                 assert block.shape == (rows.stop - r0, p - r0)
                 # the same sums from Gram products of other shapes: equal
                 # up to the last bits of a BLAS dot product
@@ -312,7 +363,7 @@ def test_correlation_variance_recomputes_cancelling_pairs_in_a_later_block(monke
     m = moment_set(sm)
     want = _per_sample_variance(x, m, 5, 7)
     assert 0.0 < want < 1e-20
-    block = correlation_variance(m, slice(3, 6))
+    block = correlation_variance(m.rows(3, 6))
     assert abs(block[2, 4] - want) <= 1e-12 * want
     monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)
     _, t_pairs = compute_statistic(TwoGroupDataset(sm, sm))
@@ -322,17 +373,14 @@ def test_correlation_variance_recomputes_cancelling_pairs_in_a_later_block(monke
 def test_correlation_in_row_blocks_is_the_outer_product_form(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((12, 11)) * np.logspace(-150, 150, 11)
-    cov = _covariance(x - x.mean(axis=0))
-    # the division by sqrt(r_i r_j) with every product formed at once
-    mantissa, exponent = np.frexp(np.diag(cov))
-    half = exponent // 2
-    r = np.ldexp(mantissa, exponent - 2 * half)
-    want = np.ldexp(np.ldexp(cov, -half[:, None]), -half) / np.sqrt(np.outer(r, r))
-    np.clip(want, -1.0, 1.0, out=want)
-    np.fill_diagonal(want, 1.0)
     for rows in (moments._BLOCK_ROWS, 1, 2, 5):
         monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
-        assert np.array_equal(sample_correlation(cov), want)
+        corr = moment_set(SampleMatrix(x)).corr
+        assert np.array_equal(corr, corr.T)
+        for r0, r1 in moments.triangle_blocks(11):
+            # each block's rows, from the Gram product of that block formed at once
+            want = _block_at_once(x, r0, r1)[1]
+            assert np.array_equal(_upper(corr[r0:r1, r0:]), _upper(want))
 
 
 def test_triangle_blocks_cover_the_rows_once_in_blocks_of_at_least_the_block_rows(monkeypatch):
@@ -360,14 +408,14 @@ def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
     assert np.array_equal(cov, cov.T) and np.array_equal(corr, corr.T)
     assert np.array_equal(np.diag(cov), m.var)
     assert np.max(np.abs(cov - np.array(naive_cov(x)))) < 1e-12
-    assert np.array_equal(corr, sample_correlation(cov))
-    assert np.array_equal(corr, m.corr)  # here from the covariance at hand
+    assert np.array_equal(corr, m.corr)  # here read after the covariance
     assert np.max(np.abs(corr - np.array(naive_corr(naive_cov(x))))) < 1e-14
     for r0, r1 in moments.triangle_blocks(10):
         block = m.rows(r0, r1)
-        upper = np.triu(np.ones((r1 - r0, 10 - r0), dtype=bool))
-        assert np.array_equal(block.cov[upper], cov[r0:r1, r0:][upper])
-        assert np.array_equal(block.corr[upper], corr[r0:r1, r0:][upper])
+        want_cov, want_corr, _ = _block_at_once(x, r0, r1)
+        for got, full, want in ((block.cov, cov, want_cov), (block.corr, corr, want_corr)):
+            assert np.array_equal(_upper(got), _upper(full[r0:r1, r0:]))
+            assert np.array_equal(_upper(got), _upper(want))
 
 
 def test_reading_the_correlation_forms_no_covariance():
