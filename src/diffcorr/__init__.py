@@ -23,7 +23,6 @@ from .equality_test import (
 )
 from .errors import (
     DataError,
-    DegenerateSplitError,
     DegenerateVariableError,
     DegenerateVarianceError,
     DiffCorrError,
@@ -72,7 +71,6 @@ __all__ = [
     "CvConfig",
     "CvResult",
     "DataError",
-    "DegenerateSplitError",
     "DegenerateVariableError",
     "DegenerateVarianceError",
     "DiffCorrError",

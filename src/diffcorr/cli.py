@@ -18,11 +18,7 @@ import json
 import os
 import sys
 
-from .crossval import (
-    CvConfig,
-    cv_select_tau,
-    cv_select_tau_single,
-)
+from .crossval import CvConfig, cv_select_tau, cv_select_tau_single
 from .dataset import TwoGroupDataset, read_labeled_csv, read_sample_csv, write_matrix_csv
 from .equality_test import test_equality
 from .errors import DiffCorrError, ValidationError
@@ -151,15 +147,20 @@ def _cv_summary(cv) -> dict | None:
     }
 
 
-def _warn_at_grid_edge(cv) -> None:
+def _warn_of_cv(cv) -> None:
     """One stderr line when cross-validation selected the first or last grid
-    point, where the true minimiser may lie outside the grid."""
+    point, where the true minimiser may lie outside the grid, and one when it
+    left variables out of some split's loss."""
     if cv is not None and cv.tau_hat in (cv.grid[0], cv.grid[-1]):
         print(
             f"warning: cross-validated tau = {cv.tau_hat:g} is at the edge of the "
             f"grid [{cv.grid[0]:g}, {cv.grid[-1]:g}]; the grid may be too narrow",
             file=sys.stderr,
         )
+    if cv is not None and cv.left_out:
+        print(f"warning: cross-validation left out {cv.left_out} variables summed over "
+              f"{cv.splits_used} repetitions, each constant (or of a variance that is not "
+              "finite) in some fold part", file=sys.stderr)
 
 
 def _output_paths(args) -> dict[str, str | None]:
@@ -239,7 +240,7 @@ def _emit_estimate(args, out, est: DifferentialEstimate, seed, **extra) -> None:
             cv=_cv_summary(est.cv), **extra,
         )
     print(f"{args.command}: tau={est.tau} nonzero={nonzero}")
-    _warn_at_grid_edge(est.cv)
+    _warn_of_cv(est.cv)
 
 
 # each estimate command and the estimator kind it fits
@@ -316,7 +317,7 @@ def _cmd_cv(args, out) -> None:
     else:
         result = cv_select_tau_single(data, cfg, args.estimator, rule)
     print(f"tau_hat = {result.tau_hat:g} (over {len(result.grid)} grid points)")
-    _warn_at_grid_edge(result)
+    _warn_of_cv(result)
     _write_json(
         args, out, estimator=args.estimator, rule=rule.kind, eta=rule.eta, seed=cfg.seed,
         cv=_cv_summary(result),

@@ -10,6 +10,11 @@ the full data with that tau. Given several rules, every rule is scored on the
 same splits in one pass and gets its own curve and tau: the protocol scores a
 rule on given splits, so this equals one call per rule, bit for bit.
 
+Every split drawn is scored. The loss is a sum over entries (Bickel and
+Levina 2008), so an entry whose row or column is constant in some part of a
+split (as low counts often are) drops out of that split's loss alone. A
+variable degenerate in the whole sample is a DegenerateVariableError.
+
 The loss curve is computed in closed form rather than by fitting at each
 tau: an entry survives thresholding on a leading run of the grid, is zero
 above it, and while kept moves with tau by a fixed power law (constant for
@@ -32,19 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SampleMatrix, TwoGroupDataset
-from .errors import (
-    DegenerateSplitError,
-    DegenerateVariableError,
-    ValidationError,
-)
-from .moments import MomentSet, _part_moments, triangle_blocks
+from .errors import ValidationError
+from .moments import MomentSet, _part_moments, _reject_degenerate, triangle_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
-
-_MAX_REDRAWS = 10
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,14 @@ class CvConfig:
 @dataclass(frozen=True)
 class CvResult:
     """Selected tau plus the averaged loss curve it minimizes; for a tuple of
-    rules, tau_hat and losses have a leading axis with one entry per rule."""
+    rules, tau_hat and losses have a leading axis with one entry per rule.
+    left_out sums over repetitions the variables left out (see _cv_parts)."""
 
     tau_hat: float | np.ndarray
     grid: np.ndarray
     losses: np.ndarray
     splits_used: int
+    left_out: int
 
 
 def _split_sizes(n: int, k_folds: int) -> int:
@@ -102,8 +103,7 @@ def _draw_split(rng, n: int, n_test: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_folds(rng, x: SampleMatrix, n_test: int) -> list[MomentSet]:
     """Draw one split: the moment sets (_part_moments) of the training and the
-    held-out part; raises DegenerateVariableError on a zero or non-finite
-    variance in either."""
+    held-out part, each marking its degenerate columns."""
     return [_part_moments(x, idx) for idx in _draw_split(rng, x.n, n_test)]
 
 
@@ -176,32 +176,31 @@ def _fold_down(bins: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _cv_parts(spec, cfg, samples, split):
+def _cv_parts(spec, cfg, samples, split, left_out):
     """The parts for _loss_curve of every split, by row blocks r0:r1 of the
     upper triangle (of the [:split, split:] block for cross-corr, counted
     once). The square r0:r1 x r0:r1 holds both triangles and counts once, the
     rest r0:r1 x r1:p twice, as the symmetric full matrices hold it and its
-    mirror image. Each repetition redraws its folds while a part of a group
-    has a column of zero or non-finite variance."""
+    mirror image. An entry whose row or column is degenerate (constant, or of
+    a variance that is not finite) in any part of a split is left out of that
+    split's loss: its raw value and target are 0, which adds exactly 0 at every
+    tau. Each repetition appends to left_out the number of such variables."""
     sizes = [_split_sizes(x.n, cfg.k_folds) for x in samples]
+    for x in samples:  # a variable degenerate in the whole sample is an error
+        _reject_degenerate(_part_moments(x).degenerate, x.names)
     for h in range(cfg.h_repeats):
         rng = np.random.default_rng([cfg.seed, h])
-        for attempt in range(_MAX_REDRAWS):
-            try:
-                folds = [_draw_folds(rng, x, m) for x, m in zip(samples, sizes)]
-                break
-            except DegenerateVariableError:
-                continue
-        else:
-            raise DegenerateSplitError(
-                f"repetition {h}: every one of {_MAX_REDRAWS} candidate splits "
-                "produced a column of zero or non-finite variance"
-            )
+        folds = [_draw_folds(rng, x, m) for x, m in zip(samples, sizes)]
+        dropped = np.logical_or.reduce([part.degenerate for fold in folds for part in fold])
+        left_out.append(int(np.count_nonzero(dropped)))
         for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
             train = [part.rows(r0, r1) for part, _ in folds]
             raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
             del train  # fewer arrays alive at once
             target = spec.raw([part.rows(r0, r1) for _, part in folds])
+            if dropped[r0:].any():
+                drop = dropped[r0:r1, None] | dropped[r0:]
+                raw, target = np.where(drop, 0.0, raw), np.where(drop, 0.0, target)
             b = r1 - r0
             cuts = [(1.0, split - r0, None)] if spec.cross_block else [(1.0, 0, b), (2.0, b, None)]
             for weight, c0, c1 in cuts:
@@ -216,14 +215,15 @@ def _select(kind, cfg, samples, split, rule) -> CvResult:
     # the curve is linear in its sums, so one pass over every split's parts gives
     # the total of their curves, and the heap does not shrink and regrow
     # (page-faulting) between splits
-    parts = _cv_parts(KINDS[kind], cfg, samples, split)
+    left_out = []
+    parts = _cv_parts(KINDS[kind], cfg, samples, split, left_out)
     losses = _loss_curve(rule_tuple(rule), grid, parts) / cfg.h_repeats
     tau_hat = grid[np.argmin(losses, axis=1)]  # first minimum, i.e. the smallest tau
     for values in (grid, losses, tau_hat):
         values.flags.writeable = False
     if isinstance(rule, ThresholdRule):
         tau_hat, losses = float(tau_hat[0]), losses[0]
-    return CvResult(tau_hat=tau_hat, grid=grid, losses=losses, splits_used=cfg.h_repeats)
+    return CvResult(tau_hat, grid, losses, cfg.h_repeats, sum(left_out))
 
 
 def cv_select_tau(

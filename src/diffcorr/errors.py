@@ -42,7 +42,7 @@ class CsvFormatError(ValidationError):
 
 
 class DegenerateVariableError(DataError):
-    """A variable's sample variance is not positive and finite."""
+    """A variable is constant, or its sample variance is not finite."""
 
     def __init__(self, index, label=None):
         name = label if label is not None else f"index {index}"
@@ -54,6 +54,3 @@ class DegenerateVariableError(DataError):
 class DegenerateVarianceError(DataError):
     """A test-statistic denominator is exactly zero."""
 
-
-class DegenerateSplitError(DataError):
-    """Cross-validation could not draw a non-degenerate split."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,32 +38,10 @@ from .errors import DegenerateVariableError, ValidationError
 _CANCELLATION_GUARD = 100.0
 # rows per block of the upper triangle (see triangle_blocks)
 _BLOCK_ROWS = 64
+# a column variance below this, in or near the subnormal range (below 2**-1022),
+# where squares lose digits, is formed from the column scaled by its largest |value|
+_SMALL_VARIANCE = 2.0**-1012
 _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sample, set)
-
-
-class _FormedWhenRead:
-    """A MomentSet field that, given as None (its default), is formed when first
-    read, and then kept: a row block's by the set's method _form_<name>, a full
-    set's from its row blocks. As a data descriptor it takes the frozen
-    dataclass's __init__ assignment."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None
-        value = obj.__dict__[self.name]
-        if value is None:
-            if obj.gram is None:
-                value = _symmetric(obj.p, lambda r0, r1: getattr(obj.rows(r0, r1), self.name))
-            else:
-                value = getattr(obj, "_form_" + self.name)()
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True, repr=False)
@@ -70,8 +49,10 @@ class MomentSet:
     """One sample's standardized data a, its squares sq, column variances var
     and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of columns
     r0:p for a row block r0:r1 (row i is column i), which also holds its Gram
-    rows with a unit diagonal. twin and sign mark copies (_copies). cov, corr
-    and corr_noise are formed when first read (see _FormedWhenRead)."""
+    rows with a unit diagonal. A full set's degenerate marks the columns
+    sample_moments standardized to zeros; twin and sign mark copies (_copies).
+    cov, corr and corr_noise are formed when first read, and then kept: a row
+    block's by its method _form_<name>, a full set's from its row blocks."""
 
     a: np.ndarray
     sq: np.ndarray
@@ -79,12 +60,19 @@ class MomentSet:
     corr_noise_jj: np.ndarray
     n: int
     p: int
-    cov: np.ndarray | None = _FormedWhenRead()
-    corr: np.ndarray | None = _FormedWhenRead()
-    corr_noise: np.ndarray | None = _FormedWhenRead()
     gram: np.ndarray | None = None
     twin: np.ndarray | None = None
     sign: np.ndarray | None = None
+    degenerate: np.ndarray | None = None
+
+    def _formed(self, name: str) -> np.ndarray:
+        if self.gram is None:
+            return _symmetric(self.p, lambda r0, r1: getattr(self.rows(r0, r1), name))
+        return getattr(self, "_form_" + name)()
+
+    cov = cached_property(lambda self: self._formed("cov"))
+    corr = cached_property(lambda self: self._formed("corr"))
+    corr_noise = cached_property(lambda self: self._formed("corr_noise"))
 
     def _form_cov(self) -> np.ndarray:  # with the variances on the diagonal
         sd = np.sqrt(self.var)
@@ -154,12 +142,11 @@ def _copies(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
     return first[twin.ravel()], sign
 
 
-def _positive_variances(var: np.ndarray, names=None) -> np.ndarray:
-    """var, whose entries must be positive and finite (not overflowed or NaN)."""
-    bad = np.flatnonzero(~(var > 0.0) | ~np.isfinite(var))
-    if bad.size:
-        raise DegenerateVariableError(int(bad[0]), names[bad[0]] if names else None)
-    return var
+def _reject_degenerate(bad: np.ndarray, names=None) -> None:
+    """Raise DegenerateVariableError naming the first column marked in bad."""
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise DegenerateVariableError(first, names[first] if names else None)
 
 
 def _unit_correlation(g: np.ndarray, twin=None, sign=None) -> np.ndarray:
@@ -181,14 +168,18 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValidationError(f"a covariance matrix must be square, got shape {cov.shape}")
-    sd = np.sqrt(_positive_variances(np.diag(cov)))
-    return _unit_correlation(cov / sd[:, None] / sd)
+    var = np.diag(cov)
+    _reject_degenerate(~((var > 0.0) & (var < np.inf)))
+    return _unit_correlation(cov / np.sqrt(var)[:, None] / np.sqrt(var))
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
     """Center one sample and compute its column variances and their terms; its
-    covariance and correlation are formed when read."""
-    return _part_moments(x)
+    covariance and correlation are formed when read. A column that is constant,
+    or whose variance is not finite, is a DegenerateVariableError."""
+    moments = _part_moments(x)
+    _reject_degenerate(moments.degenerate, x.names)
+    return moments
 
 
 @contextlib.contextmanager
@@ -205,24 +196,36 @@ def _part_moments(x: SampleMatrix, rows: np.ndarray | None = None) -> MomentSet:
     """The moment set of sample x, or of its rows given by index array."""
     memo, key = _SHARED.get({}), (id(x), None if rows is None else rows.tobytes())
     if key not in memo:
-        memo[key] = x, sample_moments(x.data if rows is None else x.data[rows], x.names)
+        memo[key] = x, sample_moments(x.data if rows is None else x.data[rows])
     return memo[key][1]
 
 
-def sample_moments(data: np.ndarray, names=None) -> MomentSet:
+def sample_moments(data: np.ndarray) -> MomentSet:
     """The full moment set of the n x p array data (a sample, or a part of one in
-    cross-validation), whose variances must be positive and finite; copies share
-    one (_copies)."""
+    cross-validation). A column that is constant (all values equal), or of a
+    variance that is not finite, is marked degenerate and standardized to zeros,
+    with variance 0. Copies share one variance (_copies); see _SMALL_VARIANCE."""
     n = len(data)
     a = data - data.mean(axis=0)
     var = np.einsum("kj,kj->j", a, a) / n
     twin, sign = _copies(a)
-    var = _positive_variances(var if twin is None else var[twin], names)
-    a /= np.sqrt(var)
+    var = var if twin is None else var[twin]
+    degenerate = ~np.isfinite(var) | (data == data[0]).all(axis=0)
+    scale = np.sqrt(var)
+    if (small := np.flatnonzero((var < _SMALL_VARIANCE) & ~degenerate)).size:
+        c = a[:, small]
+        top = np.abs(c).max(axis=0)
+        c /= top
+        var_c = np.einsum("kj,kj->j", c, c) / n
+        a[:, small], scale[small], var[small] = c, np.sqrt(var_c), var_c * top * top
+    if degenerate.any():
+        a[:, degenerate], scale[degenerate], var[degenerate] = 0.0, 1.0, 0.0
+    a /= scale
     sq = a * a
     dev = sq - 1.0
     corr_noise_jj = np.einsum("kj,kj->j", dev, dev) / n
-    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, twin=twin, sign=sign)
+    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, twin=twin, sign=sign,
+                     degenerate=degenerate)
 
 
 def correlation_variance(moments: MomentSet) -> np.ndarray:

@@ -284,56 +284,48 @@ def naive_frobenius_norm(m):
     return math.sqrt(sum(v * v for row in rows for v in row))
 
 
-def _fold_variances_ok(x_rows, idx):
-    cols = list(zip(*[x_rows[k] for k in idx]))
-    n = len(idx)
-    for col in cols:
-        mean = sum(col) / n
-        if sum((v - mean) ** 2 for v in col) / n <= 0.0:
-            return False
-    return True
+def _constant_columns(x_rows, idx):
+    cols = zip(*[x_rows[k] for k in idx])
+    return {j for j, col in enumerate(cols) if all(v == col[0] for v in col)}
 
 
 def naive_cv_diff_corr(x1, x2, k_folds, h_repeats, grid_n, seed, kind, eta=4.0):
     """Mirror of the tau selection protocol with fresh loops. The split RNG
     derivation is copied from the library contract: default_rng([seed, h]),
-    one permutation per group per attempt, first n//k indices (sorted) as the
-    held-out part."""
+    one permutation per group, first n//k indices (sorted) as the held-out
+    part. An entry whose row or column is constant in any of a split's four
+    parts is left out of that split's loss; the others are computed on the
+    remaining columns, with the thresholds' log p of all p columns."""
     rows1, rows2 = _as_rows(x1), _as_rows(x2)
     n1, n2 = len(rows1), len(rows2)
     m1, m2 = n1 // k_folds, n2 // k_folds
+    p_all = len(rows1[0])
     grid = [g / grid_n for g in range(5 * grid_n + 1)]
     losses = [0.0] * len(grid)
     for h in range(h_repeats):
         rng = np.random.default_rng([seed, h])
-        for _ in range(10):
-            perm1 = rng.permutation(n1)
-            test1 = sorted(int(v) for v in perm1[:m1])
-            train1 = sorted(int(v) for v in perm1[m1:])
-            if not (
-                _fold_variances_ok(rows1, train1) and _fold_variances_ok(rows1, test1)
-            ):
-                continue
-            perm2 = rng.permutation(n2)
-            test2 = sorted(int(v) for v in perm2[:m2])
-            train2 = sorted(int(v) for v in perm2[m2:])
-            if not (
-                _fold_variances_ok(rows2, train2) and _fold_variances_ok(rows2, test2)
-            ):
-                continue
-            break
-        else:
-            raise RuntimeError("no valid split")
-        tr1 = [rows1[i] for i in train1]
-        tr2 = [rows2[i] for i in train2]
-        te1 = [rows1[i] for i in test1]
-        te2 = [rows2[i] for i in test2]
-        lam_unit = naive_diff_corr_lambdas(tr1, tr2, 1.0)
+        perm1 = rng.permutation(n1)
+        test1 = sorted(int(v) for v in perm1[:m1])
+        train1 = sorted(int(v) for v in perm1[m1:])
+        perm2 = rng.permutation(n2)
+        test2 = sorted(int(v) for v in perm2[:m2])
+        train2 = sorted(int(v) for v in perm2[m2:])
+        constant = set()
+        for x_rows, idx in ((rows1, train1), (rows1, test1), (rows2, train2), (rows2, test2)):
+            constant |= _constant_columns(x_rows, idx)
+        keep = [j for j in range(p_all) if j not in constant]
+
+        def part(x_rows, idx):
+            return [[x_rows[i][j] for j in keep] for i in idx]
+
+        tr1, tr2 = part(rows1, train1), part(rows2, train2)
+        te1, te2 = part(rows1, test1), part(rows2, test2)
+        lam_unit = naive_diff_corr_lambdas(tr1, tr2, 1.0, p_all)
         r1 = naive_corr(naive_cov(tr1))
         r2 = naive_corr(naive_cov(tr2))
         h1 = naive_corr(naive_cov(te1))
         h2 = naive_corr(naive_cov(te2))
-        p = len(r1)
+        p = len(keep)
         for gi, tau in enumerate(grid):
             loss = 0.0
             for i in range(p):

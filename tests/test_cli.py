@@ -270,6 +270,24 @@ def test_degenerate_data_exit_code(tmp_path, capsys):
     assert "DATA" in err and "variable b " in err
 
 
+def test_constant_column_with_a_nonzero_computed_variance_exits_3(tmp_path, capsys):
+    # the column mean of ten 0.1s is not 0.1, so the variance computed from the
+    # centered column is about 1e-34, yet the column is constant: a degenerate
+    # variable, named, under every command
+    x = np.random.default_rng(3).standard_normal((10, 3))
+    x[:, 1] = 0.1
+    assert np.square(x - x.mean(axis=0)).sum(axis=0)[1] > 0.0
+    path = _write_csv(tmp_path / "x.csv", ["a", "b", "c"], x.tolist())
+    inputs = ["--input1", path, "--input2", path]
+    for argv in (["estimate-diff-corr", "--tau", "1"], ["estimate-diff-corr"], ["cv"],
+                 ["test-equality"]):
+        assert main(argv + inputs) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error [DATA]: variable b has a sample variance that is "
+                                "not positive and finite\n")
+
+
 @pytest.mark.parametrize("case", ["scaled-by-1e155", "one-cell-of-1e200"])
 def test_overflowing_variance_exits_3_naming_the_variable(tmp_path, capsys, case):
     rng = np.random.default_rng(9)
@@ -280,11 +298,13 @@ def test_overflowing_variance_exits_3_naming_the_variable(tmp_path, capsys, case
         x2[3, 2], want = 1e200, "variable c "
     paths = [_write_csv(tmp_path / f"x{k}.csv", ["a", "b", "c", "d"], x.tolist())
              for k, x in ((1, x1), (2, x2))]
-    code = main(["test-equality", "--input1", paths[0], "--input2", paths[1]])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "DATA" in captured.err and want in captured.err
-    assert "equality" not in captured.out
+    # the test, and the fit and CV without --tau, which check the whole samples first
+    for command in ("test-equality", "estimate-diff-corr", "cv"):
+        code = main([command, "--input1", paths[0], "--input2", paths[1]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "DATA" in captured.err and want in captured.err
+        assert captured.out == ""
 
 
 def test_estimate_corr_and_cross(tmp_path, capsys):
@@ -411,6 +431,22 @@ def test_grid_edge_tau_warns_on_stderr_only(tmp_path, sample_files, capsys):
     tau_hat = json.loads(out.read_text())["cv"]["tau_hat"]
     assert 0.0 < tau_hat < 5.0
     assert capsys.readouterr().err == ""
+
+
+def test_left_out_variables_warn_on_stderr_only(tmp_path, capsys):
+    # sparse counts leave variables constant in some fold parts; the JSON
+    # holds what it holds for any other data
+    rng = np.random.default_rng(1)
+    header = [f"g{i}" for i in range(40)]
+    a, b = (_write_csv(tmp_path / f"c{k}.csv", header, rng.poisson(0.2, (30, 40)).tolist())
+            for k in (1, 2))
+    out = tmp_path / "cv.json"
+    assert main(["cv", "--input1", a, "--input2", b, "--out-json", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("tau_hat = ")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: cross-validation left out ")
+    assert set(json.loads(out.read_text())["cv"]) == {"tau_hat", "repeats", "grid", "losses"}
 
 
 def test_support_rank(tmp_path, sample_files, capsys):

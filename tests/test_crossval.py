@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from diffcorr import (
     CvConfig,
-    DegenerateSplitError,
     DegenerateVariableError,
     SampleMatrix,
     ThresholdRule,
@@ -102,12 +101,47 @@ def test_matches_naive_reimplementation(kind):
 
 
 def test_degenerate_split_raises():
+    # a column constant in the whole sample is an error, as in the fit
     rng = np.random.default_rng(5)
     data = np.column_stack([rng.standard_normal(12), np.full(12, 3.0)])
     sm = SampleMatrix(data)
     ds = TwoGroupDataset(sm, sm)
-    with pytest.raises(DegenerateSplitError):
+    with pytest.raises(DegenerateVariableError, match="variable v2 "):
         cv_select_tau(ds, CvConfig(k_folds=3, h_repeats=1, grid_n=1))
+
+
+def _counts_dataset(rate, p, n, seed):
+    """iid Poisson(rate) counts, group 1 drawn first."""
+    rng = np.random.default_rng(seed)
+    return TwoGroupDataset(*(SampleMatrix(rng.poisson(rate, (n, p)).astype(float)) for _ in "12"))
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "adaptive-lasso"])
+def test_sparse_counts_match_the_naive_oracle(kind):
+    # low counts are constant in some fold parts: those variables drop out of
+    # that split's loss, in the program as in the oracle
+    ds = _counts_dataset(0.3, 8, 30, 0)
+    assert all(np.ptp(x.data, axis=0).all() for x in (ds.group1, ds.group2))
+    cfg = CvConfig(k_folds=5, h_repeats=3, grid_n=10, seed=42)
+    result = cv_select_tau(ds, cfg, "diff-corr", rule=ThresholdRule(kind))
+    assert result.left_out > 0
+    tau_naive, _, losses_naive = naive_cv_diff_corr(
+        ds.group1.data, ds.group2.data, 5, 3, 10, 42, kind
+    )
+    assert result.tau_hat == tau_naive
+    scale = max(1.0, float(np.max(np.abs(losses_naive))))
+    assert np.max(np.abs(result.losses - np.array(losses_naive))) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("rate, tau_hat", [(0.2, 0.68), (0.1, 0.6)])
+def test_sparse_counts_at_p_500_choose_a_tau(rate, tau_hat):
+    # every variable varies in the whole sample, but most splits leave some
+    # constant in a 20-row held-out part
+    ds = _counts_dataset(rate, 500, 100, 1)
+    assert all(np.ptp(x.data, axis=0).all() for x in (ds.group1, ds.group2))
+    result = cv_select_tau(ds)
+    assert result.tau_hat == tau_hat
+    assert result.left_out > 0
 
 
 def test_too_small_groups_rejected():
@@ -294,43 +328,35 @@ def test_hard_curve_keeps_its_plateaus_in_row_blocks(monkeypatch):
         assert np.argmin(got) == np.argmin(want)
 
 
-def _replayed_draws(samples, cfg):
-    """(draws, failed draws) of the split protocol replayed with numpy: per
-    repetition and attempt one permutation per group, in group order, until a
-    group's training or held-out part has a constant column."""
-    draws = failed = 0
+def _replayed_left_out(samples, cfg):
+    """Variables left out of each repetition's loss under the split protocol
+    replayed with numpy: one permutation per group, in group order, and a
+    variable left out when it is constant in any part of any group."""
+    counts = []
     for h in range(cfg.h_repeats):
         rng = np.random.default_rng([cfg.seed, h])
-        for _ in range(10):
-            for x in samples:
-                perm = rng.permutation(x.n)
-                draws += 1
-                parts = np.split(perm, [x.n // cfg.k_folds])
-                if any(np.any(np.ptp(x.data[part], axis=0) == 0.0) for part in parts):
-                    failed += 1
-                    break
-            else:
-                break
-    return draws, failed
+        constant = np.zeros(samples[0].p, dtype=bool)
+        for x in samples:
+            perm = rng.permutation(x.n)
+            for part in np.split(perm, [x.n // cfg.k_folds]):
+                constant |= np.ptp(x.data[part], axis=0) == 0.0
+        counts.append(int(constant.sum()))
+    return counts
 
 
 def _count_draws(monkeypatch):
-    calls = {"draws": 0, "failed": 0}
+    calls = {"draws": 0}
     draw_folds = crossval._draw_folds
 
     def counted(*args):
         calls["draws"] += 1
-        try:
-            return draw_folds(*args)
-        except DegenerateVariableError:
-            calls["failed"] += 1
-            raise
+        return draw_folds(*args)
 
     monkeypatch.setattr(crossval, "_draw_folds", counted)
     return calls
 
 
-def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
+def test_zero_variance_fold_in_the_second_group_is_left_out(monkeypatch):
     ds = _blocked_dataset(9, seed=21)
     x2 = ds.group2.data.copy()
     # column 3 varies only through rows 4 and 11: a part holding both or
@@ -342,11 +368,11 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     calls = _count_draws(monkeypatch)
     for rows in (2, 9):
         monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
-        calls.update(draws=0, failed=0)
+        calls.update(draws=0)
         result = cv_select_tau(ds, cfg, rule=ThresholdRule("soft"))
-        draws, failed = _replayed_draws([ds.group1, ds.group2], cfg)
-        assert failed > 0
-        assert (calls["draws"], calls["failed"]) == (draws, failed)
+        left_out = _replayed_left_out([ds.group1, ds.group2], cfg)
+        assert 0 < sum(left_out) < cfg.h_repeats  # some splits keep column 3
+        assert (calls["draws"], result.left_out) == (2 * cfg.h_repeats, sum(left_out))
         tau_naive, _, losses_naive = naive_cv_diff_corr(
             ds.group1.data, x2, 5, 3, 10, 5, "soft"
         )
@@ -355,15 +381,17 @@ def test_zero_variance_fold_in_the_second_group_is_redrawn(monkeypatch):
     # varying through one row only, every split leaves a part constant
     x2[11, 3] = 0.0
     ds = TwoGroupDataset(ds.group1, SampleMatrix(x2))
-    calls.update(draws=0, failed=0)
-    with pytest.raises(DegenerateSplitError, match="repetition 0: every one of 10"):
-        cv_select_tau(ds, cfg)
-    assert (calls["draws"], calls["failed"]) == (20, 10)
+    calls.update(draws=0)
+    result = cv_select_tau(ds, cfg, rule=ThresholdRule("hard"))
+    assert (calls["draws"], result.left_out) == (6, 3)
+    tau_naive, _, losses_naive = naive_cv_diff_corr(ds.group1.data, x2, 5, 3, 10, 5, "hard")
+    assert result.tau_hat == tau_naive
+    assert np.max(np.abs(result.losses - losses_naive)) < 1e-9 * np.max(losses_naive)
 
 
-def test_shared_fold_parts_give_the_same_results_under_redraws(monkeypatch):
-    # column 3 of group 2 varies only through rows 4 and 11, so folds are
-    # redrawn; within a shared scope the CVs of both kinds reuse each part
+def test_shared_fold_parts_give_the_same_results_when_variables_are_left_out(monkeypatch):
+    # column 3 of group 2 varies only through rows 4 and 11, so some splits
+    # leave it out; within a shared scope the CVs of both kinds reuse each part
     ds = _blocked_dataset(9, seed=21)
     x2 = ds.group2.data.copy()
     x2[:, 3] = 0.0
@@ -371,7 +399,6 @@ def test_shared_fold_parts_give_the_same_results_under_redraws(monkeypatch):
     ds = TwoGroupDataset(ds.group1, SampleMatrix(x2))
     cfg = CvConfig(h_repeats=3, grid_n=10, seed=5)
     rules = (ThresholdRule("hard"), ThresholdRule("soft"))
-    calls = _count_draws(monkeypatch)
     computed = []
     sample_moments = moments.sample_moments
     monkeypatch.setattr(moments, "sample_moments", lambda *a: computed.append(a) or sample_moments(*a))
@@ -382,13 +409,14 @@ def test_shared_fold_parts_give_the_same_results_under_redraws(monkeypatch):
                 cv_select_tau_single(ds.group1, cfg, rule=rules)]
 
     alone, unshared = results(), len(computed)
-    assert calls["failed"] > 0
+    assert alone[0].left_out > 0 and alone[1].left_out > 0
     with moments._shared_moments():
         shared = results()
     assert len(computed) < unshared  # group 1's parts are diff-corr's
     for a, b in zip(alone, shared):
         assert np.array_equal(a.tau_hat, b.tau_hat)
         assert a.losses.tobytes() == b.losses.tobytes()
+        assert a.left_out == b.left_out
 
 
 def test_fold_parts_keep_their_variances_on_every_block_diagonal(monkeypatch):

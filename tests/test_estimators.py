@@ -20,6 +20,7 @@ from diffcorr import (
     moment_set,
     support_ranking,
 )
+from diffcorr import test_equality as run_equality_test
 from diffcorr.estimators import _fit
 from diffcorr.thresholding import KINDS
 from oracles import (
@@ -90,6 +91,23 @@ def test_corr_kinds_do_not_depend_on_the_scale(kind, scale):
         )
         assert want.tau == got.tau
         assert np.max(np.abs(got.estimate - want.estimate)) <= 1e-12 * np.max(np.abs(want.estimate))
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-160])
+def test_subnormal_variances_keep_their_digits(scale):
+    # the variances are subnormal here, so each is formed from its column
+    # scaled by its largest |value|: the corr kinds and t_n keep their digits
+    rng = np.random.default_rng(27)
+    x1, x2 = rng.standard_normal((30, 6)), rng.standard_normal((30, 6))
+    ds, scaled = (TwoGroupDataset(SampleMatrix(x1 * s), SampleMatrix(x2 * s)) for s in (1.0, scale))
+    for kind in ("diff-corr", "cross-corr", "single-corr"):
+        spec = KINDS[kind]
+        split = 2 if spec.cross_block else None
+        want, got = (_fit(kind, d if spec.two_group else d.group1, 0.5, AL, None, split)
+                     for d in (ds, scaled))
+        assert np.max(np.abs(got.estimate - want.estimate)) <= 1e-12 * np.max(np.abs(want.estimate))
+    want, got = (run_equality_test(d).t_n for d in (ds, scaled))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_diff_corr_zero_diagonal_and_symmetry():

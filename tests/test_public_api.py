@@ -33,7 +33,7 @@ def test_removed_names_are_not_exported():
     removed = {
         "sample_covariance", "covariance_noise", "correlation_noise",
         "ModelSpec", "generate_model1", "generate_model2", "BenchmarkRow",
-        "ThresholdMatrix", "GenerationFailedError", "NotPSDError",
+        "ThresholdMatrix", "GenerationFailedError", "NotPSDError", "DegenerateSplitError",
     }
     assert not removed & set(diffcorr.__all__)
     assert not removed & set(vars(diffcorr))

@@ -6,7 +6,7 @@ import pytest
 
 from diffcorr import (
     CvConfig,
-    DegenerateSplitError,
+    DataError,
     ThresholdRule,
     TwoGroupDataset,
     ValidationError,
@@ -229,11 +229,11 @@ def test_a_failed_fit_stops_the_benchmark(monkeypatch, tmp_path, capsys):
     def fit_failing_once(ds, rules, cfg):
         calls["n"] += 1
         if calls["n"] == 3:  # the third of five replications
-            raise DegenerateSplitError("injected degenerate split")
+            raise DataError("injected degenerate split")
         return real_fit(ds, rules, cfg)
 
     monkeypatch.setitem(sim._FITS, "diff-corr", fit_failing_once)
-    with pytest.raises(DegenerateSplitError, match="injected degenerate split"):
+    with pytest.raises(DataError, match="injected degenerate split"):
         run_benchmark("model2", 8, 16, 16, 5, [HARD], ["diff-corr", "sample-diff"], CvConfig(seed=3))
     calls["n"] = 0
     out = tmp_path / "r.csv"
@@ -368,8 +368,9 @@ def test_a_simulate_operation_computes_each_moment_set_once(monkeypatch, tmp_pat
     calls["n"] = 0
     main(argv)
     # unshared: 30 splits and 4 full sets per group (diff-corr, both
-    # baselines and sample-diff) per replication
-    assert calls["n"] == 2 * (30 * 2 + 8)
+    # baselines and sample-diff) per replication, and the full set of each of
+    # the 6 samples the cross-validations check (diff-corr's 2, 2 per baseline)
+    assert calls["n"] == 2 * (30 * 2 + 8 + 6)
 
 
 def test_the_shared_scope_leaves_nothing_behind(monkeypatch):
@@ -389,9 +390,10 @@ def test_the_shared_scope_leaves_nothing_behind(monkeypatch):
     with pytest.raises(RuntimeError, match="fit failed"):
         run_benchmark("model2", 8, 16, 16, 2, [HARD], ["diff-corr", "sample-diff"])
     assert moments._SHARED.get(None) is None
-    # cross-validation outside simulate computes its own parts every time
+    # cross-validation outside simulate computes its own parts, and the full
+    # sets it checks, every time
     calls = _count_moment_sets(monkeypatch)
     ds = TwoGroupDataset(x, mvn_sample(np.eye(4), 20, 2))
     for _ in range(2):
         cv_select_tau(ds, CvConfig(h_repeats=3))
-    assert calls["n"] == 2 * (3 * 2 * 2)
+    assert calls["n"] == 2 * (3 * 2 * 2 + 2)

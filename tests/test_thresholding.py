@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +21,12 @@ from oracles import naive_rule
 from properties import check_rule_conditions
 
 
-def _moments(seed, n=16, p=3):
+def _moments(seed, n=16, p=3, copies=1):
+    """The moment set of a sample drawn from seed, stacked copies times: the
+    same statistics at copies times n."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p)) @ (rng.standard_normal((p, p)) + 2 * np.eye(p))
-    return moment_set(SampleMatrix(x))
+    return moment_set(SampleMatrix(np.tile(x, (copies, 1))))
 
 
 def test_soft_rule_example():
@@ -142,9 +143,7 @@ def test_diff_corr_thresholds_hand_evaluation():
 def test_diff_corr_thresholds_sample_size_scaling():
     m1, m2 = _moments(5), _moments(6)
     base = diff_corr_thresholds(m1, m2, 1.3)
-    doubled = diff_corr_thresholds(
-        replace(m1, n=2 * m1.n), replace(m2, n=2 * m2.n), 1.3
-    )
+    doubled = diff_corr_thresholds(_moments(5, copies=2), _moments(6, copies=2), 1.3)
     assert np.max(np.abs(doubled - base / math.sqrt(2.0))) < 1e-14
 
 
@@ -159,7 +158,7 @@ def test_diff_corr_thresholds_symmetric_and_dim_checked():
 def test_single_corr_thresholds_scaling():
     m = _moments(10)
     base = single_corr_thresholds(m, 1.0)
-    quadrupled = single_corr_thresholds(replace(m, n=4 * m.n), 1.0)
+    quadrupled = single_corr_thresholds(_moments(10, copies=4), 1.0)
     assert np.max(np.abs(quadrupled - base / 2.0)) < 1e-14
     assert np.array_equal(single_corr_thresholds(m, 0.0), np.zeros((3, 3)))
 

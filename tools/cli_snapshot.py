@@ -22,8 +22,10 @@ differing line. It exits 1 when any difference is non-numeric or above R
 
 The commands cover `cv` for every estimator kind and rule, every estimate
 command under every rule, `support-rank`, `test-equality`, five `simulate`
-cells, user-side settings that must exit 2, and CSV inputs in unusual and
-malformed layouts. The inputs have 12 variables, except for one
+cells, user-side settings that must exit 2, CSV inputs in unusual and
+malformed layouts, and `cv` and a cross-validated `estimate-diff-corr` on
+sparse counts, whose fold parts can hold a constant variable. The inputs
+have 12 variables, except for one
 `test-equality` and one cross-validated `estimate-diff-corr` on WIDE_P
 variables, whose statistics span more than one row block
 (`diffcorr.moments.triangle_blocks`). The `simulate` cells share each group's
@@ -53,6 +55,7 @@ ESTIMATES = ("estimate-diff-corr", "estimate-diff-cov", "estimate-corr", "estima
 TWO_FILES = ["--input1", "../inputs/x1.csv", "--input2", "../inputs/x2.csv"]
 WIDE_FILES = ["--input1", "../inputs/wide1.csv", "--input2", "../inputs/wide2.csv"]
 WIDE_P = 150  # rows 0:64 and 64:150 of the upper triangle
+COUNT_FILES = ["--input1", "../inputs/counts1.csv", "--input2", "../inputs/counts2.csv"]
 LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
 ONE_FILE = ["--input", "../inputs/x1.csv"]
 # inputs/NAME.csv is x1.csv with its fifth line, file row 5, changed by the function
@@ -138,6 +141,12 @@ def _commands() -> list[tuple[str, list[str]]]:
                         "--out-json", "summary.json", "--out-matrix", "estimate.csv"]),
         *((f"bad-csv-{name}", ["estimate-corr", "--input", f"../inputs/{name}.csv", "--tau", "1"])
           for name in MALFORMED),
+        # sparse counts: some fold parts hold a constant variable, which drops
+        # out of that split's loss with one warning line
+        ("cv-sparse-counts", ["cv", *COUNT_FILES, "--out-json", "cv.json"]),
+        ("estimate-diff-corr-sparse-counts", ["estimate-diff-corr", *COUNT_FILES, "--seed", "3",
+                                              "--out-json", "summary.json",
+                                              "--out-matrix", "estimate.csv"]),
     ]
     return commands
 
@@ -157,8 +166,9 @@ def _correlated_pair(seed: int, p: int, n1: int, n2: int) -> list[np.ndarray]:
 def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> None:
     """Two correlated Gaussian samples with a shared header, and the same rows
     as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
-    then group 1 quoted throughout, group 1 with each fault of MALFORMED, and
-    a pair of samples on WIDE_P variables."""
+    then group 1 quoted throughout, group 1 with each fault of MALFORMED, a
+    pair of samples on WIDE_P variables, and a pair of sparse Poisson(0.2)
+    count samples in which every variable varies."""
     directory.mkdir(parents=True, exist_ok=True)
     header = [f"v{i}" for i in range(p)]
     samples = _correlated_pair(20141, p, n1, n2)
@@ -167,6 +177,9 @@ def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> No
     wide = _correlated_pair(20142, WIDE_P, n1, n2)
     for name, x in zip(("wide1.csv", "wide2.csv"), wide):
         _write_csv(directory / name, [f"v{i}" for i in range(WIDE_P)], x.tolist())
+    counts = np.random.default_rng(20143).poisson(0.2, (2 * n1, p))
+    for name, x in zip(("counts1.csv", "counts2.csv"), (counts[:n1], counts[n1:])):
+        _write_csv(directory / name, header, x.tolist())
     labels = ["A" if i % 2 else "B" for i in range(n1)] + ["C"] * n2
     rows = [[label, *row] for label, row in zip(labels, np.vstack(samples).tolist())]
     _write_csv(directory / "labeled.csv", ["grp", *header], rows)
