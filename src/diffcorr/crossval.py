@@ -44,6 +44,7 @@ from .thresholding import unit_thresholds
 
 TWO_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.two_group)
 SINGLE_GROUP_KINDS = tuple(kind for kind, spec in KINDS.items() if not spec.two_group)
+_MAX_GRID_N = 10**6  # 5 N + 1 taus, binned per row block: 40 MB per bin array at 10**6
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ class CvConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise ValidationError(f"{name} must be >= {least}, got {value}")
+        if self.grid_n > _MAX_GRID_N:
+            raise ValidationError(f"grid_n must be <= {_MAX_GRID_N}, got {self.grid_n}")
         if self.seed >= 2**64:
             raise ValidationError(f"seed must be < 2**64, got {self.seed}")
 

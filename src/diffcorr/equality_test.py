@@ -119,10 +119,10 @@ def extreme_value_pvalue(t_n: float, p: int) -> float:
 
 
 def critical_tau(alpha: float) -> float:
-    """1 - alpha quantile of the extreme value law: -log(8 pi) - 2 log log 1/(1-alpha)."""
+    """1 - alpha quantile of the extreme value law: -log(8 pi) - 2 log(-log1p(-alpha))."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    return -_LOG_8PI - 2.0 * math.log(math.log(1.0 / (1.0 - alpha)))
+    return -_LOG_8PI - 2.0 * math.log(-math.log1p(-alpha))
 
 
 def decide_test(t_n: float, p: int, alpha: float) -> tuple[bool, float]:

@@ -50,7 +50,8 @@ class MomentSet:
     and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of columns
     r0:p for a row block r0:r1 (row i is column i), which also holds its Gram
     rows with a unit diagonal. A full set's degenerate marks the columns
-    sample_moments standardized to zeros; twin and sign mark copies (_copies).
+    sample_moments standardized to zeros, and maybe_copies says two unmarked
+    columns share corr_noise_jj bit for bit, as copies do (see _form_corr).
     cov, corr and corr_noise are formed when first read, and then kept: a row
     block's by its method _form_<name>, a full set's from its row blocks."""
 
@@ -61,9 +62,8 @@ class MomentSet:
     n: int
     p: int
     gram: np.ndarray | None = None
-    twin: np.ndarray | None = None
-    sign: np.ndarray | None = None
     degenerate: np.ndarray | None = None
+    maybe_copies: bool = False
 
     def _formed(self, name: str) -> np.ndarray:
         if self.gram is None:
@@ -82,7 +82,21 @@ class MomentSet:
         return cov
 
     def _form_corr(self) -> np.ndarray:
-        return _unit_correlation(self.gram, self.twin, self.sign)
+        """A column's copy, negation or multiple by a power of two standardizes
+        to it or its negation bit for bit, but Gram products can round their
+        correlation off +-1, by at most about 2 n rounding units. So in a set that
+        may hold copies, a pair within that bound whose columns match is set to +-1."""
+        corr = _unit_correlation(self.gram)
+        if self.maybe_copies:
+            near = np.abs(corr) >= 1.0 - 2.0 * (self.n + 4) * np.finfo(float).eps
+            np.fill_diagonal(near, False)
+            pairs_i, pairs_j = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-D nonzero is slow
+            for start in range(0, pairs_i.size, self.p):  # n x p values at a time
+                i, j = pairs_i[start:start + self.p], pairs_j[start:start + self.p]
+                sign = np.copysign(1.0, corr[i, j])
+                copy = (self.a[:, i] == self.a[:, j] * sign).all(axis=0)
+                corr[i[copy], j[copy]] = sign[copy]
+        return corr
 
     def _form_corr_noise(self) -> np.ndarray:
         """E[(a_i a_j - g_ij)^2] = E[a_i^2 a_j^2] - g_ij^2, its leading square
@@ -99,9 +113,8 @@ class MomentSet:
         a = self.a[:, r0:]
         gram = a[:, :r1 - r0].T @ a / self.n
         np.fill_diagonal(gram, 1.0)
-        twin, sign = (None, None) if self.twin is None else (self.twin[r0:], self.sign[r0:])
         return MomentSet(a, self.sq[:, r0:], self.var[r0:], self.corr_noise_jj[r0:],
-                         self.n, self.p, gram=gram, twin=twin, sign=sign)
+                         self.n, self.p, gram=gram, maybe_copies=self.maybe_copies)
 
 
 def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -131,17 +144,6 @@ def put_triangle_rows(out: np.ndarray, r0: int, r1: int, values: np.ndarray) -> 
     np.copyto(square, square.T, where=np.tri(b, k=-1, dtype=bool))
 
 
-def _copies(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-    """Per column of the centered data c, the first column equal to it or to its
-    negation (twin) and the sign of its first nonzero value; (None, None) when the
-    first row's |values| differ. Gram products can round a copy's correlation off 1."""
-    if np.diff(np.sort(np.abs(c[0]))).all():
-        return None, None
-    sign = np.sign(c[(c != 0.0).argmax(axis=0), np.arange(c.shape[1])])
-    _, first, twin = np.unique(c * sign + 0.0, axis=1, return_index=True, return_inverse=True)
-    return first[twin.ravel()], sign
-
-
 def _reject_degenerate(bad: np.ndarray, names=None) -> None:
     """Raise DegenerateVariableError naming the first column marked in bad."""
     if bad.any():
@@ -149,15 +151,10 @@ def _reject_degenerate(bad: np.ndarray, names=None) -> None:
         raise DegenerateVariableError(first, names[first] if names else None)
 
 
-def _unit_correlation(g: np.ndarray, twin=None, sign=None) -> np.ndarray:
+def _unit_correlation(g: np.ndarray) -> np.ndarray:
     """Correlation rows from Gram rows g of standardized columns, the leading
-    square first: clamped to [-1, 1], with a unit diagonal, and copies at +-1
-    (Gram products can round a copy's correlation off 1; see _copies)."""
+    square first: clamped to [-1, 1], with a unit diagonal."""
     corr = np.clip(g, -1.0, 1.0)
-    if twin is not None:
-        b = len(g)
-        same = twin[:b, None] == twin
-        corr[same] = np.multiply.outer(sign[:b], sign)[same]
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -204,12 +201,11 @@ def sample_moments(data: np.ndarray) -> MomentSet:
     """The full moment set of the n x p array data (a sample, or a part of one in
     cross-validation). A column that is constant (all values equal), or of a
     variance that is not finite, is marked degenerate and standardized to zeros,
-    with variance 0. Copies share one variance (_copies); see _SMALL_VARIANCE."""
+    with variance 0; see _SMALL_VARIANCE. A column's copy or negation gets its
+    variance and corr_noise_jj bit for bit; maybe_copies compares the latter."""
     n = len(data)
     a = data - data.mean(axis=0)
     var = np.einsum("kj,kj->j", a, a) / n
-    twin, sign = _copies(a)
-    var = var if twin is None else var[twin]
     degenerate = ~np.isfinite(var) | (data == data[0]).all(axis=0)
     scale = np.sqrt(var)
     if (small := np.flatnonzero((var < _SMALL_VARIANCE) & ~degenerate)).size:
@@ -224,8 +220,9 @@ def sample_moments(data: np.ndarray) -> MomentSet:
     sq = a * a
     dev = sq - 1.0
     corr_noise_jj = np.einsum("kj,kj->j", dev, dev) / n
-    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, twin=twin, sign=sign,
-                     degenerate=degenerate)
+    noise = np.sort(corr_noise_jj[~degenerate])
+    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, degenerate=degenerate,
+                     maybe_copies=bool((noise[1:] == noise[:-1]).any()))
 
 
 def correlation_variance(moments: MomentSet) -> np.ndarray:

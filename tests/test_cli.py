@@ -359,6 +359,17 @@ def test_test_equality_identical_files(tmp_path, capsys):
     assert len(payload["test"]["top_pairs"]) == 20
 
 
+def test_test_equality_at_a_tiny_alpha(tmp_path, sample_files):
+    # 1 - alpha rounds to 1 below alpha of about 1.1e-16; the level is still valid
+    a, b = sample_files
+    out = tmp_path / "test.json"
+    assert main(["test-equality", "--input1", a, "--input2", b, "--alpha", "1e-20",
+                 "--out-json", str(out)]) == 0
+    test = json.loads(out.read_text())["test"]
+    assert test["alpha"] == 1e-20 and test["reject"] is False
+    assert test["tau_alpha"] == pytest.approx(88.87923229223259, rel=1e-12)
+
+
 def test_cv_command(tmp_path, sample_files):
     a, b = sample_files
     out = tmp_path / "cv.json"
@@ -587,6 +598,10 @@ def test_simulate_requires_sizes(capsys):
         ),
         (["test-equality", "--alpha", "1.5", "--out-json", "{tmp}/t.json"], "alpha must lie in (0, 1), got 1.5"),
         (["test-equality", "--top-k", "-1", "--out-json", "{tmp}/t.json"], "top-k must be >= 0"),
+        (["estimate-diff-corr", "--cv-grid", "100000000000000000000", "--out-json", "{tmp}/e.json"],
+         "grid_n must be <= 1000000, got 100000000000000000000"),
+        (["simulate", "--model", "1", "--p", "10", "--n", "20", "--reps", "2",
+          "--cv-grid", "1000001"], "grid_n must be <= 1000000, got 1000001"),
         (["estimate-diff-corr", "--tau", "1.0", "--out-json", "{tmp}"], "Is a directory: {tmp}"),
         (["estimate-diff-corr", "--tau", "1", "--groups", "A:B"],
          "no labeled --input; --groups would be ignored"),
@@ -615,6 +630,7 @@ def test_simulate_requires_sizes(capsys):
         "cv-single-group-without-input", "estimate-missing-output-before-cv",
         "cv-missing-output-directory", "support-rank-missing-output-before-cv",
         "test-equality-alpha-before-output", "test-equality-top-k-before-output",
+        "huge-cv-grid", "simulate-huge-cv-grid",
         "output-is-a-directory", "ignored-groups", "ignored-label-column",
         "test-equality-ignored-groups", "cv-single-ignored-input1", "cv-single-ignored-labels",
         "ignored-seed-with-tau", "support-rank-ignored-seed-with-tau", "ignored-eta-hard",

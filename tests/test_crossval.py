@@ -44,6 +44,9 @@ def test_config_validation():
         CvConfig(h_repeats=0)
     with pytest.raises(ValidationError):
         CvConfig(grid_n=0)
+    with pytest.raises(ValidationError, match="grid_n must be <= 1000000"):
+        CvConfig(grid_n=10**20)  # 5 grid_n + 1 taus, too many to allocate
+    assert CvConfig(grid_n=10**6).grid_n == 10**6
     with pytest.raises(ValidationError):
         CvConfig(seed=-1)
     for field in ("k_folds", "h_repeats", "grid_n", "seed"):

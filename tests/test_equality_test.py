@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -82,37 +83,73 @@ def _seed_29_copy():
     n, p = rng.integers(20, 200), rng.integers(3, 200)
     i, j = sorted(rng.choice(p, 2, replace=False))
     x1, x2 = rng.standard_normal((n, p)), rng.standard_normal((n, p))
-    return x1, x2, i, j, 1.0
+    return x1, x2, i, {j: 1.0}
 
 
-def _planted_copy(n, p, i, j, sign):
-    rng = np.random.default_rng(0)
-    return rng.standard_normal((n, p)), rng.standard_normal((n, p)), i, j, sign
+def _planted_copy(n, p, i, j, factor, seed=0, draw="normal"):
+    """Two samples whose column j will be factor times their column i, drawn
+    from N(0, 1) or as 0/1/2 codes."""
+    rng = np.random.default_rng(seed)
+    if draw == "codes":
+        return *(rng.integers(0, 3, (n, p)).astype(float) for _ in range(2)), i, {j: factor}
+    return rng.standard_normal((n, p)), rng.standard_normal((n, p)), i, {j: factor}
 
 
-# each pair once correlated just off +-1 in at least one group
+def _three_copies():
+    """Columns 10, 50 = column 10 and 90 = -column 10 in two row blocks."""
+    x1, x2, i, _ = _planted_copy(70, 100, 10, 50, 1.0, seed=1)
+    return x1, x2, i, {50: 1.0, 90: -1.0}
+
+
+# (x1, x2, i, {j: factor}): each column j is planted as factor times column i,
+# and standardizes to column i or its negation bit for bit; Gram products can
+# round such a pair's correlation just off +-1. Codes tie in every row.
 COPIES = {
     "seed-29": _seed_29_copy,
     "same-block": lambda: _planted_copy(63, 132, 75, 131, 1.0),  # rows 64:132
     "across-blocks": lambda: _planted_copy(109, 158, 20, 152, 1.0),  # rows 0:64 and 64:158
     "negated": lambda: _planted_copy(88, 38, 15, 37, -1.0),
+    "codes": lambda: _planted_copy(90, 100, 5, 70, 1.0, draw="codes"),
+    "codes-negated": lambda: _planted_copy(90, 100, 40, 41, -1.0, draw="codes"),
+    "doubled": lambda: _planted_copy(90, 100, 30, 80, 2.0, seed=3),  # Gram: 1 - 1.5 eps
+    "three-copies": _three_copies,
 }
 
 
 @pytest.mark.parametrize("case", COPIES)
 def test_a_column_and_its_copy_correlate_at_one_and_have_zero_variance(case):
-    x1, x2, i, j, sign = COPIES[case]()
+    x1, x2, i, planted = COPIES[case]()
+    factors = {i: 1.0, **planted}
+    pairs = list(itertools.combinations(sorted(factors), 2))
     for x in (x1, x2):
-        x[:, j] = sign * x[:, i]
+        for j, factor in planted.items():
+            x[:, j] = factor * x[:, i]
         m = moments.moment_set(SampleMatrix(x))
-        assert m.var[i] == m.var[j]
-        assert m.corr[i, j] == m.corr[j, i] == sign
-        for r0, r1 in moments.triangle_blocks(m.p):  # every block holding the pair
-            if r0 <= i < r1:
-                assert m.rows(r0, r1).corr[i - r0, j - r0] == sign
+        for u, v in pairs:
+            sign = np.sign(factors[u] * factors[v])
+            assert m.var[u] / factors[u] ** 2 == m.var[v] / factors[v] ** 2
+            assert m.corr[u, v] == m.corr[v, u] == sign
+            for r0, r1 in moments.triangle_blocks(m.p):  # every block holding the pair
+                if r0 <= u < r1:
+                    assert m.rows(r0, r1).corr[u - r0, v - r0] == sign
     ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
-    with pytest.raises(DegenerateVarianceError, match=rf"\(v{i + 1}, v{j + 1}\)"):
+    u, v = pairs[0]  # the first in row-major order
+    with pytest.raises(DegenerateVarianceError, match=rf"\(v{u + 1}, v{v + 1}\)"):
         run_equality_test(ds)
+
+
+def test_columns_equal_in_a_fold_part_correlate_at_one_there():
+    rng = np.random.default_rng(4)
+    x = rng.poisson(2.0, (60, 100)).astype(float)
+    rows = np.sort(rng.choice(60, 20, replace=False))
+    x[rows, 90] = x[rows, 20]  # equal on the part's rows only
+    sample = SampleMatrix(x)
+    assert moments.moment_set(sample).corr[20, 90] < 1.0
+    part = moments._part_moments(sample, rows)
+    assert part.maybe_copies
+    for r0, r1 in moments.triangle_blocks(100):
+        if r0 <= 20 < r1:
+            assert part.rows(r0, r1).corr[20 - r0, 90 - r0] == 1.0
 
 
 def test_statistic_needs_two_variables():
@@ -147,6 +184,16 @@ def test_pvalue_at_rejection_boundary_equals_alpha(alpha, p):
 
 def test_critical_tau_frozen_value():
     assert critical_tau(0.05) == pytest.approx(TAU_005, abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-20, 1e-10, 0.05])
+def test_critical_tau_against_mpmath(alpha):
+    # below alpha of about 1.1e-16, 1 - alpha rounds to 1 in floating point
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):  # enough digits to hold 1 - 1e-300
+        minus_log = mpmath.log(1 / (1 - mpmath.mpf(alpha)))
+        exact = -mpmath.log(8 * mpmath.pi) - 2 * mpmath.log(minus_log)
+    assert critical_tau(alpha) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_decide_consistent_with_pvalue():

@@ -23,9 +23,11 @@ differing line. It exits 1 when any difference is non-numeric or above R
 The commands cover `cv` for every estimator kind and rule, every estimate
 command under every rule, `support-rank`, `test-equality`, five `simulate`
 cells, user-side settings that must exit 2, CSV inputs in unusual and
-malformed layouts, and `cv` and a cross-validated `estimate-diff-corr` on
-sparse counts, whose fold parts can hold a constant variable. The inputs
-have 12 variables, except for one
+malformed layouts, `cv` and a cross-validated `estimate-diff-corr` on
+sparse counts, whose fold parts can hold a constant variable, and
+`test-equality`, a cross-validated `estimate-diff-corr` and single-corr `cv`
+on 0/1/2 codes whose group 1 holds a copied variable, which correlates at
+exactly 1 with its original. The inputs have 12 variables, except for one
 `test-equality` and one cross-validated `estimate-diff-corr` on WIDE_P
 variables, whose statistics span more than one row block
 (`diffcorr.moments.triangle_blocks`). The `simulate` cells share each group's
@@ -56,6 +58,7 @@ TWO_FILES = ["--input1", "../inputs/x1.csv", "--input2", "../inputs/x2.csv"]
 WIDE_FILES = ["--input1", "../inputs/wide1.csv", "--input2", "../inputs/wide2.csv"]
 WIDE_P = 150  # rows 0:64 and 64:150 of the upper triangle
 COUNT_FILES = ["--input1", "../inputs/counts1.csv", "--input2", "../inputs/counts2.csv"]
+CODE_FILES = ["--input1", "../inputs/codes1.csv", "--input2", "../inputs/codes2.csv"]
 LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
 ONE_FILE = ["--input", "../inputs/x1.csv"]
 # inputs/NAME.csv is x1.csv with its fifth line, file row 5, changed by the function
@@ -147,6 +150,15 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("estimate-diff-corr-sparse-counts", ["estimate-diff-corr", *COUNT_FILES, "--seed", "3",
                                               "--out-json", "summary.json",
                                               "--out-matrix", "estimate.csv"]),
+        # 0/1/2 codes with a copy in group 1: it correlates at exactly 1 there,
+        # and the test divides by group 2's nonzero variance of the pair
+        ("test-equality-codes", ["test-equality", *CODE_FILES, "--top-k", "5",
+                                 "--out-json", "test.json"]),
+        ("estimate-diff-corr-codes", ["estimate-diff-corr", *CODE_FILES, "--seed", "3",
+                                      "--out-json", "summary.json",
+                                      "--out-matrix", "estimate.csv"]),
+        ("cv-single-corr-codes", ["cv", "--estimator", "single-corr", "--input",
+                                  "../inputs/codes1.csv", "--out-json", "cv.json"]),
     ]
     return commands
 
@@ -167,8 +179,9 @@ def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> No
     """Two correlated Gaussian samples with a shared header, and the same rows
     as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
     then group 1 quoted throughout, group 1 with each fault of MALFORMED, a
-    pair of samples on WIDE_P variables, and a pair of sparse Poisson(0.2)
-    count samples in which every variable varies."""
+    pair of samples on WIDE_P variables, a pair of sparse Poisson(0.2)
+    count samples in which every variable varies, and a pair of 0/1/2 code
+    samples whose group 1 has v7 planted as a copy of v2."""
     directory.mkdir(parents=True, exist_ok=True)
     header = [f"v{i}" for i in range(p)]
     samples = _correlated_pair(20141, p, n1, n2)
@@ -179,6 +192,10 @@ def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> No
         _write_csv(directory / name, [f"v{i}" for i in range(WIDE_P)], x.tolist())
     counts = np.random.default_rng(20143).poisson(0.2, (2 * n1, p))
     for name, x in zip(("counts1.csv", "counts2.csv"), (counts[:n1], counts[n1:])):
+        _write_csv(directory / name, header, x.tolist())
+    codes = np.random.default_rng(20144).integers(0, 3, (n1 + n2, p))
+    codes[:n1, 7] = codes[:n1, 2]
+    for name, x in zip(("codes1.csv", "codes2.csv"), (codes[:n1], codes[n1:])):
         _write_csv(directory / name, header, x.tolist())
     labels = ["A" if i % 2 else "B" for i in range(n1)] + ["C"] * n2
     rows = [[label, *row] for label, row in zip(labels, np.vstack(samples).tolist())]
