@@ -50,10 +50,10 @@ class MomentSet:
     and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of columns
     r0:p for a row block r0:r1 (row i is column i), which also holds its Gram
     rows with a unit diagonal. A full set's degenerate marks the columns
-    sample_moments standardized to zeros, and maybe_copies says two unmarked
-    columns share corr_noise_jj bit for bit, as copies do (see _form_corr).
-    cov, corr and corr_noise are formed when first read, and then kept: a row
-    block's by its method _form_<name>, a full set's from its row blocks."""
+    sample_moments standardized to zeros. Correlation rows put a column and its
+    copy at exactly +-1 (see _form_corr). cov, corr and corr_noise are formed
+    when first read, and then kept: a row block's by its method _form_<name>, a
+    full set's from its row blocks."""
 
     a: np.ndarray
     sq: np.ndarray
@@ -63,7 +63,6 @@ class MomentSet:
     p: int
     gram: np.ndarray | None = None
     degenerate: np.ndarray | None = None
-    maybe_copies: bool = False
 
     def _formed(self, name: str) -> np.ndarray:
         if self.gram is None:
@@ -82,20 +81,25 @@ class MomentSet:
         return cov
 
     def _form_corr(self) -> np.ndarray:
-        """A column's copy, negation or multiple by a power of two standardizes
-        to it or its negation bit for bit, but Gram products can round their
-        correlation off +-1, by at most about 2 n rounding units. So in a set that
-        may hold copies, a pair within that bound whose columns match is set to +-1."""
-        corr = _unit_correlation(self.gram)
-        if self.maybe_copies:
-            near = np.abs(corr) >= 1.0 - 2.0 * (self.n + 4) * np.finfo(float).eps
-            np.fill_diagonal(near, False)
-            pairs_i, pairs_j = np.divmod(np.flatnonzero(near), near.shape[1])  # 2-D nonzero is slow
+        """Gram rows clamped to [-1, 1], with a unit diagonal. A column's copy,
+        negation or multiple by a power of two standardizes to it or its negation
+        bit for bit (see sample_moments), but Gram products can round their
+        correlation off +-1, by at most about 2 n rounding units. So a pair within
+        that bound, which holds every pair the clamp can change, is set to +-1
+        when its standardized columns match."""
+        corr = self.gram.copy()
+        np.fill_diagonal(corr, 0.0)
+        bound = 1.0 - 2.0 * (self.n + 4) * np.finfo(float).eps
+        if corr.max() >= bound or corr.min() <= -bound:  # only near copies come this close
+            np.clip(corr, -1.0, 1.0, out=corr)
+            near = np.flatnonzero(np.abs(corr) >= bound)  # 2-D nonzero is slow
+            pairs_i, pairs_j = np.divmod(near, corr.shape[1])
             for start in range(0, pairs_i.size, self.p):  # n x p values at a time
                 i, j = pairs_i[start:start + self.p], pairs_j[start:start + self.p]
                 sign = np.copysign(1.0, corr[i, j])
                 copy = (self.a[:, i] == self.a[:, j] * sign).all(axis=0)
                 corr[i[copy], j[copy]] = sign[copy]
+        np.fill_diagonal(corr, 1.0)
         return corr
 
     def _form_corr_noise(self) -> np.ndarray:
@@ -114,7 +118,7 @@ class MomentSet:
         gram = a[:, :r1 - r0].T @ a / self.n
         np.fill_diagonal(gram, 1.0)
         return MomentSet(a, self.sq[:, r0:], self.var[r0:], self.corr_noise_jj[r0:],
-                         self.n, self.p, gram=gram, maybe_copies=self.maybe_copies)
+                         self.n, self.p, gram=gram)
 
 
 def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -151,14 +155,6 @@ def _reject_degenerate(bad: np.ndarray, names=None) -> None:
         raise DegenerateVariableError(first, names[first] if names else None)
 
 
-def _unit_correlation(g: np.ndarray) -> np.ndarray:
-    """Correlation rows from Gram rows g of standardized columns, the leading
-    square first: clamped to [-1, 1], with a unit diagonal."""
-    corr = np.clip(g, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
 def sample_correlation(cov: np.ndarray) -> np.ndarray:
     """Correlation from a square covariance matrix: unit diagonal, entries
     clamped to [-1, 1]; a variance that is not positive and finite is an error."""
@@ -167,7 +163,9 @@ def sample_correlation(cov: np.ndarray) -> np.ndarray:
         raise ValidationError(f"a covariance matrix must be square, got shape {cov.shape}")
     var = np.diag(cov)
     _reject_degenerate(~((var > 0.0) & (var < np.inf)))
-    return _unit_correlation(cov / np.sqrt(var)[:, None] / np.sqrt(var))
+    corr = np.clip(cov / np.sqrt(var)[:, None] / np.sqrt(var), -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 def moment_set(x: SampleMatrix) -> MomentSet:
@@ -202,7 +200,9 @@ def sample_moments(data: np.ndarray) -> MomentSet:
     cross-validation). A column that is constant (all values equal), or of a
     variance that is not finite, is marked degenerate and standardized to zeros,
     with variance 0; see _SMALL_VARIANCE. A column's copy or negation gets its
-    variance and corr_noise_jj bit for bit; maybe_copies compares the latter."""
+    variance bit for bit, and its copy, negation or multiple by a power of two
+    its standardized values up to sign, unless the scaling carries one of the
+    two into the small-variance range or out of it."""
     n = len(data)
     a = data - data.mean(axis=0)
     var = np.einsum("kj,kj->j", a, a) / n
@@ -220,9 +220,7 @@ def sample_moments(data: np.ndarray) -> MomentSet:
     sq = a * a
     dev = sq - 1.0
     corr_noise_jj = np.einsum("kj,kj->j", dev, dev) / n
-    noise = np.sort(corr_noise_jj[~degenerate])
-    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, degenerate=degenerate,
-                     maybe_copies=bool((noise[1:] == noise[:-1]).any()))
+    return MomentSet(a, sq, var, corr_noise_jj, *data.shape, degenerate=degenerate)
 
 
 def correlation_variance(moments: MomentSet) -> np.ndarray:

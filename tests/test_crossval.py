@@ -446,7 +446,7 @@ def test_cov_kinds_form_no_correlation(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cov kind formed correlation rows")
 
-    monkeypatch.setattr(moments, "_unit_correlation", refuse)
+    monkeypatch.setattr(moments.MomentSet, "_form_corr", refuse)
     monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
     ds = gaussian_dataset(33, p=10, n1=30, n2=26)
     cfg = CvConfig(h_repeats=2, grid_n=20, seed=4)
