@@ -84,15 +84,15 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
         blocks = [g.rows(r0, r1) for g in groups]
         denom = sum(correlation_variance(m) / m.n for m in blocks)
         upper = ~np.tri(r1 - r0, ds.p - r0, dtype=bool)  # pairs i < j
-        zero = np.argwhere(upper & (denom == 0.0))
-        if zero.size:
-            i, j = zero[0] + r0
+        denom_upper = denom[upper]
+        if not denom_upper.all():  # the first zero in row-major order
+            i, j = np.argwhere(upper & (denom == 0.0))[0] + r0
             raise DegenerateVarianceError(
                 f"pair ({ds.names[i]}, {ds.names[j]}) has zero variance estimate"
             )
         t = blocks[0].corr[upper] - blocks[1].corr[upper]
         t *= t
-        t /= denom[upper]
+        t /= denom_upper
         t_pairs[filled:filled + t.size] = t
         filled += t.size
         t_n = max(t_n, float(t.max(initial=0.0)))

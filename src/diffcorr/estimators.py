@@ -48,12 +48,10 @@ from .thresholding import (
 
 @dataclass(frozen=True)
 class DifferentialEstimate:
-    """A thresholded matrix estimate plus the per-entry threshold levels,
-    constant and rule that produced it; cv holds the cross-validation result
-    when tau was selected by it."""
+    """A thresholded matrix estimate plus the constant and rule that produced
+    it; cv holds the cross-validation result when tau was selected by it."""
 
     estimate: np.ndarray
-    thresholds: np.ndarray
     tau: float
     rule: ThresholdRule
     row_labels: tuple[str, ...]
@@ -61,15 +59,12 @@ class DifferentialEstimate:
     cv: CvResult | None = None
 
     def __post_init__(self):
-        for field in ("estimate", "thresholds"):
-            values = np.asarray(getattr(self, field), dtype=float)
-            if values.shape != (len(self.row_labels), len(self.col_labels)):
-                raise ValidationError(
-                    f"{field} shape {values.shape} does not match labels"
-                )
-            values = values.copy() if values.flags.writeable else values  # read-only: kept
-            values.flags.writeable = False
-            object.__setattr__(self, field, values)
+        values = np.asarray(self.estimate, dtype=float)
+        if values.shape != (len(self.row_labels), len(self.col_labels)):
+            raise ValidationError(f"estimate shape {values.shape} does not match labels")
+        values = values.copy() if values.flags.writeable else values  # read-only: kept
+        values.flags.writeable = False
+        object.__setattr__(self, "estimate", values)
 
     @property
     def is_square(self) -> bool:
@@ -115,7 +110,7 @@ def _fit(
     full = [moment_set(x) for x in groups]  # standardized data; no p x p array
     names = data.names
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
-    outputs = [(np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))) for _ in rules]
+    outputs = [np.empty((len(rows), len(cols))) for _ in rules]
     # cross-corr walks diff-corr's blocks, so it is diff-corr's [:split, split:]
     for r0, r1 in triangle_blocks(data.p):
         if spec.cross_block and r0 >= split:
@@ -123,19 +118,17 @@ def _fit(
         block = [m.rows(r0, r1) for m in full]
         raw = spec.raw(block)
         unit = THRESHOLDS[spec.statistic, len(block)](*block, 1.0)  # scaled by each rule's tau
-        for tau, r, (estimate, levels) in zip(taus, rules, outputs):
-            lam = tau * unit
-            fitted = apply_threshold(raw, lam, r)
-            for out, values in ((estimate, fitted), (levels, lam)):
-                if spec.cross_block:  # out has split rows
-                    out[r0:r1] = values[:split - r0, split - r0:]
-                else:
-                    put_triangle_rows(out, r0, r1, values)
+        for tau, r, out in zip(taus, rules, outputs):
+            fitted = apply_threshold(raw, tau * unit, r)
+            if spec.cross_block:  # out has split rows
+                out[r0:r1] = fitted[:split - r0, split - r0:]
+            else:
+                put_triangle_rows(out, r0, r1, fitted)
     fits = []
-    for i, (tau, r, (estimate, levels)) in enumerate(zip(taus, rules, outputs)):
-        estimate.flags.writeable = levels.flags.writeable = False
+    for i, (tau, r, estimate) in enumerate(zip(taus, rules, outputs)):
+        estimate.flags.writeable = False
         own_cv = cv_result and replace(cv_result, tau_hat=tau, losses=cv_result.losses[i])
-        fits.append(DifferentialEstimate(estimate, levels, tau, r, rows, cols, own_cv))
+        fits.append(DifferentialEstimate(estimate, tau, r, rows, cols, own_cv))
     return fits[0] if isinstance(rule, ThresholdRule) else tuple(fits)
 
 

@@ -39,7 +39,8 @@ _CANCELLATION_GUARD = 100.0
 # rows per block of the upper triangle (see triangle_blocks)
 _BLOCK_ROWS = 64
 # a column variance below this, in or near the subnormal range (below 2**-1022),
-# where squares lose digits, is formed from the column scaled by its largest |value|
+# where squares lose digits, is formed from the column divided by the power of
+# two at or above its largest |value|
 _SMALL_VARIANCE = 2.0**-1012
 _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sample, set)
 
@@ -201,19 +202,20 @@ def sample_moments(data: np.ndarray) -> MomentSet:
     variance that is not finite, is marked degenerate and standardized to zeros,
     with variance 0; see _SMALL_VARIANCE. A column's copy or negation gets its
     variance bit for bit, and its copy, negation or multiple by a power of two
-    its standardized values up to sign, unless the scaling carries one of the
-    two into the small-variance range or out of it."""
+    its standardized values up to sign, in the small-variance range too: there
+    a column is scaled by a power of two, which is exact, and its variance is
+    summed at the full width, as einsum's per-column sums change in their last
+    bits with the array's width."""
     n = len(data)
     a = data - data.mean(axis=0)
     var = np.einsum("kj,kj->j", a, a) / n
     degenerate = ~np.isfinite(var) | (data == data[0]).all(axis=0)
     scale = np.sqrt(var)
     if (small := np.flatnonzero((var < _SMALL_VARIANCE) & ~degenerate)).size:
-        c = a[:, small]
-        top = np.abs(c).max(axis=0)
-        c /= top
-        var_c = np.einsum("kj,kj->j", c, c) / n
-        a[:, small], scale[small], var[small] = c, np.sqrt(var_c), var_c * top * top
+        exponent = np.frexp(np.abs(a[:, small]).max(axis=0))[1]
+        a[:, small] = np.ldexp(a[:, small], -exponent)
+        var_c = np.einsum("kj,kj->j", a, a)[small] / n
+        scale[small], var[small] = np.sqrt(var_c), np.ldexp(var_c, 2 * exponent)
     if degenerate.any():
         a[:, degenerate], scale[degenerate], var[degenerate] = 0.0, 1.0, 0.0
     a /= scale
@@ -260,7 +262,8 @@ def correlation_variance(moments: MomentSet) -> np.ndarray:
     del m13
     magnitude *= 2.0 * np.abs(half_corr)
     magnitude += plus
-    pairs_i, pairs_j = np.nonzero(np.triu(magnitude > _CANCELLATION_GUARD * theta, k=1))
+    far = np.flatnonzero(np.triu(magnitude > _CANCELLATION_GUARD * theta, k=1))
+    pairs_i, pairs_j = np.divmod(far, theta.shape[1])  # 2-D nonzero is slow
     for start in range(0, pairs_i.size, p):
         i, j = pairs_i[start:start + p], pairs_j[start:start + p]
         term = a[:, i] * a[:, j]

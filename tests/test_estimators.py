@@ -10,19 +10,23 @@ from diffcorr import (
     ThresholdRule,
     TwoGroupDataset,
     ValidationError,
+    apply_threshold,
     baseline_cov_then_normalize,
     baseline_sample_difference,
     baseline_separate_corr,
+    diff_corr_thresholds,
+    diff_cov_thresholds,
     estimate_cross_corr,
     estimate_diff_corr,
     estimate_diff_cov,
     estimate_single_corr,
     moment_set,
+    single_corr_thresholds,
     support_ranking,
 )
 from diffcorr import test_equality as run_equality_test
 from diffcorr.estimators import _fit
-from diffcorr.thresholding import KINDS
+from diffcorr.thresholding import KINDS, _cov_thresholds
 from oracles import (
     naive_cov_then_normalize,
     naive_estimate_cross_corr,
@@ -59,7 +63,8 @@ def test_diff_corr_identical_groups_is_zero():
 def test_diff_corr_large_tau_kills_everything():
     ds = gaussian_dataset(10, p=4, n1=25, n2=25)
     est = estimate_diff_corr(ds, 1e8, SOFT)
-    assert np.all(est.thresholds[~np.eye(4, dtype=bool)] > 2.0)
+    lam = diff_corr_thresholds(moment_set(ds.group1), moment_set(ds.group2), 1e8)
+    assert np.all(lam[~np.eye(4, dtype=bool)] > 2.0)
     assert np.array_equal(est.estimate, np.zeros((4, 4)))
 
 
@@ -121,9 +126,9 @@ def test_diff_corr_materialized_conditions():
     ds = gaussian_dataset(12, p=5, n1=20, n2=20)
     m1, m2 = moment_set(ds.group1), moment_set(ds.group2)
     raw = m1.corr - m2.corr
+    lam = diff_corr_thresholds(m1, m2, 0.6)
     for rule in (HARD, SOFT, AL):
         est = estimate_diff_corr(ds, 0.6, rule)
-        lam = est.thresholds
         assert np.all(est.estimate[np.abs(raw) <= lam] == 0.0)
         assert np.all(np.abs(est.estimate - raw) <= lam + 1e-12)
 
@@ -151,7 +156,7 @@ def test_single_corr_keeps_unit_diagonal():
     for rule in (HARD, SOFT, AL):
         est = estimate_single_corr(x, 50.0, rule)
         assert np.array_equal(est.estimate, np.eye(3))
-        assert np.array_equal(np.diag(est.thresholds), np.zeros(3))
+    assert np.array_equal(np.diag(single_corr_thresholds(moment_set(x), 50.0)), np.zeros(3))
 
 
 def test_diagonal_only_overflow_is_never_applied():
@@ -178,7 +183,7 @@ def test_single_corr_perfectly_correlated_pair():
     x = SampleMatrix(np.hstack([base, 2.0 * base]))
     tau = 0.4
     est = estimate_single_corr(x, tau, SOFT)
-    lam = est.thresholds[0, 1]
+    lam = single_corr_thresholds(moment_set(x), tau)[0, 1]
     assert est.estimate[0, 1] == pytest.approx(max(1.0 - lam, 0.0), abs=1e-12)
 
 
@@ -305,7 +310,7 @@ def test_support_ranking_single_pair():
     masked[0, 2] = masked[2, 0] = 0.5
     from diffcorr import DifferentialEstimate
 
-    fake = DifferentialEstimate(masked, est.thresholds, 0.0, SOFT, ds.names, ds.names)
+    fake = DifferentialEstimate(masked, 0.0, SOFT, ds.names, ds.names)
     ranking = support_ranking(fake)
     assert ranking[0] == (ds.names[0], 1)
     assert ranking[1] == (ds.names[2], 1)
@@ -342,6 +347,19 @@ def test_monotone_support():
 # p = 300 walks four row blocks of 64, 64, 64 and 108 rows
 BLOCKED_P = 300
 SINGLE_KINDS = ("single-corr", "cov-threshold")
+# each kind's threshold levels from its full moment sets
+LEVELS = {
+    "diff-corr": diff_corr_thresholds,
+    "diff-cov": diff_cov_thresholds,
+    "cross-corr": diff_corr_thresholds,
+    "single-corr": single_corr_thresholds,
+    "cov-threshold": _cov_thresholds,
+}
+
+
+def _full_moments(kind, ds):
+    groups = (ds.group1,) if kind in SINGLE_KINDS else (ds.group1, ds.group2)
+    return [moment_set(x) for x in groups]
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +405,9 @@ def test_fit_in_row_blocks_against_naive_oracle(kind, blocked_fits):
     data = ds.group1 if kind in SINGLE_KINDS else ds
     split = BLOCKED_P // 2 if kind == "cross-corr" else None
     raw, unit = (np.array(m) for m in table["diff-corr" if split else kind])
+    full = _full_moments(kind, ds)
+    for tau in (0.0, 0.7, 2.0):
+        assert np.max(np.abs(LEVELS[kind](*full, tau) - tau * unit)) < 1e-12
     for rule in (HARD, SOFT, AL):
         for tau in (0.0, 0.7, 2.0):
             fit = _fit(kind, data, tau, rule, None, split)
@@ -396,9 +417,7 @@ def test_fit_in_row_blocks_against_naive_oracle(kind, blocked_fits):
                 want = want[:split, split:]
             else:
                 assert np.array_equal(fit.estimate, fit.estimate.T)
-                assert np.array_equal(fit.thresholds, fit.thresholds.T)
             assert np.max(np.abs(fit.estimate - want)) < 1e-12
-            assert np.max(np.abs(fit.thresholds - (tau * unit)[:split, split:])) < 1e-12
             if tau == 0.7:  # so the oracle checks kept entries, not only zeros
                 assert np.count_nonzero(fit.estimate) >= (80 if split else 200)
 
@@ -410,7 +429,20 @@ def test_cross_corr_is_the_diff_corr_block_bit_for_bit(blocked_fits):
         full = estimate_diff_corr(ds, 0.7, rule)
         block = estimate_cross_corr(ds, split, 0.7, rule)
         assert np.array_equal(block.estimate, full.estimate[:split, split:])
-        assert np.array_equal(block.thresholds, full.thresholds[:split, split:])
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_fit_thresholds_at_its_public_levels(kind, blocked_fits):
+    ds, _ = blocked_fits
+    data = ds.group1 if kind in SINGLE_KINDS else ds
+    split = BLOCKED_P // 2 if kind == "cross-corr" else None
+    full = _full_moments(kind, ds)
+    raw = KINDS[kind].raw(full)
+    for tau in (0.0, 0.7, 2.0):
+        levels = LEVELS[kind](*full, tau)
+        for rule in (HARD, SOFT, AL):
+            want = apply_threshold(raw, levels, rule)[:split, split:]
+            assert np.array_equal(_fit(kind, data, tau, rule, None, split).estimate, want)
 
 
 def test_single_corr_at_zero_tau_is_the_sample_correlation_bit_for_bit(blocked_fits):
@@ -431,16 +463,16 @@ def _fit_peak(p, tau, cv=None):
         tracemalloc.stop()
 
 
-def test_fixed_tau_fit_peaks_below_four_p_by_p_arrays():
+def test_fixed_tau_fit_peaks_below_three_p_by_p_arrays():
     p = 600
-    # the estimate and its levels, plus row blocks: a group covariance or
-    # correlation held beside them would pass the bound
-    assert _fit_peak(p, 1.0) <= 4 * p * p * 8
+    # the estimate plus row blocks: a group covariance or correlation held
+    # beside them would pass the bound
+    assert _fit_peak(p, 1.0) <= 3 * p * p * 8
 
 
-def test_cv_fit_peaks_below_four_p_by_p_arrays():
+def test_cv_fit_peaks_below_three_p_by_p_arrays():
     p = 600
-    assert _fit_peak(p, None, CvConfig(h_repeats=1, grid_n=10)) <= 4 * p * p * 8
+    assert _fit_peak(p, None, CvConfig(h_repeats=1, grid_n=10)) <= 3 * p * p * 8
 
 
 @pytest.mark.parametrize("tau", [None, 0.0, 0.8])
@@ -465,19 +497,19 @@ def test_estimate_copies_only_writeable_arrays():
     names = ("a", "b")
     shared = np.array([[1.0, 0.5], [0.5, 1.0]])
     shared.flags.writeable = False
-    est = DifferentialEstimate(shared, shared, 1.0, SOFT, names, names)
-    assert est.estimate is shared and est.thresholds is shared
+    est = DifferentialEstimate(shared, 1.0, SOFT, names, names)
+    assert est.estimate is shared
 
     mine = np.array([[1.0, 0.5], [0.5, 1.0]])
-    est = DifferentialEstimate(mine, [[0, 1], [1, 0]], 1.0, SOFT, names, names)
+    est = DifferentialEstimate(mine, 1.0, SOFT, names, names)
     assert not np.shares_memory(est.estimate, mine)
     mine[0, 1] = 9.0
     assert est.estimate[0, 1] == 0.5
-    assert est.thresholds.dtype == float
-    for values in (est.estimate, est.thresholds):
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0, 0] = 2.0
+    assert not est.estimate.flags.writeable
+    with pytest.raises(ValueError):
+        est.estimate[0, 0] = 2.0
+    est = DifferentialEstimate([[1, 0], [0, 1]], 1.0, SOFT, names, names)
+    assert est.estimate.dtype == float and not est.estimate.flags.writeable
 
 
 def test_fit_hands_its_read_only_arrays_to_the_estimate(monkeypatch):
@@ -485,21 +517,19 @@ def test_fit_hands_its_read_only_arrays_to_the_estimate(monkeypatch):
 
     built = []
 
-    def spy(estimate, thresholds, *rest):
-        built.append((estimate, thresholds))
-        return DifferentialEstimate(estimate, thresholds, *rest)
+    def spy(estimate, *rest):
+        built.append(estimate)
+        return DifferentialEstimate(estimate, *rest)
 
     monkeypatch.setattr(estimators, "DifferentialEstimate", spy)
     ds = gaussian_dataset(27, p=5, n1=20, n2=20)
     est = estimate_diff_corr(ds, 0.5, SOFT)
-    (estimate, thresholds), = built
-    assert not estimate.flags.writeable and not thresholds.flags.writeable
-    assert est.estimate is estimate and est.thresholds is thresholds
+    estimate, = built
+    assert not estimate.flags.writeable and est.estimate is estimate
 
 
 def _same_fit(got, want):
     assert np.array_equal(got.estimate, want.estimate)
-    assert np.array_equal(got.thresholds, want.thresholds)
     assert (got.tau, got.rule, got.row_labels, got.col_labels) == (
         want.tau, want.rule, want.row_labels, want.col_labels)
     if want.cv is None:
