@@ -15,6 +15,7 @@ import contextlib
 import csv
 import errno
 import json
+import math
 import os
 import sys
 
@@ -89,9 +90,11 @@ def _add_rule_flags(sub):
 
 
 def _rules(names, eta) -> list[ThresholdRule]:
-    """One rule per name; --eta sets the adaptive-lasso exponent, so it fails
-    when no rule named is adaptive-lasso."""
+    """One rule per name; --eta sets the adaptive-lasso exponent, which must be
+    finite, so it fails when no rule named is adaptive-lasso."""
     rules = [ThresholdRule(name) if eta is None else ThresholdRule(name, eta) for name in names]
+    if eta is not None and not math.isfinite(eta):  # a rule takes inf; JSON has no Infinity
+        raise ValidationError(f"--eta must be finite, got {eta}")
     if all(rule.kind != "adaptive-lasso" for rule in rules):
         _reject_ignored("only adaptive-lasso has an exponent", eta=eta)
     return rules

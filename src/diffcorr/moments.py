@@ -38,10 +38,6 @@ from .errors import DegenerateVariableError, ValidationError
 _CANCELLATION_GUARD = 100.0
 # rows per block of the upper triangle (see triangle_blocks)
 _BLOCK_ROWS = 64
-# a column variance below this, in or near the subnormal range (below 2**-1022),
-# where squares lose digits, is formed from the column divided by the power of
-# two at or above its largest |value|
-_SMALL_VARIANCE = 2.0**-1012
 _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sample, set)
 
 
@@ -197,25 +193,23 @@ def _part_moments(x: SampleMatrix, rows: np.ndarray | None = None) -> MomentSet:
 
 
 def sample_moments(data: np.ndarray) -> MomentSet:
-    """The full moment set of the n x p array data (a sample, or a part of one in
-    cross-validation). A column that is constant (all values equal), or of a
-    variance that is not finite, is marked degenerate and standardized to zeros,
-    with variance 0; see _SMALL_VARIANCE. A column's copy or negation gets its
-    variance bit for bit, and its copy, negation or multiple by a power of two
-    its standardized values up to sign, in the small-variance range too: there
-    a column is scaled by a power of two, which is exact, and its variance is
-    summed at the full width, as einsum's per-column sums change in their last
-    bits with the array's width."""
+    """The full moment set of the n x p array data, a sample or a part of one.
+    Each centered column is divided, exactly, by the power of two at or above its
+    largest |value| before its squares are summed. A column whose largest and
+    smallest centered values are equal (constant), or whose variance is not
+    finite, is degenerate: standardized to zeros, with variance 0. A column's
+    copy, negation or power-of-two multiple gets its standardized values up to
+    sign, and its variance times the multiple squared, bit for bit at any scale."""
     n = len(data)
     a = data - data.mean(axis=0)
-    var = np.einsum("kj,kj->j", a, a) / n
-    degenerate = ~np.isfinite(var) | (data == data[0]).all(axis=0)
-    scale = np.sqrt(var)
-    if (small := np.flatnonzero((var < _SMALL_VARIANCE) & ~degenerate)).size:
-        exponent = np.frexp(np.abs(a[:, small]).max(axis=0))[1]
-        a[:, small] = np.ldexp(a[:, small], -exponent)
-        var_c = np.einsum("kj,kj->j", a, a)[small] / n
-        scale[small], var[small] = np.sqrt(var_c), np.ldexp(var_c, 2 * exponent)
+    top, bottom = a.max(axis=0), a.min(axis=0)
+    exponent = np.frexp(np.maximum(top, -bottom))[1]
+    np.ldexp(a, -exponent, out=a)
+    scaled = np.einsum("kj,kj->j", a, a) / n
+    with np.errstate(over="ignore"):
+        var = np.ldexp(scaled, 2 * exponent)
+    degenerate = (top == bottom) | ~np.isfinite(var)
+    scale = np.sqrt(scaled)
     if degenerate.any():
         a[:, degenerate], scale[degenerate], var[degenerate] = 0.0, 1.0, 0.0
     a /= scale

@@ -29,7 +29,7 @@ import numpy as np
 
 from .crossval import CvConfig
 from .dataset import SampleMatrix, TwoGroupDataset, check_square_symmetric
-from .errors import ValidationError
+from .errors import InsufficientSamplesError, ValidationError
 from .estimators import (
     baseline_cov_then_normalize,
     baseline_separate_corr,
@@ -120,7 +120,9 @@ def scale_to_covariance(r: np.ndarray, seed: int) -> np.ndarray:
 
 def mvn_sample(sigma: np.ndarray, n: int, seed: int) -> SampleMatrix:
     """Draw n rows from N(0, sigma) through the Cholesky factor of sigma,
-    which must be positive definite."""
+    which must be positive definite, for n >= 2."""
+    if n < 2:  # a negative n would fail in the draw
+        raise InsufficientSamplesError(f"need at least 2 observations, got {n}")
     sigma = check_square_symmetric(sigma, "covariance matrix")
     try:
         factor = np.linalg.cholesky(sigma)

@@ -307,6 +307,37 @@ def test_overflowing_variance_exits_3_naming_the_variable(tmp_path, capsys, case
         assert captured.out == ""
 
 
+def test_corr_estimates_and_the_test_do_not_change_with_a_scale_of_1e154(tmp_path, capsys):
+    # the squares of data at 1e154 sum past the float range, but each centered
+    # column is divided by a power of two before they are summed
+    rng = np.random.default_rng(30)
+    x1, x2 = rng.standard_normal((60, 8)), rng.standard_normal((50, 8))
+    x2[:, 1] += 0.8 * x2[:, 0]
+    results = []
+    for scale in (1.0, 1e154):
+        p1, p2 = (_write_csv(tmp_path / f"x{k}-{scale:g}.csv", [f"v{i}" for i in range(8)],
+                             (x * scale).tolist()) for k, x in ((1, x1), (2, x2)))
+        runs = {"diff-corr": ["estimate-diff-corr", "--input1", p1, "--input2", p2],
+                "single-corr": ["estimate-corr", "--input", p1]}
+        result = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-{scale:g}"
+            assert main(argv + ["--seed", "3", "--out-json", f"{out}.json",
+                                "--out-matrix", f"{out}.csv"]) == 0
+            result[name] = json.loads(Path(f"{out}.json").read_text())["tau"]
+            result[name + "-matrix"] = read_matrix_csv(f"{out}.csv")[0]
+        out = tmp_path / f"test-{scale:g}.json"
+        assert main(["test-equality", "--input1", p1, "--input2", p2, "--out-json", str(out)]) == 0
+        result["t_n"] = json.loads(out.read_text())["test"]["t_n"]
+        results.append(result)
+        capsys.readouterr()
+    plain, scaled = results
+    for name in ("diff-corr", "single-corr"):
+        assert scaled[name] == plain[name]
+        assert np.max(np.abs(scaled[name + "-matrix"] - plain[name + "-matrix"])) <= 1e-12
+    assert scaled["t_n"] == pytest.approx(plain["t_n"], rel=1e-12)
+
+
 def test_estimate_corr_and_cross(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = _write_csv(
@@ -621,6 +652,17 @@ def test_simulate_requires_sizes(capsys):
           "--eta", "2"], "only adaptive-lasso has an exponent; --eta would be ignored"),
         (["simulate", "--model", "1", "--p", "10", "--n", "20", "--n1", "20", "--n2", "30", "--reps", "2"],
          "--n1 and --n2 set both group sizes; --n would be ignored"),
+        # a rule takes eta = inf, but the JSON summary could not hold it
+        *(([*command, "--eta", "inf"], "--eta must be finite, got inf")
+          for command in (["estimate-diff-corr"], ["estimate-diff-cov"],
+                          ["estimate-corr", "--input", "{tmp}/missing.csv"],
+                          ["estimate-cross", "--split", "1"], ["support-rank"], ["cv"],
+                          ["simulate", "--model", "1", "--p", "4", "--n", "10", "--reps", "2"])),
+        (["estimate-diff-corr", "--eta", "1e400"], "--eta must be finite, got inf"),
+        (["simulate", "--model", "1", "--p", "4", "--n", "-5", "--reps", "2"],
+         "need at least 2 observations, got -5"),
+        (["simulate", "--model", "1", "--p", "4", "--n1", "10", "--n2", "-1", "--reps", "2"],
+         "need at least 2 observations, got -1"),
     ],
     ids=[
         "empty-rules", "comma-rules", "empty-estimators", "test-equality-top-k",
@@ -635,6 +677,9 @@ def test_simulate_requires_sizes(capsys):
         "test-equality-ignored-groups", "cv-single-ignored-input1", "cv-single-ignored-labels",
         "ignored-seed-with-tau", "support-rank-ignored-seed-with-tau", "ignored-eta-hard",
         "cv-ignored-eta-soft", "simulate-ignored-eta", "simulate-ignored-n",
+        "infinite-eta", "estimate-diff-cov-infinite-eta", "estimate-corr-infinite-eta",
+        "estimate-cross-infinite-eta", "support-rank-infinite-eta", "cv-infinite-eta",
+        "simulate-infinite-eta", "eta-1e400", "simulate-negative-n", "simulate-negative-n2",
     ],
 )
 def test_user_side_flag_errors_exit_2(tmp_path, sample_files, capsys, argv, message):

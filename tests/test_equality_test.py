@@ -112,8 +112,10 @@ COPIES = {
     "codes": lambda: _planted_copy(90, 100, 5, 70, 1.0, draw="codes"),
     "codes-negated": lambda: _planted_copy(90, 100, 40, 41, -1.0, draw="codes"),
     "doubled": lambda: _planted_copy(90, 100, 30, 80, 2.0, seed=3),  # Gram: 1 - 1.5 eps
-    # variance 2**-1020 var_30: below moments._SMALL_VARIANCE
+    # variance 2**-1020 var_30: unscaled, its squares would lose digits below the normal range
     "tiny-multiple": lambda: _planted_copy(90, 100, 30, 80, 2.0**-510),
+    # variance about 4.5e307: unscaled, the sum of its squares would overflow
+    "huge-multiple": lambda: _planted_copy(90, 100, 30, 80, 2.0**511),
     "three-copies": _three_copies,
 }
 

@@ -139,6 +139,28 @@ def test_correlation_at_extreme_scales(scale):
     assert np.max(np.abs(got - want)) < 1e-15
 
 
+def test_a_column_is_degenerate_exactly_when_its_values_are_equal():
+    # equal values from 1e-310 to 1e300, either sign; those up to 1e160, whose
+    # variance stays finite, with one entry moved by 1 to 3 ulps either way; and
+    # 1e16 plus 0, 2 or 4 (2 is its ulp)
+    rng = np.random.default_rng(30)
+    base = np.geomspace(1e-310, 1e300, 500) * np.resize([1.0, -1.0], 500)
+    small = base[np.abs(base) < 1e160]
+    for n in (2, 3, 10, 57):
+        moved, cols = np.tile(small, (n, 1)), np.arange(small.size)
+        rows, steps = rng.integers(0, n, small.size), rng.integers(1, 4, small.size)
+        toward = np.where(rng.random(small.size) < 0.5, -np.inf, np.inf)
+        cells = moved[rows, cols]
+        for step in range(3):
+            cells = np.where(steps > step, np.nextafter(cells, toward), cells)
+        moved[rows, cols] = cells
+        offsets = 1e16 + 2.0 * rng.integers(0, 3, (n, 200)) * (rng.random(200) < 0.8)
+        data = np.column_stack([np.tile(base, (n, 1)), moved, offsets])
+        constant = (data == data[0]).all(axis=0)
+        assert constant[:base.size].all() and not constant[base.size:][:small.size].any()
+        assert np.array_equal(moments.sample_moments(data).degenerate, constant)
+
+
 def test_covariance_noise_constant_data():
     x = np.zeros((4, 2)) + 3.0
     centered = x - x.mean(axis=0)

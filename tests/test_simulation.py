@@ -179,6 +179,12 @@ def test_mvn_sample_uncorrelated_population():
     assert np.max(np.abs(off)) <= 4.0 / np.sqrt(n)
 
 
+def test_mvn_sample_needs_two_rows():
+    for n in (-1, 0, 1):
+        with pytest.raises(ValidationError, match=f"need at least 2 observations, got {n}"):
+            mvn_sample(np.eye(2), n, 0)
+
+
 def test_mvn_sample_shapes_and_determinism():
     x = mvn_sample(np.array([[1.0]]), 2, 3)
     assert x.data.shape == (2, 1) and np.all(np.isfinite(x.data))

@@ -27,7 +27,9 @@ malformed layouts, `cv` and a cross-validated `estimate-diff-corr` on
 sparse counts, whose fold parts can hold a constant variable, and
 `test-equality`, a cross-validated `estimate-diff-corr` and single-corr `cv`
 on 0/1/2 codes whose group 1 holds a copied variable, which correlates at
-exactly 1 with its original. The inputs have 12 variables, except for one
+exactly 1 with its original, and a cross-validated `estimate-diff-corr` and
+`test-equality` on the two samples scaled by 1e-160 and by 2**500 (SCALED),
+at both ends of the float range. The inputs have 12 variables, except for one
 `test-equality` and one cross-validated `estimate-diff-corr` on WIDE_P
 variables, whose statistics span more than one row block
 (`diffcorr.moments.triangle_blocks`). The `simulate` cells share each group's
@@ -59,6 +61,8 @@ WIDE_FILES = ["--input1", "../inputs/wide1.csv", "--input2", "../inputs/wide2.cs
 WIDE_P = 150  # rows 0:64 and 64:150 of the upper triangle
 COUNT_FILES = ["--input1", "../inputs/counts1.csv", "--input2", "../inputs/counts2.csv"]
 CODE_FILES = ["--input1", "../inputs/codes1.csv", "--input2", "../inputs/codes2.csv"]
+# inputs/NAME1.csv and NAME2.csv are x1.csv and x2.csv times the factor
+SCALED = {"tiny": 1e-160, "huge": 2.0**500}
 LABELED = ["--input", "../inputs/labeled.csv", "--label-column", "grp", "--groups", "A+B:C"]
 ONE_FILE = ["--input", "../inputs/x1.csv"]
 # inputs/NAME.csv is x1.csv with its fifth line, file row 5, changed by the function
@@ -160,6 +164,16 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("cv-single-corr-codes", ["cv", "--estimator", "single-corr", "--input",
                                   "../inputs/codes1.csv", "--out-json", "cv.json"]),
     ]
+    # both ends of the float range: the squares of the tiny inputs are subnormal
+    for name in SCALED:
+        files = ["--input1", f"../inputs/{name}1.csv", "--input2", f"../inputs/{name}2.csv"]
+        commands += [
+            (f"estimate-diff-corr-{name}", ["estimate-diff-corr", *files, "--seed", "3",
+                                            "--out-json", "summary.json",
+                                            "--out-matrix", "estimate.csv"]),
+            (f"test-equality-{name}", ["test-equality", *files, "--top-k", "5",
+                                       "--out-json", "test.json"]),
+        ]
     return commands
 
 
@@ -180,13 +194,17 @@ def write_inputs(directory: Path, p: int = 12, n1: int = 60, n2: int = 70) -> No
     as one labeled CSV whose labels A and B pool into group 1 and C is group 2;
     then group 1 quoted throughout, group 1 with each fault of MALFORMED, a
     pair of samples on WIDE_P variables, a pair of sparse Poisson(0.2)
-    count samples in which every variable varies, and a pair of 0/1/2 code
-    samples whose group 1 has v7 planted as a copy of v2."""
+    count samples in which every variable varies, a pair of 0/1/2 code
+    samples whose group 1 has v7 planted as a copy of v2, and the two samples
+    times each factor of SCALED."""
     directory.mkdir(parents=True, exist_ok=True)
     header = [f"v{i}" for i in range(p)]
     samples = _correlated_pair(20141, p, n1, n2)
     for name, x in zip(("x1.csv", "x2.csv"), samples):
         _write_csv(directory / name, header, x.tolist())
+    for name, factor in SCALED.items():
+        for k, x in enumerate(samples, 1):
+            _write_csv(directory / f"{name}{k}.csv", header, (x * factor).tolist())
     wide = _correlated_pair(20142, WIDE_P, n1, n2)
     for name, x in zip(("wide1.csv", "wide2.csv"), wide):
         _write_csv(directory / name, [f"v{i}" for i in range(WIDE_P)], x.tolist())
