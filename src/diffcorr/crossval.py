@@ -21,9 +21,9 @@ above it, and while kept moves with tau by a fixed power law (constant for
 hard, linear for soft, tau**eta for adaptive-lasso). Binning the entries by
 the length of that run gives every grid point's loss from a few cumulative
 sums, equal to fitting at every tau up to rounding, in O(p^2 + G) time for G
-grid points. The bins add up over row blocks of the upper triangle
-(moments.triangle_blocks) and over splits, so no p x p array is formed: the
-working set is O(rows x p + G).
+grid points. The bins add up over splits and over the row blocks of
+moments.row_blocks, which form their Gram products only when read, so no p x p
+array is formed: the working set is O(rows x p + G).
 
 Per-repetition RNG streams are derived from (seed, repetition), so results do
 not depend on evaluation order.
@@ -31,14 +31,13 @@ not depend on evaluation order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SampleMatrix, TwoGroupDataset
-from .errors import ValidationError
-from .moments import MomentSet, _part_moments, _reject_degenerate, triangle_blocks
+from .errors import ValidationError, check_index
+from .moments import MomentSet, _part_moments, _reject_degenerate, row_blocks
 from .thresholding import DEFAULT_RULE, KINDS, ThresholdRule, check_split, rule_tuple
 from .thresholding import unit_thresholds
 
@@ -58,13 +57,7 @@ class CvConfig:
 
     def __post_init__(self):
         for name, least in (("k_folds", 2), ("h_repeats", 1), ("grid_n", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, check_index(getattr(self, name), name, least))
         if self.grid_n > _MAX_GRID_N:
             raise ValidationError(f"grid_n must be <= {_MAX_GRID_N}, got {self.grid_n}")
         if self.seed >= 2**64:
@@ -193,14 +186,14 @@ def _cv_parts(spec, cfg, samples, split, left_out):
         _reject_degenerate(_part_moments(x).degenerate, x.names)
     for h in range(cfg.h_repeats):
         rng = np.random.default_rng([cfg.seed, h])
-        folds = [_draw_folds(rng, x, m) for x, m in zip(samples, sizes)]
-        dropped = np.logical_or.reduce([part.degenerate for fold in folds for part in fold])
+        parts = [part for x, m in zip(samples, sizes) for part in _draw_folds(rng, x, m)]
+        dropped = np.logical_or.reduce([part.degenerate for part in parts])
         left_out.append(int(np.count_nonzero(dropped)))
-        for r0, r1 in triangle_blocks(split if spec.cross_block else samples[0].p):
-            train = [part.rows(r0, r1) for part, _ in folds]
-            raw, unit = spec.raw(train), unit_thresholds(spec.statistic, train)
-            del train  # fewer arrays alive at once
-            target = spec.raw([part.rows(r0, r1) for _, part in folds])
+        for r0, r1, blocks in row_blocks(parts, split if spec.cross_block else samples[0].p):
+            raw, unit = spec.raw(blocks[::2]), unit_thresholds(spec.statistic, blocks[::2])
+            del blocks[::2]  # the training parts': freed before the held-out products form
+            target = spec.raw(blocks)
+            del blocks  # fewer arrays alive at once
             if dropped[r0:].any():
                 drop = dropped[r0:r1, None] | dropped[r0:]
                 raw, target = np.where(drop, 0.0, raw), np.where(drop, 0.0, target)

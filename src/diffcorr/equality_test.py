@@ -8,7 +8,7 @@ with per-entry variances from moments.correlation_variance. The maximum t_n
 over i < j is calibrated against the type I extreme value limit of
 t_n - 4 log p + log log p, whose CDF is exp(-(8 pi)^(-1/2) exp(-t / 2)).
 The statistic is formed one block of rows of the upper triangle at a time
-(moments.MomentSet.rows), so beside each group's standardized data only the
+(moments.row_blocks), so beside each group's standardized data only the
 p(p-1)/2 values t_ij are held, and no p x p moment matrix is formed.
 
 The calibration is asymptotic and its regularity conditions (sub-Gaussian
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TwoGroupDataset
-from .errors import DegenerateVarianceError, UnsupportedDimensionError, ValidationError
-from .moments import correlation_variance, moment_set, triangle_blocks
+from .errors import DegenerateVarianceError, UnsupportedDimensionError, ValidationError, check_index
+from .moments import correlation_variance, moment_set, row_blocks
 
 _LOG_8PI = math.log(8.0 * math.pi)
 
@@ -49,10 +49,8 @@ class TestResult:
     def top_pairs(self, k: int = 20) -> list[tuple[str, str, float]]:
         """The k largest per-pair statistics (i < j) with their variable
         labels; ties keep row-major order."""
-        if k < 0:
-            raise ValidationError(f"top-k must be >= 0, got {k}")
         p, values = len(self.names), self.t_pairs
-        k = min(k, values.size)
+        k = min(check_index(k, "top-k", 0), values.size)
         if k == 0:
             return []
         # select the k-th largest value, then sort only the entries above it
@@ -80,8 +78,7 @@ def test_statistic(ds: TwoGroupDataset) -> tuple[float, np.ndarray]:
     groups = [moment_set(group) for group in (ds.group1, ds.group2)]
     t_pairs = np.empty(ds.p * (ds.p - 1) // 2)
     t_n, filled = 0.0, 0
-    for r0, r1 in triangle_blocks(ds.p):
-        blocks = [g.rows(r0, r1) for g in groups]
+    for r0, r1, blocks in row_blocks(groups, ds.p):
         denom = sum(correlation_variance(m) / m.n for m in blocks)
         upper = ~np.tri(r1 - r0, ds.p - r0, dtype=bool)  # pairs i < j
         denom_upper = denom[upper]

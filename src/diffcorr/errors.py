@@ -2,6 +2,8 @@
 USER (bad input), DATA (degenerate statistics), INTERNAL (solver failure).
 """
 
+import operator
+
 
 class DiffCorrError(Exception):
     """Base of every diffcorr error; uncategorised ones are INTERNAL."""
@@ -54,3 +56,13 @@ class DegenerateVariableError(DataError):
 class DegenerateVarianceError(DataError):
     """A test-statistic denominator is exactly zero."""
 
+
+def check_index(value, name: str, least: int) -> int:
+    """value as an integer (operator.index) of at least least, else a ValidationError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value

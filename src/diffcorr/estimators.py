@@ -15,13 +15,13 @@ single group's are 0 on the diagonal):
   entry; only the cov-then-normalize baseline keeps each group's raw
   variances before normalizing.
 
-The fit on the full data walks the upper triangle in the row blocks
-cross-validation walks (moments.triangle_blocks), forms each block's moments
-from the standardized data as cross-validation does (MomentSet.rows), and
-mirrors the block below the diagonal. So beside its outputs it holds only each
-group's standardized data and column statistics, and no group covariance or
-correlation, whether tau is given or chosen by cross-validation.
-cross-corr keeps the [:split, split:] part of diff-corr's blocks.
+The fit walks the row blocks of the upper triangle (moments.row_blocks) and
+mirrors each below the diagonal, so beside its outputs it holds only each
+group's standardized data and column statistics, no group covariance or
+correlation. CV walks the same blocks, except for cross-corr: its fit walks
+diff-corr's, so it is diff-corr's [:split, split:] bit for bit, and stops at
+the first from split on, while CV scores only rows 0:split and walks theirs
+(at p=150 and split=100, the fit walks 0:64 and 64:150 and CV walks 0:100).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .crossval import CvConfig, CvResult, cv_select_tau, cv_select_tau_single
 from .dataset import SampleMatrix, TwoGroupDataset
 from .errors import ValidationError
-from .moments import moment_set, put_triangle_rows, sample_correlation, triangle_blocks
+from .moments import moment_set, put_triangle_rows, row_blocks, sample_correlation
 from .thresholding import (
     DEFAULT_RULE,
     KINDS,
@@ -112,10 +112,9 @@ def _fit(
     rows, cols = (names[:split], names[split:]) if spec.cross_block else (names, names)
     outputs = [np.empty((len(rows), len(cols))) for _ in rules]
     # cross-corr walks diff-corr's blocks, so it is diff-corr's [:split, split:]
-    for r0, r1 in triangle_blocks(data.p):
-        if spec.cross_block and r0 >= split:
+    for r0, r1, block in row_blocks(full, data.p):
+        if spec.cross_block and r0 >= split:  # before any product of the block forms
             break
-        block = [m.rows(r0, r1) for m in full]
         raw = spec.raw(block)
         unit = THRESHOLDS[spec.statistic, len(block)](*block, 1.0)  # scaled by each rule's tau
         for tau, r, out in zip(taus, rules, outputs):

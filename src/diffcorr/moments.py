@@ -12,7 +12,8 @@ matrices from its row blocks when they are read; the fit, cross-validation and
 the equality test read only row blocks. Within _shared_moments (a simulate
 replication) each sample's and each fold part's set is formed once.
 
-triangle_blocks is the one walker over those row blocks, _BLOCK_ROWS at a time.
+row_blocks is the one producer of those row blocks, _BLOCK_ROWS at a time. It
+slices each block when asked for it; a block nobody reads forms no Gram product.
 
 correlation_variance gives the per-entry variance theta_ij of a correlation
 entry with the first-order correction terms, the denominator of the equality
@@ -36,7 +37,7 @@ from .errors import DegenerateVariableError, ValidationError
 # a pair whose expansion terms sum in magnitude to more than this multiple of
 # its theta is recomputed from the per-sample formula
 _CANCELLATION_GUARD = 100.0
-# rows per block of the upper triangle (see triangle_blocks)
+# rows per block of the upper triangle (see row_blocks)
 _BLOCK_ROWS = 64
 _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sample, set)
 
@@ -44,13 +45,12 @@ _SHARED = contextvars.ContextVar("shared_moments")  # (id(sample), rows) -> (sam
 @dataclass(frozen=True, repr=False)
 class MomentSet:
     """One sample's standardized data a, its squares sq, column variances var
-    and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of columns
-    r0:p for a row block r0:r1 (row i is column i), which also holds its Gram
-    rows with a unit diagonal. A full set's degenerate marks the columns
-    sample_moments standardized to zeros. Correlation rows put a column and its
-    copy at exactly +-1 (see _form_corr). cov, corr and corr_noise are formed
-    when first read, and then kept: a row block's by its method _form_<name>, a
-    full set's from its row blocks."""
+    and corr_noise_jj = mean((a_j^2 - 1)^2): of all p columns, or of the columns
+    r0:p of a row block of block_rows rows from r0 (row i is column i). A full
+    set's degenerate marks the columns sample_moments standardized to zeros, and
+    its gram is None. Correlation rows put a column and its copy at exactly +-1
+    (see _form_corr). gram, cov, corr and corr_noise are formed when first read,
+    and then kept: a row block's by _form_<name>, a full set's from its blocks."""
 
     a: np.ndarray
     sq: np.ndarray
@@ -58,17 +58,23 @@ class MomentSet:
     corr_noise_jj: np.ndarray
     n: int
     p: int
-    gram: np.ndarray | None = None
+    block_rows: int | None = None
     degenerate: np.ndarray | None = None
 
     def _formed(self, name: str) -> np.ndarray:
-        if self.gram is None:
-            return _symmetric(self.p, lambda r0, r1: getattr(self.rows(r0, r1), name))
+        if self.block_rows is None:
+            return _symmetric(self, lambda block: getattr(block, name))
         return getattr(self, "_form_" + name)()
 
+    gram = cached_property(lambda self: None if self.block_rows is None else self._form_gram())
     cov = cached_property(lambda self: self._formed("cov"))
     corr = cached_property(lambda self: self._formed("corr"))
     corr_noise = cached_property(lambda self: self._formed("corr_noise"))
+
+    def _form_gram(self) -> np.ndarray:  # one product of the standardized data
+        gram = self.a[:, :self.block_rows].T @ self.a / self.n
+        np.fill_diagonal(gram, 1.0)
+        return gram
 
     def _form_cov(self) -> np.ndarray:  # with the variances on the diagonal
         sd = np.sqrt(self.var)
@@ -109,28 +115,26 @@ class MomentSet:
         return np.maximum(noise, 0.0, out=noise)
 
     def rows(self, r0: int, r1: int) -> MomentSet:
-        """Row block r0:r1 of a full set, with its Gram rows from one product
-        of the standardized data."""
-        a = self.a[:, r0:]
-        gram = a[:, :r1 - r0].T @ a / self.n
-        np.fill_diagonal(gram, 1.0)
-        return MomentSet(a, self.sq[:, r0:], self.var[r0:], self.corr_noise_jj[r0:],
-                         self.n, self.p, gram=gram)
+        """Row block r0:r1 of a full set: its columns r0:p, sliced (see gram)."""
+        return MomentSet(self.a[:, r0:], self.sq[:, r0:], self.var[r0:],
+                         self.corr_noise_jj[r0:], self.n, self.p, r1 - r0)
 
 
-def triangle_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """Bounds (r0, r1) of blocks of _BLOCK_ROWS rows covering rows 0:n_rows, the
-    last taking any shorter remainder: each costs a fixed number of numpy calls."""
+def row_blocks(sets: list[MomentSet], n_rows: int):
+    """Yield (r0, r1, [m.rows(r0, r1) for m in sets]) for blocks of _BLOCK_ROWS
+    rows covering rows 0:n_rows, the last taking any shorter remainder: each
+    costs a fixed number of numpy calls."""
     starts = range(0, max(n_rows - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
-    return list(zip(starts, [*starts[1:], n_rows]))
+    for r0, r1 in zip(starts, [*starts[1:], n_rows]):
+        yield r0, r1, [m.rows(r0, r1) for m in sets]
 
 
-def _symmetric(p: int, rows_of) -> np.ndarray:
-    """The symmetric p x p matrix whose rows r0:r1 from column r0 on are
-    rows_of(r0, r1), over triangle_blocks (see put_triangle_rows)."""
-    out = np.empty((p, p))
-    for r0, r1 in triangle_blocks(p):
-        put_triangle_rows(out, r0, r1, rows_of(r0, r1))
+def _symmetric(full: MomentSet, read) -> np.ndarray:
+    """The symmetric p x p matrix whose rows r0:r1 from column r0 on are read of
+    full's row block r0:r1 (see put_triangle_rows)."""
+    out = np.empty((full.p, full.p))
+    for r0, r1, (block,) in row_blocks([full], full.p):
+        put_triangle_rows(out, r0, r1, read(block))
     return out
 
 
@@ -238,8 +242,8 @@ def correlation_variance(moments: MomentSet) -> np.ndarray:
     working set is a few arrays of the result's size. Entries below the
     diagonal mirror those above it; the diagonal is 0 and all are >= 0.
     """
-    if moments.gram is None:
-        return _symmetric(moments.p, lambda r0, r1: correlation_variance(moments.rows(r0, r1)))
+    if moments.block_rows is None:
+        return _symmetric(moments, correlation_variance)
     p, n, a, sq, b = moments.p, moments.n, moments.a, moments.sq, len(moments.gram)
     # row i of the block is column i of a
     cube = sq * a

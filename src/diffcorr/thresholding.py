@@ -23,7 +23,7 @@ from math import log
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 from .moments import MomentSet
 
 RULE_NAMES = ("hard", "soft", "adaptive-lasso")
@@ -206,9 +206,9 @@ KINDS = {
 
 
 def check_split(kind: str, split: int | None, p: int) -> None:
-    """Only a cross-block kind takes a split index, and it needs one in [1, p - 1]."""
+    """Only a cross-block kind takes a split index, and it needs an integer in [1, p - 1]."""
     if KINDS[kind].cross_block:
-        if split is None or not (1 <= split < p):
+        if split is None or check_index(split, "split", 1) >= p:
             raise ValidationError(f"{kind} needs a split index in [1, {p - 1}], got {split}")
     elif split is not None:
         raise ValidationError(f"a split index applies only to cross-corr, not {kind!r}")

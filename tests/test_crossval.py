@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -475,6 +476,28 @@ def test_cv_working_set_stays_below_four_p_by_p_arrays():
     # the folds' full covariance, correlation and noise matrices would be
     # about 20 p x p arrays
     assert peak < 4 * p * p * 8
+
+
+def test_one_gram_product_per_group_is_alive_at_a_time(monkeypatch):
+    # cross-validation frees a block's training products before its held-out
+    # ones form, and the fit frees a block's products before the next block's
+    form, formed = moments.MomentSet._form_gram, []
+
+    def spy(block):
+        alive = sum(ref() is not None for ref in formed)
+        assert alive <= 1, f"{alive} Gram products alive as another forms"
+        formed.append(weakref.ref(block))
+        return form(block)
+
+    monkeypatch.setattr(moments.MomentSet, "_form_gram", spy)
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 3)  # several blocks at p = 10
+    ds = gaussian_dataset(35, p=10, n1=30, n2=26)
+    cfg = CvConfig(h_repeats=2, grid_n=20, seed=5)
+    rules = (ThresholdRule("hard"), ThresholdRule("soft"))
+    for kind, spec in KINDS.items():
+        data = ds if spec.two_group else ds.group1
+        _fit(kind, data, None, rules, cfg, 7 if spec.cross_block else None)
+    assert len(formed) > 100
 
 
 @pytest.mark.parametrize("rules", [

@@ -133,9 +133,9 @@ def test_a_column_and_its_copy_correlate_at_one_and_have_zero_variance(case):
             sign = np.sign(factors[u] * factors[v])
             assert m.var[u] / factors[u] ** 2 == m.var[v] / factors[v] ** 2
             assert m.corr[u, v] == m.corr[v, u] == sign
-            for r0, r1 in moments.triangle_blocks(m.p):  # every block holding the pair
+            for r0, r1, (block,) in moments.row_blocks([m], m.p):  # every block holding the pair
                 if r0 <= u < r1:
-                    assert m.rows(r0, r1).corr[u - r0, v - r0] == sign
+                    assert block.corr[u - r0, v - r0] == sign
     ds = TwoGroupDataset(SampleMatrix(x1), SampleMatrix(x2))
     u, v = pairs[0]  # the first in row-major order
     with pytest.raises(DegenerateVarianceError, match=rf"\(v{u + 1}, v{v + 1}\)"):
@@ -150,9 +150,9 @@ def test_columns_equal_in_a_fold_part_correlate_at_one_there():
     sample = SampleMatrix(x)
     assert moments.moment_set(sample).corr[20, 90] < 1.0
     part = moments._part_moments(sample, rows)
-    for r0, r1 in moments.triangle_blocks(100):
+    for r0, r1, (block,) in moments.row_blocks([part], 100):
         if r0 <= 20 < r1:
-            assert part.rows(r0, r1).corr[20 - r0, 90 - r0] == 1.0
+            assert block.corr[20 - r0, 90 - r0] == 1.0
 
 
 def test_statistic_needs_two_variables():
@@ -267,6 +267,14 @@ def test_top_pairs_match_naive_sort():
         result.top_pairs(-1)
 
 
+@pytest.mark.parametrize("k", [2.5, None, "3"])
+def test_top_pairs_needs_an_integer(k):
+    result = run_equality_test(gaussian_dataset(4, p=7, n1=30, n2=40))
+    with pytest.raises(ValidationError, match="top-k must be an integer"):
+        result.top_pairs(k)
+    assert result.top_pairs(np.int64(3)) == result.top_pairs(3)
+
+
 def test_top_pairs_ties_keep_row_major_order():
     sm = SampleMatrix(np.random.default_rng(6).standard_normal((15, 4)))
     result = run_equality_test(TwoGroupDataset(sm, sm))
@@ -294,7 +302,7 @@ def test_statistic_in_row_blocks_against_naive_oracle(p, monkeypatch):
     t_n_naive, t_ij_naive = naive_test_statistic(x1, x2)
     for step in _steps(p):
         monkeypatch.setattr(moments, "_BLOCK_ROWS", step)
-        assert len(moments.triangle_blocks(p)) > 1
+        assert len(list(moments.row_blocks([], p))) > 1
         t_n, t_pairs = compute_statistic(ds)
         assert t_n == pytest.approx(t_n_naive, abs=1e-10)
         assert t_n == t_pairs.max()

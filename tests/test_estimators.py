@@ -241,6 +241,35 @@ def test_cross_corr_identical_groups_and_bad_split():
         estimate_cross_corr(ds, 4, 0.5, SOFT)
 
 
+@pytest.mark.parametrize("split", [2.5, 2.0, "3", None])
+def test_a_split_that_is_not_an_integer_is_a_validation_error(split):
+    ds = _same_group_dataset(14)
+    for tau in (1.0, None):
+        with pytest.raises(ValidationError, match="split"):
+            estimate_cross_corr(ds, split, tau)
+    want = estimate_cross_corr(ds, 2, 0.5, SOFT).estimate
+    assert np.array_equal(estimate_cross_corr(ds, np.int64(2), 0.5, SOFT).estimate, want)
+
+
+@pytest.mark.parametrize("tau", [None, 0.6])
+def test_the_cross_corr_fit_forms_no_product_for_a_block_from_split_on(tau, monkeypatch):
+    from diffcorr import moments
+
+    made, rows = [], moments.MomentSet.rows
+
+    def spy(full, r0, r1):
+        made.append((r0, rows(full, r0, r1)))
+        return made[-1][1]
+
+    monkeypatch.setattr(moments, "_BLOCK_ROWS", 4)  # blocks 0:4, 4:8 and 8:12
+    monkeypatch.setattr(moments.MomentSet, "rows", spy)
+    ds = gaussian_dataset(33, p=12, n1=30, n2=26)
+    fit = estimate_cross_corr(ds, 3, tau, HARD, CvConfig(h_repeats=2, grid_n=20, seed=1))
+    assert fit.estimate.shape == (3, 9)
+    # the block holding the rows before split forms its products; the next is only sliced
+    assert {(r0, "gram" in vars(block)) for r0, block in made} == {(0, True), (4, False)}
+
+
 def test_cross_corr_against_naive_oracle():
     rng = np.random.default_rng(15)
     x1 = rng.standard_normal((19, 5)) @ (rng.standard_normal((5, 5)) + np.eye(5))

@@ -399,17 +399,17 @@ def test_correlation_in_row_blocks_is_the_outer_product_form(monkeypatch):
         monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
         corr = moment_set(SampleMatrix(x)).corr
         assert np.array_equal(corr, corr.T)
-        for r0, r1 in moments.triangle_blocks(11):
+        for r0, r1, _ in moments.row_blocks([], 11):
             # each block's rows, from the Gram product of that block formed at once
             want = _block_at_once(x, r0, r1)[1]
             assert np.array_equal(_upper(corr[r0:r1, r0:]), _upper(want))
 
 
-def test_triangle_blocks_cover_the_rows_once_in_blocks_of_at_least_the_block_rows(monkeypatch):
+def test_row_blocks_cover_the_rows_once_in_blocks_of_at_least_the_block_rows(monkeypatch):
     for rows in range(1, 131):
         monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
         for n_rows in range(1, 301):
-            blocks = moments.triangle_blocks(n_rows)
+            blocks = [(r0, r1) for r0, r1, _ in moments.row_blocks([], n_rows)]
             starts, stops = zip(*blocks)
             assert starts[0] == 0 and stops[-1] == n_rows
             assert list(starts[1:]) == list(stops[:-1])  # contiguous, so each row once
@@ -417,6 +417,24 @@ def test_triangle_blocks_cover_the_rows_once_in_blocks_of_at_least_the_block_row
             assert max(sizes) < 2 * rows
             # a short remainder joins the last block
             assert len(blocks) == 1 or min(sizes) >= rows, (rows, n_rows)
+
+
+def test_row_blocks_yield_each_sets_rows_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    sets = [moment_set(SampleMatrix(rng.standard_normal((n, 10)))) for n in (14, 9)]
+    assert all(m.gram is None for m in sets)  # a full set forms no p x p Gram product
+    fields = ("a", "sq", "var", "corr_noise_jj", "gram", "cov", "corr", "corr_noise")
+    for rows in (3, 4, 10):
+        monkeypatch.setattr(moments, "_BLOCK_ROWS", rows)
+        for n_rows in (10, 7):  # all rows, and cross-corr's cross-validation at split 7
+            for r0, r1, blocks in moments.row_blocks(sets, n_rows):
+                assert len(blocks) == len(sets)
+                for m, block in zip(sets, blocks):
+                    assert "gram" not in vars(block)  # formed only when read
+                    want = m.rows(r0, r1)
+                    assert (block.n, block.p, block.block_rows) == (want.n, want.p, r1 - r0)
+                    for name in fields:
+                        assert np.array_equal(getattr(block, name), getattr(want, name))
 
 
 def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
@@ -432,8 +450,7 @@ def test_a_full_set_forms_its_moments_from_row_blocks(monkeypatch):
     assert np.max(np.abs(cov - np.array(naive_cov(x)))) < 1e-12
     assert np.array_equal(corr, m.corr)  # here read after the covariance
     assert np.max(np.abs(corr - np.array(naive_corr(naive_cov(x))))) < 1e-14
-    for r0, r1 in moments.triangle_blocks(10):
-        block = m.rows(r0, r1)
+    for r0, r1, (block,) in moments.row_blocks([m], 10):
         want_cov, want_corr, _ = _block_at_once(x, r0, r1)
         for got, full, want in ((block.cov, cov, want_cov), (block.corr, corr, want_corr)):
             assert np.array_equal(_upper(got), _upper(full[r0:r1, r0:]))

@@ -29,14 +29,18 @@ sparse counts, whose fold parts can hold a constant variable, and
 on 0/1/2 codes whose group 1 holds a copied variable, which correlates at
 exactly 1 with its original, and a cross-validated `estimate-diff-corr` and
 `test-equality` on the two samples scaled by 1e-160 and by 2**500 (SCALED),
-at both ends of the float range. The inputs have 12 variables, except for one
-`test-equality` and one cross-validated `estimate-diff-corr` on WIDE_P
-variables, whose statistics span more than one row block
-(`diffcorr.moments.triangle_blocks`). The `simulate` cells share each group's
+at both ends of the float range. The inputs have 12 variables, except for six
+cases on WIDE_P variables, whose statistics span more than one row block
+(`diffcorr.moments.row_blocks`), so that every consumer of those blocks crosses
+a block boundary: `test-equality`, and cross-validated `estimate-diff-corr`,
+`estimate-corr`, `estimate-diff-cov` (soft), and `estimate-cross` at split 100
+(the fit stops inside block 64:150, cross-validation walks one block 0:100),
+and `cv` for cross-corr at split 130 (blocks 0:64 and 64:130). The 68 commands
+run in about 1 s on 2 cores. The `simulate` cells share each group's
 and each fold part's moments within a replication: one cell scores all three
 rules, `simulate-wide` has p = 130 (two row blocks), and `simulate-baselines`
 runs only the single-group baselines, whose cross-validations share fold
-parts without diff-corr's. A full run takes about 1 s on 2 cores.
+parts without diff-corr's.
 """
 
 from __future__ import annotations
@@ -101,6 +105,19 @@ def _commands() -> list[tuple[str, list[str]]]:
         ("estimate-diff-corr-wide-hard", ["estimate-diff-corr", *WIDE_FILES, "--rule", "hard",
                                           "--seed", "3", "--out-json", "summary.json",
                                           "--out-matrix", "estimate.csv"]),
+        # the fit stops inside block 64:150, while cross-validation walks one block 0:100
+        ("estimate-cross-wide-hard", ["estimate-cross", *WIDE_FILES, "--split", "100", "--rule",
+                                      "hard", "--seed", "3", "--out-json", "summary.json",
+                                      "--out-matrix", "estimate.csv"]),
+        # cross-validation walks blocks 0:64 and 64:130
+        ("cv-cross-corr-wide-hard", ["cv", "--estimator", "cross-corr", *WIDE_FILES, "--split",
+                                     "130", "--rule", "hard", "--out-json", "cv.json"]),
+        ("estimate-corr-wide-hard", ["estimate-corr", "--input", WIDE_FILES[1], "--rule", "hard",
+                                     "--seed", "3", "--out-json", "summary.json",
+                                     "--out-matrix", "estimate.csv"]),
+        ("estimate-diff-cov-wide-soft", ["estimate-diff-cov", *WIDE_FILES, "--rule", "soft",
+                                         "--seed", "3", "--out-json", "summary.json",
+                                         "--out-matrix", "estimate.csv"]),
         ("simulate-model1", ["simulate", "--model", "1", "--p", "100", "--n", "50", "--reps", "2",
                              "--seed", "1", "--out-csv", "report.csv"]),
         ("simulate-model2", ["simulate", "--model", "2", "--p", "20", "--n1", "30", "--n2", "40",
